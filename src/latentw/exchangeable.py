@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (EmptyIndexSetError, NotExchangeableError,
                      ResidualNotPureError)
@@ -131,12 +130,10 @@ def decompose(p: Distribution) -> ExchangeableDecomposition:
 
     if p.is_exact:
         lam = sum(Fraction(int(s)) * m for s, m in zip(index.sizes, mins))
-        one = Fraction(1)
-        at_one = lam == one
+        at_one = lam == 1
         at_zero = lam == 0
     else:
         lam = float(np.clip(index.sizes @ mins, 0.0, 1.0))
-        one = 1.0
         at_one = lam >= 1.0 - LAMBDA_ONE_ATOL
         at_zero = lam == 0.0
 
@@ -147,10 +144,12 @@ def decompose(p: Distribution) -> ExchangeableDecomposition:
         else:
             q = Distribution(p.space, m_outcome / lam)
     # Residual computed from the orbit minima directly (rather than
-    # lam*q) so its argmin entries are exactly zero.
+    # lam*q) so its argmin entries are exactly zero.  It is scaled by its
+    # own sum: in float mode ``1 - lam`` loses digits as lam nears 1.
     r = None
     if not at_one:
-        r = Distribution(p.space, (p.p - m_outcome) / (one - lam))
+        resid = p.p - m_outcome
+        r = Distribution(p.space, resid / resid.sum())
     if not p.is_exact:
         mins = np.asarray(mins, dtype=np.float64)
         mins.setflags(write=False)
@@ -301,49 +300,44 @@ def lumping_weight_bound(p: Distribution, symbol_map):
 def tv_distance_to_exchangeable(p: Distribution) -> tuple[float, Distribution]:
     """Minimum TV distance from ``p`` to any exchangeable distribution.
 
-    Solved exactly as a linear program over per-orbit probabilities
-    ``q_z >= 0`` with ``sum_z |z| q_z = 1``:
+    The objective ``(1/2) sum_x |p(x) - q_[x]|`` is convex and separable
+    over orbits under the one constraint ``sum_z |z| q_z = 1``, so an
+    ordered fill solves it exactly:
 
-        minimize (1/2) * sum_x |p(x) - q_[x]|
+    1. start every orbit at its minimum, which places mass ``lam``;
+    2. the gap above the j-th sorted value (0-based) of orbit ``z`` holds
+       ``|z| (p_(j+1) - p_(j))`` mass at cost ``(2(j+1) - |z|)/|z|`` per
+       unit, and the gap above the orbit maximum any mass at cost 1
+       (never needed, since ``sum_z |z| max_z >= 1``);
+    3. put the missing ``1 - lam`` into the cheapest gaps first, ties
+       broken by orbit id so that ``q`` is deterministic (slopes rise
+       strictly within an orbit, so its gaps fill in order of j).
 
-    Returns the minimum and one achieving exchangeable distribution.
-    Always computed in float64 (exact inputs are converted first).
+    Hence ``TV = (1-lam)/2 + (1/2) sum slope * mass``, which lies in
+    ``[0, 1-lam]`` since every slope is in ``(-1, 1]``.  Returns the
+    minimum and the achieving distribution, computed in float64 (exact
+    inputs are converted first).
     """
     pf = p.as_float()
     index = pf.space.orbit_index()
-    n = pf.space.n_outcomes
-    c_classes = index.n_classes
-    n_vars = c_classes + n      # [q_z ...,  t_x ...]
+    cls = index.class_of[index.order]
+    vals = pf.p[index.order]
+    vals = vals[np.lexsort((vals, cls))]          # ascending within orbit
+    size = index.sizes[cls]
+    j = np.arange(len(vals)) - index.starts[cls]  # rank inside the orbit
+    slope = (2 * (j + 1) - size) / size           # 1 above the orbit max
+    gap = np.append(vals[1:] - vals[:-1], np.inf)
+    gap[j == size - 1] = np.inf
+    mins = vals[index.starts]
 
-    cost = np.zeros(n_vars)
-    cost[c_classes:] = 0.5
-
-    # t_x >= p_x - q_[x]   and   t_x >= q_[x] - p_x
-    a_ub = np.zeros((2 * n, n_vars))
-    b_ub = np.zeros(2 * n)
-    for x in range(n):
-        z = index.class_of[x]
-        a_ub[x, z] = -1.0
-        a_ub[x, c_classes + x] = -1.0
-        b_ub[x] = -pf.p[x]
-        a_ub[n + x, z] = 1.0
-        a_ub[n + x, c_classes + x] = -1.0
-        b_ub[n + x] = pf.p[x]
-
-    a_eq = np.zeros((1, n_vars))
-    a_eq[0, :c_classes] = index.sizes
-    b_eq = np.array([1.0])
-
-    res = linprog(c=cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=[(0, None)] * n_vars, method="highs")
-    if not res.success:
-        raise RuntimeError(f"TV projection LP failed: {res.message}")
-    q_class = np.clip(res.x[:c_classes], 0.0, None)
-    q_vec = q_class[index.class_of]
-    q_vec = q_vec / q_vec.sum()
-    q = Distribution(pf.space, q_vec)
-    dist = float(max(res.fun, 0.0))
-    return dist, q
+    fill = np.lexsort((cls, slope))
+    cap = size[fill] * gap[fill]
+    before = np.concatenate(([0.0], np.cumsum(cap)[:-1]))
+    taken = np.clip(1.0 - index.sizes @ mins - before, 0.0, cap)
+    added = np.bincount(cls[fill], weights=taken, minlength=len(mins))
+    q_vec = (mins + added / index.sizes)[index.class_of]
+    q = Distribution(pf.space, q_vec / q_vec.sum())
+    return tv_distance(pf, q), q
 
 
 def tv_distance(p1: Distribution, p2: Distribution) -> float:

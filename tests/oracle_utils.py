@@ -1,14 +1,16 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 Everything here recomputes quantities from first principles (itertools
-enumeration, per-outcome permutation minima, simplex grids) without
-touching the package's orbit index, LP, or optimizer code paths.
+enumeration, per-outcome permutation minima, simplex grids, a generic LP
+solver) without touching the package's orbit index, TV projection, or
+optimizer code paths.
 """
 
 import itertools
 import math
 
 import numpy as np
+from scipy.optimize import linprog
 
 
 def brute_orbits(k: int, d: int) -> dict[tuple, list[tuple]]:
@@ -90,6 +92,42 @@ def tv_grid_oracle(p: np.ndarray, k: int, d: int,
                 best_val, best = v, c
         width /= 4.0
     return best_val
+
+
+def tv_lp_oracle(p) -> tuple[float, np.ndarray]:
+    """Minimum TV distance to the exchangeable simplex as a HiGHS LP.
+
+    ``p`` is a float ``Distribution``.  Variables are per-orbit
+    probabilities ``q_z >= 0`` with ``sum_z |z| q_z = 1`` and slacks
+    ``t_x >= |p(x) - q_[x]|``; the objective is ``(1/2) sum_x t_x``.
+    Returns the LP optimum and its per-outcome ``q``.  HiGHS works to
+    about 1e-8, so the value can sit slightly on either side of the
+    true minimum.
+    """
+    k, d = p.space.k, p.space.d
+    vec = np.asarray(p.p, dtype=float)
+    orbits = sorted(brute_orbits(k, d).values())
+    n, c = len(vec), len(orbits)
+    class_of = np.empty(n, dtype=int)
+    for z, members in enumerate(orbits):
+        for m in members:
+            class_of[_lex_index(m, k)] = z
+    sizes = np.bincount(class_of, minlength=c)
+
+    cost = np.concatenate((np.zeros(c), np.full(n, 0.5)))
+    rows = np.arange(n)
+    a_ub = np.zeros((2 * n, c + n))
+    a_ub[rows, class_of] = -1.0          # t_x >= p_x - q_[x]
+    a_ub[n + rows, class_of] = 1.0       # t_x >= q_[x] - p_x
+    a_ub[rows, c + rows] = -1.0
+    a_ub[n + rows, c + rows] = -1.0
+    b_ub = np.concatenate((-vec, vec))
+    a_eq = np.concatenate((sizes, np.zeros(n)))[None, :]
+    res = linprog(c=cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
+                  bounds=[(0, None)] * (c + n), method="highs")
+    assert res.success, res.message
+    q_vec = np.clip(res.x[:c], 0.0, None)[class_of]
+    return float(res.fun), q_vec / q_vec.sum()
 
 
 def _lex_index(outcome: tuple, k: int) -> int:

@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import latentw
 from latentw.cli import main
 
 
@@ -77,6 +79,23 @@ class TestVersion:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.startswith("latentw ")
+
+
+class TestImportBoundary:
+    def test_cli_import_skips_scipy_optimize(self):
+        # scipy.optimize costs ~0.5 s of every cold start; only tests use it
+        code = ("import sys, latentw.cli; "
+                "print('scipy.optimize' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_no_linprog_in_package(self):
+        src = Path(latentw.__file__).parent
+        hits = [path.name for path in src.rglob("*.py")
+                if "linprog" in path.read_text()]
+        assert hits == []
 
 
 class TestDecompose:

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latentw import (Distribution, SampleSpace, decompose,
                      exchangeable_weight, is_exchangeable, lump,
@@ -12,7 +14,7 @@ from latentw.errors import (EmptyIndexSetError, NotExchangeableError,
                             ResidualNotPureError)
 
 from conftest import dirichlet_distributions
-from oracle_utils import brute_weight_vector, tv_grid_oracle
+from oracle_utils import brute_weight_vector, tv_grid_oracle, tv_lp_oracle
 
 
 class TestExchangeableWeight:
@@ -97,6 +99,12 @@ class TestDecompose:
         assert dec.lam == 0.0
         assert dec.q is None
         assert np.array_equal(dec.r.p, pm.p)
+
+    def test_weight_near_one(self, space22):
+        # 1 - lam carries few digits here; the residual must still sum to 1
+        p = Distribution(space22, [0.0, 0.0, 1e-9, 1.0 - 1e-9])
+        dec = decompose(p)
+        assert np.array_equal(dec.r.p, [0.0, 0.0, 1.0, 0.0])
 
     def test_argmin_sets(self, unique_argmin_fixture):
         dec = decompose(unique_argmin_fixture)
@@ -323,11 +331,21 @@ class TestTVProjection:
         assert abs(dist - 0.5) < 1e-9
         assert np.allclose(q.p, [0, 0.5, 0.5, 0], atol=1e-8)
 
+    def test_tie_fills_lowest_orbit_first(self):
+        # Orbits {01,10} and {02,20} offer equal-slope gaps of 0.4 each for
+        # the missing 0.4; either gives TV 0.2, the lower orbit id wins.
+        p = Distribution.from_mapping(SampleSpace(3, 2), {
+            "00": 0.3, "01": 0.2, "02": 0.2, "11": 0.3})
+        dist, q = tv_distance_to_exchangeable(p)
+        assert abs(dist - 0.2) < 1e-15
+        assert np.allclose(q.p, [0.3, 0.2, 0, 0.2, 0.3, 0, 0, 0, 0],
+                           rtol=0, atol=1e-15)
+
     def test_against_grid_oracle_k2_d2(self, space22):
         for p in dirichlet_distributions(space22, 12, 6):
             dist, q = tv_distance_to_exchangeable(p)
             oracle = tv_grid_oracle(p.p, 2, 2)
-            assert dist <= oracle + 1e-9       # LP can only be better
+            assert dist <= oracle + 1e-9       # grid points are feasible
             assert abs(dist - oracle) < 2e-3   # grid resolution slack
             assert is_exchangeable(q, tol=1e-8)
             assert abs(tv_distance(p, q) - dist) < 1e-9
@@ -348,3 +366,75 @@ class TestTVProjection:
             lhs = tv_distance(p, dec.q)
             rhs = (1 - dec.lam) * tv_distance(dec.r, dec.q)
             assert abs(lhs - rhs) < 1e-10
+
+    def test_against_lp_oracle_random_laws(self):
+        # The fill is exact; HiGHS is accurate to ~1e-8 and its own q,
+        # once rescored, never beats the fill.
+        rng = np.random.default_rng(2)
+        for k, d in [(2, 2), (2, 3), (3, 3), (2, 5), (4, 3)]:
+            space = SampleSpace(k, d)
+            for vec in _random_laws(space, rng):
+                p = Distribution(space, vec)
+                dist, _ = tv_distance_to_exchangeable(p)
+                lp_dist, lp_q = tv_lp_oracle(p)
+                assert abs(dist - lp_dist) <= 1e-7
+                lp_rescored = tv_distance(p, Distribution(space, lp_q))
+                assert dist <= lp_rescored + 1e-12
+
+
+def _random_laws(space, rng):
+    """Dirichlet, sparse, point-mass and exchangeable laws on ``space``."""
+    n = space.n_outcomes
+    index = space.orbit_index()
+    laws = [rng.dirichlet(np.full(n, alpha))
+            for alpha in (0.2, 1.0, 5.0) for _ in range(6)]
+    for _ in range(4):
+        sparse = np.zeros(n)
+        support = rng.choice(n, size=min(3, n), replace=False)
+        sparse[support] = rng.dirichlet(np.ones(len(support)))
+        laws.append(sparse)
+        laws.append(np.eye(n)[rng.integers(n)])
+        exch = (rng.dirichlet(np.ones(index.n_classes))
+                / index.sizes)[index.class_of]
+        laws.append(exch / exch.sum())
+    return laws
+
+
+@st.composite
+def _laws(draw):
+    """``(p, exchangeable by construction)`` with k^d <= 64, boundaries too."""
+    k = draw(st.integers(2, 4))
+    d = draw(st.integers(2, 5 if k == 2 else 3))
+    space = SampleSpace(k, d)
+    index = space.orbit_index()
+    kind = draw(st.sampled_from(["general", "point", "exchangeable"]))
+    if kind == "point":
+        return Distribution(space, np.eye(space.n_outcomes)[
+            draw(st.integers(0, space.n_outcomes - 1))]), False
+    size = index.n_classes if kind == "exchangeable" else space.n_outcomes
+    weight = st.one_of(st.just(0.0), st.just(1.0), st.floats(1e-9, 1.0))
+    w = np.array(draw(st.lists(weight, min_size=size, max_size=size)))
+    if w.sum() == 0:
+        w[draw(st.integers(0, size - 1))] = 1.0
+    if kind == "exchangeable":
+        w = (w / index.sizes)[index.class_of]
+    return Distribution(space, w / w.sum()), kind == "exchangeable"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_laws())
+def test_tv_projection_properties(law):
+    p, exchangeable = law
+    dist, q = tv_distance_to_exchangeable(p)
+    lam = exchangeable_weight(p)
+    assert 0.0 <= dist <= 1.0 - lam + 1e-12
+    assert is_exchangeable(q, tol=0)
+    assert abs(q.p.sum() - 1.0) <= 1e-12
+    assert abs(tv_distance(p, q) - dist) <= 1e-12
+    dec_q = decompose(p).q
+    if dec_q is not None:          # any exchangeable law is feasible
+        assert dist <= tv_distance(p, dec_q) + 1e-12
+    if exchangeable:               # zero up to normalization rounding
+        assert dist <= 1e-14
+    again, q_again = tv_distance_to_exchangeable(p)
+    assert again == dist and np.array_equal(q_again.p, q.p)
