@@ -153,6 +153,11 @@ def _cmd_classweight(args) -> int:
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
         _emit(f"{min(res.lam, 1.0):.6f}\n", args.out)
+        if not res.converged:
+            sys.stderr.write(
+                "latentw: warning: classweight did not converge: a compass "
+                "search ran out of evaluations, so the weight may be below "
+                "the class optimum\n")
     return 0
 
 

@@ -7,7 +7,9 @@ the i.i.d. class (a common marginal on the alphabet, taken to the d-th
 power) and the product class (independent, possibly different marginals)
 the supremum is found numerically: a coarse grid over the marginal
 parameters seeds a handful of derivative-free compass-search refinements,
-and the winner is certified by checking ``P >= lam*Q`` pointwise.
+and the winner is certified by checking ``P >= lam*Q`` pointwise.  The
+objective is scored in batches: the whole grid in one numpy pass, and
+every direction of a compass poll in one more.
 """
 
 from __future__ import annotations
@@ -111,12 +113,12 @@ def class_weight(p: Distribution, spec: ProductClassSpec,
 
     pf = p.as_float().p
     mat = space.outcome_matrix().astype(np.int64)
-    objective = _Objective(pf, mat, k, d, spec.kind)
+    objective = _Objective(pf, mat, k, d)
 
     starts = _grid_starts(objective, dim, opts)
     log = []
     converged = True
-    for theta0, _ in starts:
+    for theta0 in starts:
         theta, value, ok = _compass_search(objective, theta0, opts)
         converged = converged and ok
         log.append((tuple(float(t) for t in theta0), float(value),
@@ -126,7 +128,7 @@ def class_weight(p: Distribution, spec: ProductClassSpec,
     log.sort(key=lambda rec: (-rec[1], rec[2]))
     best_theta = np.array(log[0][2])
     best_val = log[0][1]
-    q_vec = objective.q_of(best_theta)
+    q_vec = objective.q_rows(best_theta[None])[0]
     q = Distribution(space, q_vec / q_vec.sum())
     margin = float(np.min(pf - best_val * q.p))
     return SupMinResult(
@@ -138,6 +140,11 @@ def class_weight(p: Distribution, spec: ProductClassSpec,
     )
 
 
+#: Cap on the ``rows x outcomes`` elements one scoring pass materializes,
+#: so that a large grid or outcome space is scored in bounded memory.
+_CHUNK_ELEMENTS = 2**21
+
+
 class _Objective:
     """g(theta) = min_x p(x)/Q_theta(x), stick-breaking parameterization.
 
@@ -145,65 +152,68 @@ class _Objective:
     [0,1]: mu_0 = t_1, mu_1 = t_2*(1-t_1), ..., with the last symbol
     taking the remainder.  The cube [0,1]^(k-1) maps onto the whole
     simplex including its boundary, so point masses are reachable.
+
+    Calls score a batch: a ``(G, dim)`` array of parameter rows maps to
+    ``G`` values, computed ``_CHUNK_ELEMENTS // n_outcomes`` rows at a time.
     """
 
-    def __init__(self, p, mat, k, d, kind):
+    def __init__(self, p, mat, k, d):
         self.p = p
         self.mat = mat
         self.k = k
         self.d = d
-        self.kind = kind
-        self.rows = np.arange(d)
 
-    def marginals(self, theta: np.ndarray) -> np.ndarray:
+    def marginals(self, thetas: np.ndarray) -> np.ndarray:
+        """``(G, d, k)`` marginals of ``G`` parameter rows; an iid row
+        holds one marginal, a product row one per coordinate."""
         k, d = self.k, self.d
-        if self.kind == "iid":
-            mu = _stick_break(theta, k)
-            return np.tile(mu, (d, 1))
-        return np.stack([
-            _stick_break(theta[j * (k - 1):(j + 1) * (k - 1)], k)
-            for j in range(d)
-        ])
+        sticks = thetas.reshape(len(thetas), -1, k - 1)
+        mu = np.empty(sticks.shape[:2] + (k,))
+        rem = np.ones(sticks.shape[:2])
+        for j in range(k - 1):
+            mu[..., j] = sticks[..., j] * rem
+            rem -= mu[..., j]
+        mu[..., k - 1] = np.maximum(rem, 0.0)
+        return np.broadcast_to(mu, (len(thetas), d, k))
 
-    def q_of(self, theta: np.ndarray) -> np.ndarray:
-        margs = self.marginals(theta)
-        return np.prod(margs[self.rows[None, :], self.mat], axis=1)
+    def q_rows(self, thetas: np.ndarray) -> np.ndarray:
+        """``(G, n_outcomes)`` product laws, multiplied coordinate by
+        coordinate in order."""
+        margs = self.marginals(thetas)
+        q = margs[:, 0, self.mat[:, 0]]
+        for j in range(1, self.d):
+            q *= margs[:, j, self.mat[:, j]]
+        return q
 
-    def __call__(self, theta: np.ndarray) -> float:
-        q = self.q_of(theta)
-        pos = q > 0.0
-        if not np.any(pos):
-            return 0.0
-        return float(np.min(self.p[pos] / q[pos]))
-
-
-def _stick_break(theta: np.ndarray, k: int) -> np.ndarray:
-    mu = np.empty(k)
-    rem = 1.0
-    for j in range(k - 1):
-        mu[j] = theta[j] * rem
-        rem -= mu[j]
-    mu[k - 1] = max(rem, 0.0)
-    return mu
+    def __call__(self, thetas: np.ndarray) -> np.ndarray:
+        rows = max(1, _CHUNK_ELEMENTS // len(self.p))
+        values = np.empty(len(thetas))
+        for lo in range(0, len(thetas), rows):
+            q = self.q_rows(thetas[lo:lo + rows])
+            ratio = np.divide(self.p, q, out=np.full_like(q, np.inf),
+                              where=q > 0.0)
+            values[lo:lo + rows] = ratio.min(axis=1)
+        # A row with no positive Q keeps +inf; g scores it 0.
+        values[np.isinf(values)] = 0.0
+        return values
 
 
 def _grid_starts(objective, dim, opts):
-    """Evaluate a deterministic grid and keep the best starting points."""
+    """Score a deterministic grid in one batch and keep the best starting
+    points, ordered by value, then lexicographically by parameters."""
     per_param = opts.grid_points
     # Shrink the per-parameter resolution until the full grid fits the
     # evaluation budget (high-dimensional products explode otherwise).
     while per_param > 2 and per_param**dim > opts.max_grid_total:
         per_param -= 1
     axis = np.linspace(0.0, 1.0, per_param)
-    scored = []
-    for combo in itertools.product(axis, repeat=dim):
-        theta = np.array(combo)
-        scored.append((theta, objective(theta)))
-    scored.sort(key=lambda rec: (-rec[1], tuple(rec[0])))
-    return scored[: opts.n_starts]
+    grid = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"),
+                    axis=-1).reshape(-1, dim)
+    values = objective(grid)
+    return grid[np.lexsort((*grid.T[::-1], -values))[: opts.n_starts]]
 
 
-def _poll_directions(dim: int) -> list[np.ndarray]:
+def _poll_directions(dim: int) -> np.ndarray:
     dirs = []
     for i in range(dim):
         e = np.zeros(dim)
@@ -219,32 +229,34 @@ def _poll_directions(dim: int) -> list[np.ndarray]:
                     v = np.zeros(dim)
                     v[i], v[j] = si, sj
                     dirs.append(v)
-    return dirs
+    return np.array(dirs)
 
 
 def _compass_search(objective, theta0, opts):
     """Maximize over the unit cube by coordinate/diagonal polling with an
-    expanding-on-success, halving-on-failure step."""
-    dim = len(theta0)
-    dirs = _poll_directions(dim)
+    expanding-on-success, halving-on-failure step.
+
+    Each poll scores every direction in one batch and moves to the first
+    one, in direction order, that improves; ``evals`` counts the
+    directions a one-at-a-time poll would have tried.
+    """
+    dirs = _poll_directions(len(theta0))
     theta = np.clip(np.asarray(theta0, dtype=np.float64), 0.0, 1.0)
-    best = objective(theta)
+    best = objective(theta[None])[0]
     step = 1.0 / (opts.grid_points - 1) if opts.grid_points > 1 else 0.1
     evals = 0
     while step >= opts.step_floor:
         if evals >= opts.max_evals_per_start:
             return theta, best, False
-        moved = False
-        for dvec in dirs:
-            cand = np.clip(theta + step * dvec, 0.0, 1.0)
-            val = objective(cand)
-            evals += 1
-            if val > best + 1e-15:
-                theta, best = cand, val
-                moved = True
-                break
-        if moved:
+        cands = np.clip(theta + step * dirs, 0.0, 1.0)
+        vals = objective(cands)
+        better = vals > best + 1e-15
+        first = int(np.argmax(better))
+        if better[first]:
+            theta, best = cands[first], vals[first]
+            evals += first + 1
             step = min(step * 2.0, 0.25)
         else:
+            evals += len(dirs)
             step *= 0.5
     return theta, best, True

@@ -18,7 +18,6 @@ decompositions, bounds) stay in exact rational arithmetic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Mapping, Sequence
@@ -149,15 +148,6 @@ class OrbitIndex:
     def n_classes(self) -> int:
         return len(self.reps)
 
-    @property
-    def classes(self) -> tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...]:
-        """Per-class view: (canonical representative, size, member indices)."""
-        return tuple(
-            (self.reps[z], int(self.sizes[z]),
-             tuple(int(i) for i in self.members(z)))
-            for z in range(self.n_classes)
-        )
-
     def members(self, z: int) -> np.ndarray:
         """Outcome indices belonging to class ``z`` (ascending)."""
         lo = self.starts[z]
@@ -196,17 +186,6 @@ def build_orbit_index(space: SampleSpace,
         arr.setflags(write=False)
     return OrbitIndex(space=space, class_of=class_of, reps=reps,
                       sizes=sizes, order=order, starts=starts)
-
-
-def orbit_size_formula(rep: Sequence[int], k: int) -> int:
-    """d!/(c_1! ... c_k!) for the symbol multiplicities of ``rep``."""
-    counts = [0] * k
-    for s in rep:
-        counts[s] += 1
-    size = math.factorial(len(rep))
-    for c in counts:
-        size //= math.factorial(c)
-    return size
 
 
 class Distribution:

@@ -180,3 +180,107 @@ def supmin_grid_oracle(p: np.ndarray, kind: str, k: int, d: int,
     else:
         raise ValueError("oracle supports iid (any d) or product with d=2")
     return best
+
+
+def class_weight_scalar_oracle(p, kind: str, opts) -> tuple:
+    """The iid/product class search, scoring one parameter vector per call.
+
+    A self-contained copy of the original per-point optimizer: the grid
+    is enumerated with ``itertools.product`` and every grid point and
+    every poll direction is scored by its own objective call.  ``p`` is
+    a float ``Distribution`` and ``opts`` an ``OptimizerOptions``.
+    Returns ``(lam, argmax_q vector, certificate_margin, multistart_log,
+    converged)`` with the same meaning as ``class_weight``'s result.
+    """
+    k, d = p.space.k, p.space.d
+    pf = np.asarray(p.p, dtype=float)
+    mat = np.array(list(itertools.product(range(k), repeat=d)),
+                   dtype=np.int64)
+    coords = np.arange(d)
+    dim = (k - 1) if kind == "iid" else d * (k - 1)
+
+    def stick_break(theta):
+        mu = np.empty(k)
+        rem = 1.0
+        for j in range(k - 1):
+            mu[j] = theta[j] * rem
+            rem -= mu[j]
+        mu[k - 1] = max(rem, 0.0)
+        return mu
+
+    def q_of(theta):
+        if kind == "iid":
+            margs = np.tile(stick_break(theta), (d, 1))
+        else:
+            margs = np.stack([stick_break(theta[j * (k - 1):(j + 1) * (k - 1)])
+                              for j in range(d)])
+        return np.prod(margs[coords[None, :], mat], axis=1)
+
+    def objective(theta):
+        q = q_of(theta)
+        pos = q > 0.0
+        if not np.any(pos):
+            return 0.0
+        return float(np.min(pf[pos] / q[pos]))
+
+    per_param = opts.grid_points
+    while per_param > 2 and per_param**dim > opts.max_grid_total:
+        per_param -= 1
+    axis = np.linspace(0.0, 1.0, per_param)
+    scored = []
+    for combo in itertools.product(axis, repeat=dim):
+        theta = np.array(combo)
+        scored.append((theta, objective(theta)))
+    scored.sort(key=lambda rec: (-rec[1], tuple(rec[0])))
+
+    dirs = []
+    for i in range(dim):
+        e = np.zeros(dim)
+        e[i] = 1.0
+        dirs.append(e.copy())
+        dirs.append(-e)
+    if 2 <= dim <= 6:
+        for i, j in itertools.combinations(range(dim), 2):
+            for si in (1.0, -1.0):
+                for sj in (1.0, -1.0):
+                    v = np.zeros(dim)
+                    v[i], v[j] = si, sj
+                    dirs.append(v)
+
+    def compass(theta0):
+        theta = np.clip(np.asarray(theta0, dtype=np.float64), 0.0, 1.0)
+        best = objective(theta)
+        step = 1.0 / (opts.grid_points - 1) if opts.grid_points > 1 else 0.1
+        evals = 0
+        while step >= opts.step_floor:
+            if evals >= opts.max_evals_per_start:
+                return theta, best, False
+            moved = False
+            for dvec in dirs:
+                cand = np.clip(theta + step * dvec, 0.0, 1.0)
+                val = objective(cand)
+                evals += 1
+                if val > best + 1e-15:
+                    theta, best = cand, val
+                    moved = True
+                    break
+            if moved:
+                step = min(step * 2.0, 0.25)
+            else:
+                step *= 0.5
+        return theta, best, True
+
+    log = []
+    converged = True
+    for theta0, _ in scored[: opts.n_starts]:
+        theta, value, ok = compass(theta0)
+        converged = converged and ok
+        log.append((tuple(float(t) for t in theta0), float(value),
+                    tuple(float(t) for t in theta)))
+    log.sort(key=lambda rec: (-rec[1], rec[2]))
+    best_val = log[0][1]
+    q_vec = q_of(np.array(log[0][2]))
+    q_vec = q_vec / q_vec.sum()
+    margin = float(np.min(pf - best_val * q_vec))
+    return (float(best_val), q_vec, margin,
+            tuple((start, val) for start, val, _ in log), converged)

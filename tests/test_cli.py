@@ -1,11 +1,14 @@
 import json
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 import latentw
+from latentw import (OptimizerOptions, ProductClassSpec, class_weight, cli,
+                     empirical_distribution, read_counts)
 from latentw.cli import main
 
 
@@ -147,6 +150,23 @@ class TestClassWeight:
                            "--class", "product")
         assert code == 0
         assert abs(float(out) - 0.96) <= 1e-4
+
+    def test_not_converged_warns_on_stderr(self, capsys, intro_counts,
+                                           monkeypatch):
+        _, _, quiet = run(capsys, "classweight", "--counts", intro_counts,
+                          "--class", "product")
+        assert quiet == ""
+        starved = partial(OptimizerOptions, max_evals_per_start=1)
+        monkeypatch.setattr(cli, "OptimizerOptions", starved)
+        code, out, err = run(capsys, "classweight", "--counts", intro_counts,
+                             "--class", "product")
+        res = class_weight(empirical_distribution(read_counts(intro_counts)),
+                           ProductClassSpec(kind="product"), starved())
+        assert code == 0
+        assert not res.converged
+        assert out == f"{min(res.lam, 1.0):.6f}\n"   # stdout: the bare number
+        assert err.startswith("latentw: warning: classweight did not "
+                              "converge")
 
     def test_singleton_requires_q0(self, capsys, intro_counts):
         code, _, err = run(capsys, "classweight", "--counts", intro_counts,

@@ -2,14 +2,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latentw import (Distribution, OptimizerOptions, ProductClassSpec,
                      SampleSpace, class_weight, exchangeable_weight,
                      singleton_weight)
+from latentw import product
 from latentw.errors import DimensionTooLargeError
 
 from conftest import dirichlet_distributions
-from oracle_utils import supmin_grid_oracle
+from oracle_utils import class_weight_scalar_oracle, supmin_grid_oracle
 
 
 def bernoulli_product(space, qs):
@@ -147,3 +150,134 @@ class TestClassWeight:
         with pytest.raises(ValueError):
             ProductClassSpec(kind="iid",
                              q0=Distribution.uniform(space22))
+
+
+def _assert_matches_scalar_oracle(p, kind, opts):
+    res = class_weight(p, ProductClassSpec(kind=kind), opts)
+    lam, q, margin, log, converged = class_weight_scalar_oracle(p, kind, opts)
+    assert res.lam == lam
+    assert np.array_equal(res.argmax_q.p, q)
+    assert res.certificate_margin == margin
+    assert res.multistart_log == log
+    assert res.converged == converged
+    return res
+
+
+def _oracle_laws(space, seed):
+    """A Dirichlet(0.5) law, a sparse law and a point mass."""
+    rng = np.random.default_rng(seed)
+    n = space.n_outcomes
+    sparse = rng.dirichlet(np.ones(n)) * (np.arange(n) % 3 != 1)
+    return [Distribution(space, rng.dirichlet(np.full(n, 0.5))),
+            Distribution(space, sparse / sparse.sum()),
+            Distribution(space, np.eye(n)[rng.integers(n)])]
+
+
+class TestBatchedSearchMatchesScalarOracle:
+    """The batched grid and polls reproduce the per-point search exactly."""
+
+    @pytest.mark.parametrize("kind", ["iid", "product"])
+    @pytest.mark.parametrize("k,d", [(2, 2), (2, 3), (3, 2), (2, 4)])
+    def test_random_laws_grid9(self, k, d, kind):
+        space = SampleSpace(k, d)
+        for p in _oracle_laws(space, 100 * k + d):
+            _assert_matches_scalar_oracle(p, kind,
+                                          OptimizerOptions(grid_points=9))
+
+    @pytest.mark.parametrize("kind", ["iid", "product"])
+    @pytest.mark.parametrize("k,d", [(2, 2), (2, 3), (3, 2), (2, 4)])
+    def test_random_law_default_grid(self, k, d, kind):
+        # grid 33; at (2,4) the product grid shrinks to 15 points a side
+        p = dirichlet_distributions(SampleSpace(k, d), 1, 10 * k + d, 5.0)[0]
+        _assert_matches_scalar_oracle(p, kind, OptimizerOptions())
+
+    def test_budget_limited(self):
+        p = dirichlet_distributions(SampleSpace(3, 2), 1, 61)[0]
+        res = _assert_matches_scalar_oracle(
+            p, "product", OptimizerOptions(grid_points=9,
+                                           max_evals_per_start=50))
+        assert not res.converged
+
+    def test_budget_trips_at_the_same_iterate(self):
+        # every budget up to a few polls: a miscounted poll stops the
+        # search one step early or late somewhere in this sweep
+        p = dirichlet_distributions(SampleSpace(2, 3), 1, 65)[0]
+        for budget in range(1, 61):
+            _assert_matches_scalar_oracle(
+                p, "product", OptimizerOptions(grid_points=5,
+                                               max_evals_per_start=budget))
+
+    def test_grid_shrunk_by_budget(self):
+        # 33^4 points exceed the budget; the grid drops to 4 points a side
+        p = dirichlet_distributions(SampleSpace(2, 4), 1, 62)[0]
+        res = _assert_matches_scalar_oracle(
+            p, "product", OptimizerOptions(max_grid_total=500))
+        assert all(t in (0.0, 1 / 3, 2 / 3, 1.0)
+                   for start, _ in res.multistart_log for t in start)
+
+    @pytest.mark.parametrize("chunk", [40, 4])
+    def test_batches_span_chunks(self, monkeypatch, chunk):
+        # 40 elements: 5 rows of 8 outcomes per chunk; 4: one row per chunk
+        monkeypatch.setattr(product, "_CHUNK_ELEMENTS", chunk)
+        for p in _oracle_laws(SampleSpace(2, 3), 63):
+            _assert_matches_scalar_oracle(p, "product",
+                                          OptimizerOptions(grid_points=9))
+
+
+def test_search_scores_in_batches(monkeypatch):
+    """The grid is one batch and each poll is one batch of all directions;
+    a per-point loop would make 59 049 grid calls at (2,5)."""
+    batches = []
+    grid_calls = []
+    score = product._Objective.__call__
+    grid_starts = product._grid_starts
+
+    def counting_score(self, thetas):
+        batches.append(len(thetas))
+        return score(self, thetas)
+
+    def counting_grid_starts(objective, dim, opts):
+        before = len(batches)
+        starts = grid_starts(objective, dim, opts)
+        grid_calls.append(len(batches) - before)
+        return starts
+
+    monkeypatch.setattr(product._Objective, "__call__", counting_score)
+    monkeypatch.setattr(product, "_grid_starts", counting_grid_starts)
+    p = dirichlet_distributions(SampleSpace(2, 5), 1, 64)[0]
+    res = class_weight(p, ProductClassSpec(kind="product"))
+    assert grid_calls == [1]
+    assert batches[0] == 9**5
+    polls = batches[1:]
+    n_dirs = len(product._poll_directions(5))
+    # one single-row call scores each start, every other call a full poll
+    assert polls.count(1) == len(res.multistart_log)
+    assert all(b in (1, n_dirs) for b in polls)
+
+
+@st.composite
+def _class_laws(draw):
+    """Float laws with k^d <= 16, sparse and point-mass ones included."""
+    k, d = draw(st.sampled_from([(2, 2), (2, 3), (2, 4), (3, 2), (4, 2)]))
+    space = SampleSpace(k, d)
+    n = space.n_outcomes
+    if draw(st.sampled_from(["general", "point"])) == "point":
+        return Distribution(space, np.eye(n)[draw(st.integers(0, n - 1))])
+    weight = st.one_of(st.just(0.0), st.floats(1e-9, 1.0))
+    w = np.array(draw(st.lists(weight, min_size=n, max_size=n)))
+    if w.sum() == 0:
+        w[draw(st.integers(0, n - 1))] = 1.0
+    return Distribution(space, w / w.sum())
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_class_laws())
+def test_class_weight_properties(p):
+    opts = OptimizerOptions(grid_points=9)
+    iid = class_weight(p, ProductClassSpec(kind="iid"), opts)
+    prod = class_weight(p, ProductClassSpec(kind="product"), opts)
+    for res in (iid, prod):
+        assert res.certificate_margin >= -1e-9
+        assert res.lam <= 1 + 1e-12
+    assert iid.lam <= exchangeable_weight(p) + 1e-9
+    assert iid.lam <= prod.lam + 1e-4
