@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -138,7 +139,7 @@ def _cmd_classweight(args) -> int:
         spec = ProductClassSpec(kind="singleton", q0=q0)
     else:
         spec = ProductClassSpec(kind=args.cls)
-    opts = OptimizerOptions(grid_points=args.grid, tol=args.tol)
+    opts = OptimizerOptions(grid_points=args.grid)
     res = class_weight(p, spec, opts)
     if args.json:
         payload = {
@@ -199,9 +200,8 @@ def _cmd_simulate_size(args) -> int:
 
 def _cmd_meth_triplets(args) -> int:
     paths = [p for p in args.epireads.split(",") if p]
-    records = []
-    for path in paths:
-        records.extend(meth.parse_epiread_file(path))
+    records = itertools.chain.from_iterable(
+        meth.parse_epiread_file(path) for path in paths)
     triplets = meth.extract_triplets(records,
                                      coverage_threshold=args.min_coverage)
     report = meth.triplet_report(triplets, n_boot=args.boot, seed=args.seed,
@@ -353,7 +353,6 @@ def build_parser() -> _Parser:
     p.add_argument("--q0", default=None,
                    help="counts TSV defining the singleton model")
     p.add_argument("--grid", type=int, default=33)
-    p.add_argument("--tol", type=float, default=1e-4)
     p.set_defaults(func=_cmd_classweight)
 
     p = sub.add_parser("estimate", help="bootstrap-corrected weight estimate")

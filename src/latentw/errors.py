@@ -61,14 +61,18 @@ class TiedArgminError(LatentwError):
 
 
 class EpireadParseError(LatentwError):
-    """A line of an epiread file could not be parsed."""
+    """A line of an epiread file could not be parsed; ``path`` names the
+    file when the lines came from one."""
 
     code = "E_PARSE"
 
-    def __init__(self, line_number: int, reason: str):
+    def __init__(self, line_number: int, reason: str,
+                 path: str | None = None):
         self.line_number = line_number
         self.reason = reason
-        super().__init__(f"line {line_number}: {reason}")
+        self.path = path
+        prefix = f"{path}: " if path else ""
+        super().__init__(f"{prefix}line {line_number}: {reason}")
 
 
 class DegenerateGroupError(LatentwError):

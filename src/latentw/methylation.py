@@ -14,8 +14,9 @@ configuration counts, and the exchangeable component.
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,11 +34,27 @@ REPORT_COLUMNS = (
     + tuple(f"q_{c}" for c in CONFIGS)
 )
 
-_STATE_BITS = {"C": 1, "T": 0}
+#: Reads taken into one numpy pass of :func:`extract_triplets`; bounds the
+#: memory of the pass whatever the input size.
+_CHUNK_READS = 2**14
+
+#: A window's key packs (chromosome id, first CpG, configuration) into one
+#: int64: 3 bits of configuration, 36 of CpG index and 24 of chromosome id.
+_POS_BITS = 36
+_CHROM_BITS = 24
+MAX_CPG_INDEX = 2**_POS_BITS - 1
+
+#: State codes: T = 0 and C = 1 are the configuration bits; N = 8 makes
+#: the window sum ``4a + 2b + c`` at least 8, so ``config < 8`` means "no
+#: N".  Every other byte is invalid.
+_INVALID_CODE = 255
+_STATE_CODES = np.full(256, _INVALID_CODE, dtype=np.uint8)
+_STATE_CODES[[ord("T"), ord("C"), ord("N")]] = (0, 1, 8)
+
+_DROP_STATES = str.maketrans("", "", "CTN")
 
 
-@dataclass(frozen=True)
-class EpireadRecord:
+class EpireadRecord(NamedTuple):
     chrom: str
     start_cpg: int
     states: str
@@ -50,10 +67,9 @@ def parse_epireads(stream: Iterable[str]) -> Iterator[EpireadRecord]:
     :class:`EpireadParseError` carrying the 1-based line number.
     """
     for line_no, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line:
+        fields = raw.split()
+        if not fields:
             continue
-        fields = line.split()
         if len(fields) != 3:
             raise EpireadParseError(line_no,
                                     f"expected 3 fields, got {len(fields)}")
@@ -65,18 +81,25 @@ def parse_epireads(stream: Iterable[str]) -> Iterator[EpireadRecord]:
                                     f"start index {start_s!r} is not an integer")
         if start < 0:
             raise EpireadParseError(line_no, f"negative start index {start}")
-        if not states:
-            raise EpireadParseError(line_no, "empty states string")
-        bad = set(states) - {"C", "T", "N"}
-        if bad:
+        if start + len(states) - 1 > MAX_CPG_INDEX:
             raise EpireadParseError(
-                line_no, f"states contain invalid characters {sorted(bad)}")
-        yield EpireadRecord(chrom=chrom, start_cpg=start, states=states)
+                line_no, f"read at start index {start} runs past the largest "
+                         f"supported CpG index {MAX_CPG_INDEX}")
+        bad = states.translate(_DROP_STATES)
+        if bad:
+            raise EpireadParseError(line_no, "states contain invalid "
+                                    f"characters {sorted(set(bad))}")
+        yield EpireadRecord(chrom, start, states)
 
 
 def parse_epiread_file(path: str) -> Iterator[EpireadRecord]:
+    """Records of one epiread file; a parse error names the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        yield from parse_epireads(fh)
+        try:
+            yield from parse_epireads(fh)
+        except EpireadParseError as exc:
+            raise EpireadParseError(exc.line_number, exc.reason,
+                                    path=path) from None
 
 
 def extract_triplets(records: Iterable[EpireadRecord],
@@ -89,28 +112,84 @@ def extract_triplets(records: Iterable[EpireadRecord],
     three positions with no ambiguous (N) state among them; overlapping
     windows of a long read all count.  Only triplets with total coverage
     at or above the threshold are returned.
+
+    Reads are consumed ``_CHUNK_READS`` at a time: each chunk is reduced
+    in numpy to unique window keys with counts, and the parts are merged
+    into one table of counts per covered triplet at the end.
+
+    Raises
+    ------
+    ValueError
+        If a record's states hold a character other than C, T and N, a
+        CpG index is negative or above :data:`MAX_CPG_INDEX`, or there
+        are more than ``2**24`` chromosome names.
     """
-    acc: dict[tuple[str, int], np.ndarray] = {}
-    for rec in records:
-        states = rec.states
-        for off in range(len(states) - 2):
-            window = states[off:off + 3]
-            if "N" in window:
-                continue
-            config = ((_STATE_BITS[window[0]] << 2)
-                      | (_STATE_BITS[window[1]] << 1)
-                      | _STATE_BITS[window[2]])
-            key = (rec.chrom, rec.start_cpg + off)
-            bins = acc.get(key)
-            if bins is None:
-                bins = np.zeros(8, dtype=np.int64)
-                acc[key] = bins
-            bins[config] += 1
+    chrom_ids: dict[str, int] = {}
+    key_parts, count_parts = [], []
+    it = iter(records)
+    while chunk := list(itertools.islice(it, _CHUNK_READS)):
+        keys, counts = np.unique(_window_keys(chunk, chrom_ids),
+                                 return_counts=True)
+        key_parts.append(keys)
+        count_parts.append(counts)
+    if not key_parts:
+        return {}
+
+    keys = np.concatenate(key_parts)
+    triplets, row = np.unique(keys >> 3, return_inverse=True)
+    table = np.zeros((len(triplets), 8), dtype=np.int64)
+    np.add.at(table.reshape(-1), row * 8 + (keys & 7),
+              np.concatenate(count_parts))
+    keep = table.sum(axis=1) >= coverage_threshold
+
+    names = list(chrom_ids)
+    kept = triplets[keep]
     return {
-        key: CountVector(TRIPLET_SPACE, bins)
-        for key, bins in acc.items()
-        if int(bins.sum()) >= coverage_threshold
+        (names[c], pos): CountVector(TRIPLET_SPACE, bins)
+        for c, pos, bins in zip((kept >> _POS_BITS).tolist(),
+                                (kept & MAX_CPG_INDEX).tolist(), table[keep])
     }
+
+
+def _window_keys(chunk: Sequence[EpireadRecord],
+                 chrom_ids: dict[str, int]) -> np.ndarray:
+    """Packed ``(chrom id, first CpG, config)`` keys of the valid windows
+    of a chunk of reads; new chromosome names are added to ``chrom_ids``.
+
+    The states are joined with an ``N`` after every read, so a window
+    that spans two reads holds an ``N`` and is dropped with the windows
+    that hold an ambiguous state.
+    """
+    chroms = [rec.chrom for rec in chunk]
+    starts = [rec.start_cpg for rec in chunk]
+    states = [rec.states for rec in chunk]
+    for name in dict.fromkeys(chroms):        # in order of first appearance
+        chrom_ids.setdefault(name, len(chrom_ids))
+    ids = np.fromiter(map(chrom_ids.__getitem__, chroms), dtype=np.int64,
+                      count=len(chroms))
+    if len(chrom_ids) > 2**_CHROM_BITS:
+        raise ValueError(f"more than {2**_CHROM_BITS} chromosome names")
+    if min(starts) < 0 or max(starts) > MAX_CPG_INDEX:
+        raise ValueError(f"start index outside the CpG index range "
+                         f"[0, {MAX_CPG_INDEX}]")
+    joined = ("N".join(states) + "N").encode("ascii", "replace")
+    codes = _STATE_CODES[np.frombuffer(joined, dtype=np.uint8)]
+    if np.any(codes == _INVALID_CODE):
+        raise ValueError("states contain characters other than C, T and N")
+    span = np.fromiter(map(len, states), dtype=np.int64,
+                       count=len(states)) + 1     # states and the separator
+    start = np.array(starts, dtype=np.int64)
+    if np.any(start + span - 2 > MAX_CPG_INDEX):
+        raise ValueError(f"a read runs past CpG index {MAX_CPG_INDEX}")
+
+    config = 4 * codes[:-2] + 2 * codes[1:-1] + codes[2:]
+    valid = np.flatnonzero(config < 8)
+    # key of the window at joined offset i of read r:
+    # (id << 39) + ((start[r] + i - first[r]) << 3) + config
+    first = np.cumsum(span) - span
+    base = (ids << (_POS_BITS + 3)) + ((start - first) << 3)
+    return (np.repeat(base, span)[valid] + (valid << 3)
+            + config[valid].astype(np.int64))
 
 
 @dataclass(frozen=True)

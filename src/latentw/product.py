@@ -67,7 +67,6 @@ class ProductClassSpec:
 class OptimizerOptions:
     grid_points: int = 33          # grid resolution per parameter
     n_starts: int = 8              # refinements launched from best grid points
-    tol: float = 1e-4              # target accuracy of the weight value
     step_floor: float = 1e-7       # compass search terminates below this step
     max_dim: int = 16              # refuse problems with more parameters
     max_grid_total: int = 60000    # cap on total grid evaluations

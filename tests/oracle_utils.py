@@ -2,8 +2,8 @@
 
 Everything here recomputes quantities from first principles (itertools
 enumeration, per-outcome permutation minima, simplex grids, a generic LP
-solver) without touching the package's orbit index, TV projection, or
-optimizer code paths.
+solver, a per-window loop over reads) without touching the package's
+orbit index, TV projection, optimizer or window-counting code paths.
 """
 
 import itertools
@@ -284,3 +284,28 @@ def class_weight_scalar_oracle(p, kind: str, opts) -> tuple:
     margin = float(np.min(pf - best_val * q_vec))
     return (float(best_val), q_vec, margin,
             tuple((start, val) for start, val, _ in log), converged)
+
+
+def extract_triplets_oracle(records, coverage_threshold: int
+                            ) -> dict[tuple[str, int], tuple[int, ...]]:
+    """Per-window loop over reads: ``{(chrom, first CpG): 8 counts}`` of
+    the triplets covered at least ``coverage_threshold`` times.
+
+    Each window of three consecutive states with no ``N`` adds one count
+    to the configuration ``4a + 2b + c`` (C = 1, T = 0); a state outside
+    C/T/N raises ``KeyError``.
+    """
+    bits = {"C": 1, "T": 0}
+    acc: dict[tuple[str, int], list[int]] = {}
+    for rec in records:
+        states = rec.states
+        for off in range(len(states) - 2):
+            window = states[off:off + 3]
+            if "N" in window:
+                continue
+            config = ((bits[window[0]] << 2) | (bits[window[1]] << 1)
+                      | bits[window[2]])
+            key = (rec.chrom, rec.start_cpg + off)
+            acc.setdefault(key, [0] * 8)[config] += 1
+    return {key: tuple(bins) for key, bins in acc.items()
+            if sum(bins) >= coverage_threshold}

@@ -287,6 +287,23 @@ class TestMeth:
         assert code == 1
         assert "E_PARSE" in err
 
+    def test_parse_error_names_second_file(self, capsys, epireads, tmp_path):
+        bad = tmp_path / "second.epiread"
+        bad.write_text("chr1 0 CCC\n\nchr1 3 CCX\n")
+        code, _, err = run(capsys, "meth", "triplets", "--epireads",
+                           f"{epireads},{bad}", "--out",
+                           str(tmp_path / "r.tsv"))
+        assert code == 1
+        assert f"[E_PARSE]: {bad}: line 3: " in err
+
+    def test_start_past_largest_cpg_index_exits_1(self, capsys, tmp_path):
+        bad = tmp_path / "far.epiread"
+        bad.write_text(f"chr1 0 CCC\nchr1 {2**63} CCC\n")
+        code, _, err = run(capsys, "meth", "triplets", "--epireads", str(bad),
+                           "--out", str(tmp_path / "r.tsv"))
+        assert code == 1
+        assert f"[E_PARSE]: {bad}: line 2: " in err
+
     def test_threads_env_fallback(self, capsys, epireads, tmp_path,
                                   monkeypatch):
         flagged = tmp_path / "flag.tsv"

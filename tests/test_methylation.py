@@ -1,14 +1,20 @@
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+import latentw.methylation as meth_mod
 from latentw import (correlate, estimate, extract_triplets,
                      parse_epireads, triplet_report, write_report_tsv)
 from latentw.errors import DegenerateGroupError, EpireadParseError
-from latentw.methylation import (REPORT_COLUMNS, TRIPLET_SPACE, EpireadRecord,
+from latentw.methylation import (MAX_CPG_INDEX, REPORT_COLUMNS, TRIPLET_SPACE,
+                                 EpireadRecord, parse_epiread_file,
                                  read_report_tsv)
+from oracle_utils import extract_triplets_oracle
 
 
 def records(*lines):
@@ -48,6 +54,25 @@ class TestParseEpireads:
 
     def test_blank_lines_skipped(self):
         assert len(records("", "chr1 0 CC", "   ", "chr2 1 TT")) == 2
+
+    def test_start_past_largest_cpg_index(self):
+        # the last CpG of a read must fit the packed window key
+        last = MAX_CPG_INDEX - 2
+        assert records(f"chr1 {last} CCC")[0].start_cpg == last
+        for start in (last + 1, 10**30):
+            with pytest.raises(EpireadParseError, match="line 2") as err:
+                records("chr1 0 CCC", f"chr1 {start} CCC")
+            assert err.value.line_number == 2
+            assert "largest supported CpG index" in err.value.reason
+
+    def test_file_error_names_path_and_line(self, tmp_path):
+        path = tmp_path / "reads.epiread"
+        path.write_text("chr1 0 CCC\nchr1 1 CAT\n")
+        with pytest.raises(EpireadParseError) as err:
+            list(parse_epiread_file(str(path)))
+        assert err.value.line_number == 2
+        assert err.value.path == str(path)
+        assert str(err.value).startswith(f"{path}: line 2: ")
 
 
 class TestExtractTriplets:
@@ -109,6 +134,74 @@ class TestExtractTriplets:
         trip = extract_triplets(records(*lines), coverage_threshold=1)
         total = sum(int(c.counts.sum()) for c in trip.values())
         assert total == expected
+
+
+def _as_counts(triplets):
+    return {key: tuple(c.counts.tolist()) for key, c in triplets.items()}
+
+
+_reads = st.lists(
+    st.tuples(st.sampled_from(["chr1", "chr2", "chrX"]),
+              st.integers(0, 25),
+              st.one_of(st.text("CTN", min_size=1, max_size=12),
+                        st.integers(1, 12).map(lambda n: "N" * n)),
+              st.integers(1, 60)),                 # copies of the read
+    max_size=30)
+
+
+class TestExtractMatchesOracle:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_reads, st.sampled_from([0, 1, 100]),
+           st.sampled_from([1, 7, 2**14]))
+    def test_random_reads(self, reads, threshold, chunk):
+        recs = [EpireadRecord(chrom, start, states)
+                for chrom, start, states, copies in reads
+                for _ in range(copies)]
+        with mock.patch.object(meth_mod, "_CHUNK_READS", chunk):
+            got = extract_triplets(iter(recs), coverage_threshold=threshold)
+        assert _as_counts(got) == extract_triplets_oracle(recs, threshold)
+        assert all(type(pos) is int for _, pos in got)
+
+    def test_empty_input(self):
+        assert extract_triplets([]) == {}
+        assert extract_triplets([], coverage_threshold=0) == {}
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_triplet_spans_chunks(self, monkeypatch, chunk):
+        # the 100 reads of chr1:4 reach the threshold only once the
+        # parts of many chunks are merged
+        monkeypatch.setattr(meth_mod, "_CHUNK_READS", chunk)
+        lines = (["chr1 4 CTCN", "chr2 0 TTTT", "chr1 2 NNCCTC"] * 50
+                 + ["chr1 5 TCC"] * 50)
+        got = extract_triplets(records(*lines))
+        assert set(got) == {("chr1", 4), ("chr1", 5)}
+        assert _as_counts(got) == extract_triplets_oracle(records(*lines), 100)
+
+    def test_largest_cpg_index_is_counted(self):
+        last = MAX_CPG_INDEX - 2
+        got = extract_triplets(records(f"chr1 {last} CTC", f"chr2 {last} TTT",
+                                       "chr1 0 CCC"), coverage_threshold=1)
+        assert _as_counts(got) == {("chr1", last): (0,) * 5 + (1, 0, 0),
+                                   ("chr2", last): (1,) + (0,) * 7,
+                                   ("chr1", 0): (0,) * 7 + (1,)}
+
+    @pytest.mark.parametrize("states", ["CAT", "ccc", "CNA", "A", "CÇC"])
+    def test_invalid_states_raise(self, states):
+        # also where every window holds an N or there is no window at all
+        with pytest.raises(ValueError, match="other than C, T and N"):
+            extract_triplets([EpireadRecord("chr1", 0, "CCC"),
+                              EpireadRecord("chr1", 0, states)])
+
+    @pytest.mark.parametrize("start", [-1, MAX_CPG_INDEX - 1, 2**63, 10**30])
+    def test_start_out_of_range_raises(self, start):
+        with pytest.raises(ValueError, match="CpG index"):
+            extract_triplets([EpireadRecord("chr1", start, "CCC")])
+
+    def test_too_many_chromosomes_raise(self, monkeypatch):
+        monkeypatch.setattr(meth_mod, "_CHROM_BITS", 1)
+        extract_triplets(records("a 0 CCC", "b 0 CCC"))
+        with pytest.raises(ValueError, match="more than 2 chromosome names"):
+            extract_triplets(records("a 0 CCC", "b 0 CCC", "c 0 CCC"))
 
 
 class TestTripletReport:
