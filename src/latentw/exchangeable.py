@@ -51,32 +51,48 @@ def exchangeable_weight(p: Distribution):
     Returns a ``Fraction`` in exact mode, otherwise a float clipped to
     ``[0, 1]`` (the clip only absorbs last-ulp rounding).
     """
+    if not p.is_exact:
+        return float(exchangeable_weight_rows(p.space, p.p[None, :])[0])
     index = p.space.orbit_index()
-    mins = class_minima(p)
-    if p.is_exact:
-        return sum(Fraction(int(s)) * m for s, m in zip(index.sizes, mins))
-    return float(np.clip(index.sizes @ mins, 0.0, 1.0))
+    return sum(Fraction(int(s)) * m
+               for s, m in zip(index.sizes, class_minima(p)))
 
 
-def exchangeable_weight_rows(space: SampleSpace, rows: np.ndarray) -> np.ndarray:
+def exchangeable_weight_rows(space: SampleSpace, rows: np.ndarray,
+                             total=None) -> np.ndarray:
     """Exchangeable weights of many probability vectors at once.
 
-    ``rows`` is ``(n_rows, k**d)`` float; used on resampled empirical
-    measures where per-row Python overhead would dominate.
+    ``rows`` is ``(..., n_rows, k**d)`` and the result ``(..., n_rows)``,
+    clipped to ``[0, 1]``.  The rows are probabilities, or counts whose
+    sum ``total`` is given per ``(n_rows, k**d)`` slice (broadcast over
+    ``...``).  Counts are divided after the orbit minima are taken, on
+    fewer cells and with the same bits, since dividing by a positive
+    number keeps the order.
+
+    Each slice is reduced by one matrix product, whose rounding depends
+    on its shape: numpy computes one row as a BLAS dot and several rows
+    as a matrix-vector product.  So a slice gets the same bits alone or
+    stacked with others, and rows that must round like a lone vector are
+    passed as ``(n, 1, k**d)``.
     """
     index = space.orbit_index()
-    mins = index.class_minima_rows(np.asarray(rows, dtype=np.float64))
+    mins = index.class_minima_rows(np.asarray(rows))
+    if total is not None:
+        mins = mins / np.asarray(total)[..., None, None]
     return np.clip(mins @ index.sizes.astype(np.float64), 0.0, 1.0)
 
 
-def argmin_sets(p: Distribution) -> tuple[tuple[int, ...], ...]:
+def argmin_sets(p: Distribution, mins: np.ndarray | None = None,
+                ) -> tuple[tuple[int, ...], ...]:
     """Per-orbit sets ``C_z`` of outcomes achieving the orbit minimum.
 
     Float mode uses the tie rule ``p(x) <= m_z*(1+1e-9) + 1e-15`` so that
-    near-equal floats count as ties; exact mode uses equality.
+    near-equal floats count as ties; exact mode uses equality.  ``mins``
+    are the orbit minima of ``p`` when the caller has them already.
     """
     index = p.space.orbit_index()
-    mins = class_minima(p)
+    if mins is None:
+        mins = class_minima(p)
     out = []
     for z in range(index.n_classes):
         members = index.members(z)
@@ -124,37 +140,49 @@ class ExchangeableDecomposition:
 def decompose(p: Distribution) -> ExchangeableDecomposition:
     """Split ``p`` into exchangeable component and unexchangeable residual."""
     index = p.space.orbit_index()
-    mins = class_minima(p)
-    sets = argmin_sets(p)
-    m_outcome = mins[index.class_of]       # orbit minimum, per outcome
-
     if p.is_exact:
+        mins = class_minima(p)
         lam = sum(Fraction(int(s)) * m for s, m in zip(index.sizes, mins))
         at_one = lam == 1
-        at_zero = lam == 0
+        q = None if lam == 0 else Distribution(p.space,
+                                               mins[index.class_of] / lam)
     else:
-        lam = float(np.clip(index.sizes @ mins, 0.0, 1.0))
+        lams, q_rows, min_rows = exchangeable_component_rows(
+            p.space, p.p[None, :])
+        lam, mins = float(lams[0]), min_rows[0]
         at_one = lam >= 1.0 - LAMBDA_ONE_ATOL
-        at_zero = lam == 0.0
-
-    q = None
-    if not at_zero:
-        if at_one and not p.is_exact:
-            q = p  # within 1e-12 of exchangeable; p is its own component
-        else:
-            q = Distribution(p.space, m_outcome / lam)
+        q = None if lam == 0.0 else Distribution(p.space, q_rows[0])
+        mins.setflags(write=False)
     # Residual computed from the orbit minima directly (rather than
     # lam*q) so its argmin entries are exactly zero.  It is scaled by its
     # own sum: in float mode ``1 - lam`` loses digits as lam nears 1.
     r = None
     if not at_one:
-        resid = p.p - m_outcome
+        resid = p.p - mins[index.class_of]
         r = Distribution(p.space, resid / resid.sum())
-    if not p.is_exact:
-        mins = np.asarray(mins, dtype=np.float64)
-        mins.setflags(write=False)
-    return ExchangeableDecomposition(lam=lam, q=q, r=r,
-                                     per_class_min=mins, argmin_sets=sets)
+    return ExchangeableDecomposition(lam=lam, q=q, r=r, per_class_min=mins,
+                                     argmin_sets=argmin_sets(p, mins))
+
+
+def exchangeable_component_rows(space: SampleSpace, rows: np.ndarray,
+                                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weights, exchangeable components and orbit minima of float rows.
+
+    ``rows`` is ``(n, k**d)``; returns ``lam`` ``(n,)``, ``q`` ``(n, k**d)``
+    and the minima ``(n, n_classes)``.  A row's ``q`` is ``m_[x] / lam``,
+    the row itself when ``lam`` is within ``1e-12`` of 1 (it is its own
+    component), and all zero when ``lam == 0`` (there is no component).
+    Each row is computed as if it came alone.
+    """
+    index = space.orbit_index()
+    mins = index.class_minima_rows(rows)
+    lam = exchangeable_weight_rows(space, rows[:, None, :])[:, 0]
+    has_q = lam[:, None] > 0.0
+    q = np.divide(mins[:, index.class_of], lam[:, None],
+                  out=np.zeros(rows.shape), where=has_q)
+    at_one = lam >= 1.0 - LAMBDA_ONE_ATOL
+    q[at_one] = rows[at_one]
+    return lam, q, mins
 
 
 def synthesize_mixture(q: Distribution, r: Distribution, beta) -> Distribution:
@@ -187,60 +215,54 @@ def synthesize_mixture(q: Distribution, r: Distribution, beta) -> Distribution:
 # Upper bounds: marginalization and symbol lumping.
 # ---------------------------------------------------------------------------
 
-def marginalize(p: Distribution, index_set) -> Distribution:
-    """Marginal of ``p`` on the 1-based coordinate set ``index_set``.
-
-    Returns a distribution on a fresh ``SampleSpace(k, |I|)`` whose
-    coordinates follow the ascending order of ``index_set``.
-    """
+def _marginal_coords(p: Distribution, index_set) -> list[int]:
     coords = sorted(set(int(i) for i in index_set))
     if not coords:
         raise EmptyIndexSetError("index set must be non-empty")
     if coords[0] < 1 or coords[-1] > p.space.d:
         raise ValueError(f"indices must lie in 1..{p.space.d}, got {coords}")
+    return coords
+
+
+def marginalize(p: Distribution, index_set) -> Distribution:
+    """Marginal of ``p`` on the 1-based coordinate set ``index_set``.
+
+    Returns a distribution on a fresh ``SampleSpace(k, |I|)`` whose
+    coordinates follow the ascending order of ``index_set``, which must
+    name at least two coordinates: a one-coordinate marginal lies outside
+    the ``d >= 2`` space family.
+    """
+    coords = _marginal_coords(p, index_set)
+    if len(coords) == 1:
+        raise ValueError(
+            f"a marginal on the single coordinate {coords[0]} is outside "
+            "the d >= 2 space family (its exchangeable weight is 1)")
     if len(coords) == p.space.d:
         return p
     k = p.space.k
-    sub_space = SampleSpace(k=k, d=len(coords)) if len(coords) >= 2 else None
+    sub_space = SampleSpace(k=k, d=len(coords))
     mat = p.space.outcome_matrix()
     cols = mat[:, [c - 1 for c in coords]].astype(np.int64)
     radix = k ** np.arange(len(coords) - 1, -1, -1, dtype=np.int64)
     target = cols @ radix
-    n_target = k ** len(coords)
     if p.is_exact:
-        acc = [Fraction(0)] * n_target
+        acc = [Fraction(0)] * sub_space.n_outcomes
         for i, t in enumerate(target):
             acc[t] += p.p[i]
-        if sub_space is None:
-            return _MarginalVector(k, acc)
         return Distribution(sub_space, acc)
-    acc = np.bincount(target, weights=p.p, minlength=n_target)
-    if sub_space is None:
-        return _MarginalVector(k, list(acc))
+    acc = np.bincount(target, weights=p.p, minlength=sub_space.n_outcomes)
     return Distribution(sub_space, acc)
-
-
-class _MarginalVector:
-    """One-coordinate marginal (d=1 falls outside SampleSpace's d>=2).
-
-    Only what the weight bound needs: a 1-dimensional marginal is
-    automatically exchangeable, so its weight is 1.
-    """
-
-    def __init__(self, k: int, p):
-        self.k = k
-        self.p = p
 
 
 def marginal_weight_bound(p: Distribution, index_set):
     """Exchangeable weight of the marginal on coordinates ``index_set``.
 
-    Always an upper bound for the exchangeable weight of ``p`` itself.
+    Always an upper bound for the exchangeable weight of ``p`` itself.  A
+    one-coordinate marginal is trivially exchangeable: weight 1.
     """
-    marg = marginalize(p, index_set)
-    if isinstance(marg, _MarginalVector):
+    if len(_marginal_coords(p, index_set)) == 1:
         return Fraction(1) if p.is_exact else 1.0
-    return exchangeable_weight(marg)
+    return exchangeable_weight(marginalize(p, index_set))
 
 
 def lump(p: Distribution, symbol_map) -> Distribution:
@@ -319,25 +341,49 @@ def tv_distance_to_exchangeable(p: Distribution) -> tuple[float, Distribution]:
     inputs are converted first).
     """
     pf = p.as_float()
-    index = pf.space.orbit_index()
+    dist, q = tv_distance_to_exchangeable_rows(pf.space, pf.p[None, :])
+    return float(dist[0]), Distribution(pf.space, q[0])
+
+
+def tv_distance_to_exchangeable_rows(space: SampleSpace, rows: np.ndarray,
+                                     ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`tv_distance_to_exchangeable` of each row of a float
+    ``(n, k**d)`` array: the distances ``(n,)`` and the projections
+    ``(n, k**d)``.
+
+    The fill order depends only on the orbit sizes, so one order serves
+    every row; each row is computed as if it came alone.
+    """
+    n = len(rows)
+    index = space.orbit_index()
     cls = index.class_of[index.order]
-    vals = pf.p[index.order]
-    vals = vals[np.lexsort((vals, cls))]          # ascending within orbit
+    vals = rows[:, index.order]
+    order = np.lexsort((vals, np.broadcast_to(cls, vals.shape)), axis=-1)
+    vals = np.take_along_axis(vals, order, axis=-1)   # ascending in orbit
     size = index.sizes[cls]
-    j = np.arange(len(vals)) - index.starts[cls]  # rank inside the orbit
-    slope = (2 * (j + 1) - size) / size           # 1 above the orbit max
-    gap = np.append(vals[1:] - vals[:-1], np.inf)
-    gap[j == size - 1] = np.inf
-    mins = vals[index.starts]
+    j = np.arange(len(cls)) - index.starts[cls]       # rank inside the orbit
+    slope = (2 * (j + 1) - size) / size               # 1 above the orbit max
+    gap = np.diff(vals, axis=-1, append=np.inf)
+    gap[:, j == size - 1] = np.inf
+    mins = vals[:, index.starts]
+    # Clipped at 1: a weight rounded above 1 leaves nothing to fill either way.
+    lam = exchangeable_weight_rows(space, rows[:, None, :])[:, 0]
 
     fill = np.lexsort((cls, slope))
-    cap = size[fill] * gap[fill]
-    before = np.concatenate(([0.0], np.cumsum(cap)[:-1]))
-    taken = np.clip(1.0 - index.sizes @ mins - before, 0.0, cap)
-    added = np.bincount(cls[fill], weights=taken, minlength=len(mins))
-    q_vec = (mins + added / index.sizes)[index.class_of]
-    q = Distribution(pf.space, q_vec / q_vec.sum())
-    return tv_distance(pf, q), q
+    cap = size[fill] * gap[:, fill]
+    before = np.zeros_like(cap)
+    np.cumsum(cap[:, :-1], axis=-1, out=before[:, 1:])
+    taken = np.clip((1.0 - lam)[:, None] - before, 0.0, cap)
+    # One bincount over all rows: bin (row, orbit), summed in fill order.
+    bins = np.arange(n)[:, None] * index.n_classes + cls[fill]
+    added = np.bincount(bins.ravel(), weights=taken.ravel(),
+                        minlength=n * index.n_classes)
+    # np.take keeps q C-contiguous, so each row sums pairwise as a lone
+    # vector does; q[:, class_of] would be strided and sum sequentially.
+    added = added.reshape(n, index.n_classes)
+    q = np.take(mins + added / index.sizes, index.class_of, axis=-1)
+    q /= q.sum(axis=-1, keepdims=True)
+    return 0.5 * np.abs(rows - q).sum(axis=-1), q
 
 
 def tv_distance(p1: Distribution, p2: Distribution) -> float:

@@ -54,12 +54,41 @@ class WeightEstimate:
     regularity_flag: str       # UNIQUE_ARGMIN or TIED_ARGMIN
 
 
-def _resample_weights(c: CountVector, n_boot: int, resample_size: int,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Exchangeable weights of ``n_boot`` multinomial resamples."""
-    pvals = c.counts / c.n
-    draws = rng.multinomial(resample_size, pvals, size=n_boot)
-    return exchangeable_weight_rows(c.space, draws / resample_size)
+def resample_counts(c: CountVector, n_boot: int,
+                    resample_size: int | None = None, seed=0) -> np.ndarray:
+    """The ``(n_boot, k**d)`` multinomial resamples :func:`estimate` draws.
+
+    Validates its arguments as :func:`estimate` does; the resamples have
+    size ``resample_size`` (default ``n``) and come from ``seed`` alone.
+    """
+    n = c.n
+    if n == 0:
+        raise EmptySampleError("cannot estimate from an empty sample")
+    if n_boot < 2:
+        raise ValueError("n_boot must be >= 2")
+    n0 = n if resample_size is None else int(resample_size)
+    if n0 < 1:
+        raise ValueError("resample_size must be >= 1")
+    rng = np.random.default_rng(_as_seed_sequence(seed))
+    return rng.multinomial(n0, c.counts / n, size=n_boot)
+
+
+def replicate_moments(space: SampleSpace, draws: np.ndarray, n0,
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and sd (``ddof=1``) of the weights of stacked resamples.
+
+    ``draws`` is ``(..., n_boot, k**d)`` counts and ``n0`` their resample
+    size, broadcast over the leading axes.  Each stack reduces as it would
+    alone, so a block of triplets and a single :func:`estimate` agree bit
+    for bit.
+    """
+    reps = exchangeable_weight_rows(space, draws, total=n0)
+    return reps.mean(axis=-1), reps.std(axis=-1, ddof=1)
+
+
+def bias_corrected(lam_hat, mean_rep):
+    """``clamp(2*lam_hat - mean(replicates), 0, 1)``, elementwise."""
+    return np.clip(2.0 * lam_hat - mean_rep, 0.0, 1.0)
 
 
 def empirical_regularity(c: CountVector) -> str:
@@ -106,25 +135,15 @@ def estimate(c: CountVector, n_boot: int = 1000,
         All randomness flows from here; fixed seed gives a bit-identical
         result.
     """
+    draws = resample_counts(c, n_boot, resample_size, seed)
     n = c.n
-    if n == 0:
-        raise EmptySampleError("cannot estimate from an empty sample")
-    if n_boot < 2:
-        raise ValueError("n_boot must be >= 2")
     n0 = n if resample_size is None else int(resample_size)
-    if n0 < 1:
-        raise ValueError("resample_size must be >= 1")
-
     lam_hat = float(exchangeable_weight_rows(c.space,
                                              (c.counts / n)[None, :])[0])
-    rng = np.random.default_rng(_as_seed_sequence(seed))
-    reps = _resample_weights(c, n_boot, n0, rng)
-    mean_rep = float(reps.mean())
-    corrected = float(np.clip(2.0 * lam_hat - mean_rep, 0.0, 1.0))
-    se = float(reps.std(ddof=1))
+    mean_rep, se = (float(v) for v in replicate_moments(c.space, draws, n0))
     return WeightEstimate(
         lambda_hat=lam_hat,
-        lambda_corrected=corrected,
+        lambda_corrected=float(bias_corrected(lam_hat, mean_rep)),
         se_boot=se,
         bias_boot=mean_rep - lam_hat,
         n=n,
@@ -150,7 +169,8 @@ def bootstrap_distribution(c: CountVector, n_boot: int = 1000,
     lam_hat = float(exchangeable_weight_rows(c.space,
                                              (c.counts / n)[None, :])[0])
     rng = np.random.default_rng(_as_seed_sequence(seed))
-    reps = _resample_weights(c, n_boot, n0, rng)
+    draws = rng.multinomial(n0, c.counts / n, size=n_boot)
+    reps = exchangeable_weight_rows(c.space, draws, total=n0)
     return np.sqrt(n0) * (reps - lam_hat)
 
 
@@ -197,7 +217,7 @@ def limit_law_spec(p: Distribution) -> LimitLawSpec:
     pf = p.as_float()
     index = pf.space.orbit_index()
     mins = np.asarray(class_minima(pf), dtype=np.float64)
-    sets = argmin_sets(pf)
+    sets = argmin_sets(pf, mins)
     coords = np.array([x for s in sets for x in s], dtype=np.int64)
     m_coord = np.array([mins[z] for z, s in enumerate(sets) for _ in s])
     cov = -np.outer(m_coord, m_coord)
@@ -280,7 +300,7 @@ def worst_case_source(space: SampleSpace) -> Distribution:
     push the estimate up; this source (which is exchangeable, weight 1)
     empirically maximizes bias and sd of the plug-in estimator.
     """
-    n = space.n_outcomes
+    n = space.check_budget()
     p = np.full(n, 1.0 / (n - space.k))
     for a in range(space.k):
         p[space.encode((a,) * space.d)] = 0.0
@@ -315,7 +335,7 @@ def sample_size_heuristic(space: SampleSpace, candidate_sizes: Sequence[int],
     for n, child in zip(sizes, children):
         rng = np.random.default_rng(child)
         draws = rng.multinomial(n, t.p, size=reps)
-        lams = exchangeable_weight_rows(space, draws / n)
+        lams = exchangeable_weight_rows(space, draws, total=n)
         rows.append(BiasTableRow(n=n, mean_bias=float(lams.mean() - 1.0),
                                  sd=float(lams.std(ddof=1))))
     return rows

@@ -93,17 +93,28 @@ class SampleSpace:
     def outcome_matrix(self, max_outcomes: int | None = None) -> np.ndarray:
         """All outcomes as an ``(n_outcomes, d)`` integer matrix, row ``i``
         being the symbol tuple of index ``i``."""
+        n = self.check_budget(max_outcomes)
+        idx = np.arange(n)
+        dtype = np.min_scalar_type(self.k - 1)
+        cols = [((idx // self.k**j) % self.k).astype(dtype)
+                for j in range(self.d - 1, -1, -1)]
+        return np.stack(cols, axis=1)
+
+    def check_budget(self, max_outcomes: int | None = None) -> int:
+        """The number of outcomes, once it is known to fit the budget.
+
+        Raises
+        ------
+        SpaceTooLargeError
+            If ``k**d`` exceeds ``max_outcomes`` (default ``2**24``).
+        """
         limit = DEFAULT_MAX_OUTCOMES if max_outcomes is None else max_outcomes
         n = self.n_outcomes
         if n > limit:
             raise SpaceTooLargeError(
                 f"k^d = {self.k}^{self.d} = {n} exceeds outcome budget {limit}"
             )
-        idx = np.arange(n)
-        dtype = np.min_scalar_type(self.k - 1)
-        cols = [((idx // self.k**j) % self.k).astype(dtype)
-                for j in range(self.d - 1, -1, -1)]
-        return np.stack(cols, axis=1)
+        return n
 
     def orbit_index(self, max_outcomes: int | None = None) -> "OrbitIndex":
         """The (cached) orbit partition of this space."""
@@ -159,8 +170,10 @@ class OrbitIndex:
         return np.minimum.reduceat(p[self.order], self.starts)
 
     def class_minima_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Per-class minima for a ``(n_rows, n_outcomes)`` float matrix."""
-        return np.minimum.reduceat(rows[:, self.order], self.starts, axis=1)
+        """Per-class minima along the last axis of a ``(..., n_outcomes)``
+        float array."""
+        return np.minimum.reduceat(np.take(rows, self.order, axis=-1),
+                                   self.starts, axis=-1)
 
 
 def build_orbit_index(space: SampleSpace,
@@ -406,7 +419,7 @@ def read_counts(source: str | IO[str], k: int | None = None) -> CountVector:
             f"k={k} too small for symbols in file (need >= {inferred_k})")
     space = SampleSpace(k=k, d=d)
 
-    counts = np.zeros(space.n_outcomes, dtype=np.int64)
+    counts = np.zeros(space.check_budget(), dtype=np.int64)
     seen: set[int] = set()
     for (outcome, count), syms in zip(rows, symbol_rows):
         idx = space.encode(syms)

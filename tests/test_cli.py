@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from functools import partial
@@ -135,6 +136,41 @@ class TestBounds:
                            "--map", str(map_path))
         assert code == 0
         assert out == "1.000000\n"
+
+
+class TestSpaceBudget:
+    # The outcome is checked against the 2**24 budget before the count
+    # vector is allocated.  The child runs under a 1 GiB address-space
+    # limit, so a regression fails with a memory error instead of
+    # allocating k**d cells.
+    @staticmethod
+    def run_limited(*argv):
+        def limit_memory():
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        return subprocess.run(
+            [sys.executable, "-m", "latentw", *argv], capture_output=True,
+            text=True, preexec_fn=limit_memory,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+
+    @pytest.mark.parametrize("outcome", ["01" * 20, "Z" + "0" * 12],
+                             ids=["binary-d40", "base36-d13"])
+    def test_oversized_counts_file_exits_1(self, tmp_path, outcome):
+        path = tmp_path / "big.tsv"
+        path.write_text(f"outcome\tcount\n{outcome}\t5\n")
+        proc = self.run_limited("weight", "--counts", str(path))
+        assert proc.returncode == 1, proc.stderr
+        assert "[E_SPACE_TOO_LARGE]" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("k,d", [(2, 40), (36, 13)])
+    def test_oversized_simulation_exits_1(self, k, d):
+        proc = self.run_limited("simulate", "size", "--k", str(k), "--d",
+                                str(d), "--sizes", "10", "--reps", "2")
+        assert proc.returncode == 1, proc.stderr
+        assert "[E_SPACE_TOO_LARGE]" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestTv:

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,9 @@ from latentw import (Distribution, SampleSpace, decompose,
                      tv_distance_to_exchangeable)
 from latentw.errors import (EmptyIndexSetError, NotExchangeableError,
                             ResidualNotPureError)
+from latentw.exchangeable import (exchangeable_component_rows,
+                                  exchangeable_weight_rows,
+                                  tv_distance_to_exchangeable_rows)
 
 from conftest import dirichlet_distributions
 from oracle_utils import brute_weight_vector, tv_grid_oracle, tv_lp_oracle
@@ -222,6 +226,17 @@ class TestMarginalBound:
 
     def test_single_coordinate_is_one(self, third_mass):
         assert marginal_weight_bound(third_mass, [2]) == 1.0
+
+    def test_single_coordinate_exact_is_fraction_one(self, space23):
+        p = Distribution.from_mapping(
+            space23, {"101": Fraction(1, 3), "110": Fraction(2, 3)},
+            exact=True)
+        assert marginal_weight_bound(p, [3]) == Fraction(1)
+        assert isinstance(marginal_weight_bound(p, [3]), Fraction)
+
+    def test_single_coordinate_marginal_raises(self, third_mass):
+        with pytest.raises(ValueError, match="single coordinate 2"):
+            marginalize(third_mass, [2])
 
     def test_empty_and_invalid(self, third_mass):
         with pytest.raises(EmptyIndexSetError):
@@ -438,3 +453,125 @@ def test_tv_projection_properties(law):
         assert dist <= 1e-14
     again, q_again = tv_distance_to_exchangeable(p)
     assert again == dist and np.array_equal(q_again.p, q.p)
+
+
+@pytest.mark.parametrize("k,d", [(2, 3), (3, 2), (2, 5), (4, 4), (3, 6)])
+def test_rows_forms_equal_single_calls(k, d):
+    # the rows forms compute each row as the single-distribution
+    # functions do, bit for bit, whatever the other rows are
+    space = SampleSpace(k, d)
+    n = space.n_outcomes
+    rng = np.random.default_rng(k * 100 + d)
+    rows = [rng.dirichlet(np.full(n, 0.3)) for _ in range(12)]
+    rows += [np.eye(n)[0], np.full(n, 1 / n),
+             (np.arange(n) % 3 == 0) / np.count_nonzero(np.arange(n) % 3 == 0)]
+    rows = np.array(rows)
+    dist, q = tv_distance_to_exchangeable_rows(space, rows)
+    lam, comp, mins = exchangeable_component_rows(space, rows)
+    for i, row in enumerate(rows):
+        p = Distribution(space, row)
+        one_dist, one_q = tv_distance_to_exchangeable(p)
+        assert dist[i] == one_dist and np.array_equal(q[i], one_q.p)
+        dec = decompose(p)
+        assert lam[i] == dec.lam == exchangeable_weight(p)
+        assert np.array_equal(mins[i], dec.per_class_min)
+        if dec.q is None:
+            assert not comp[i].any()
+        else:
+            assert np.array_equal(comp[i], dec.q.p)
+
+
+@pytest.mark.parametrize("k,d", [(2, 3), (3, 3), (2, 6)])
+def test_weight_rows_of_counts_divide_after_minima(k, d):
+    # dividing the orbit minima of counts gives the bits of dividing the
+    # counts first, per stack and with one total per stack
+    space = SampleSpace(k, d)
+    rng = np.random.default_rng(k + d)
+    totals = np.array([1, 7, 150, 999])
+    draws = np.stack([rng.multinomial(t, rng.dirichlet(np.ones(k**d)),
+                                      size=50) for t in totals])
+    stacked = exchangeable_weight_rows(space, draws, total=totals)
+    for i, t in enumerate(totals):
+        assert np.array_equal(stacked[i],
+                              exchangeable_weight_rows(space, draws[i] / t))
+        assert np.array_equal(
+            exchangeable_weight_rows(space, draws[i], total=t), stacked[i])
+
+
+_BUDGET_SPACES = [(k, d) for k in range(2, 9) for d in range(2, 7)
+                  if k**d <= 64]
+
+
+def _all_symbol_maps(k):
+    """Every partition of the k symbols, as restricted growth strings."""
+    maps = [[0]]
+    for _ in range(k - 1):
+        maps = [m + [label] for m in maps for label in range(max(m) + 2)]
+    return maps
+
+
+@st.composite
+def _decomposition_cases(draw):
+    """A float or Fraction law with k^d <= 64 (general, sparse or point
+    mass) and the symbol maps to lump it by: all partitions for k <= 5,
+    drawn ones above."""
+    k, d = draw(st.sampled_from(_BUDGET_SPACES))
+    space = SampleSpace(k, d)
+    n = space.n_outcomes
+    exact = draw(st.booleans())
+    kind = draw(st.sampled_from(["general", "sparse", "point"]))
+    if kind == "point":
+        w = [0] * n
+        w[draw(st.integers(0, n - 1))] = 1
+    else:
+        weight = (st.integers(0, 12) if exact else
+                  st.one_of(st.just(0.0), st.floats(1e-9, 1.0)))
+        w = draw(st.lists(weight, min_size=n, max_size=n))
+        if kind == "sparse":
+            keep = draw(st.sets(st.integers(0, n - 1), min_size=1,
+                                max_size=3))
+            w = [v if i in keep else 0 for i, v in enumerate(w)]
+        if sum(w) == 0:
+            w[draw(st.integers(0, n - 1))] = 1
+    total = sum(w)
+    if exact:
+        p = Distribution(space, [Fraction(v, total) for v in w])
+    else:
+        p = Distribution(space, np.array(w, dtype=float) / total)
+    if k <= 5:
+        maps = _all_symbol_maps(k)
+    else:
+        maps = draw(st.lists(st.lists(st.integers(0, k - 1), min_size=k,
+                                      max_size=k), min_size=1, max_size=6))
+    return p, maps
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_decomposition_cases())
+def test_decomposition_properties(case):
+    p, maps = case
+    space = p.space
+    n = space.n_outcomes
+    dec = decompose(p)
+    lam = dec.lam
+    zero = Fraction(0) if p.is_exact else 0.0
+    q = dec.q.p if dec.q is not None else np.array([zero] * n)
+    r = dec.r.p if dec.r is not None else np.array([zero] * n)
+    if p.is_exact:
+        assert isinstance(lam, Fraction)
+        assert list(lam * q + (1 - lam) * r) == list(p.p)
+        if dec.r is not None:
+            assert exchangeable_weight(dec.r) == 0
+        slack = 0
+    else:
+        assert np.max(np.abs(lam * q + (1 - lam) * r - p.p)) <= 1e-12
+        if dec.r is not None:
+            assert exchangeable_weight(dec.r) <= 1e-9
+        slack = 1e-12
+    assert (dec.q is None) == (lam == 0)
+    for size in range(1, space.d + 1):
+        for subset in itertools.combinations(range(1, space.d + 1), size):
+            assert marginal_weight_bound(p, subset) >= lam - slack
+    for labels in maps:
+        mapping = dict(enumerate(labels))
+        assert lumping_weight_bound(p, mapping) >= lam - slack

@@ -1,4 +1,7 @@
+import dataclasses
 import io
+import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -8,8 +11,10 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import latentw.methylation as meth_mod
-from latentw import (correlate, estimate, extract_triplets,
-                     parse_epireads, triplet_report, write_report_tsv)
+from latentw import (CountVector, correlate, decompose,
+                     empirical_distribution, estimate, extract_triplets,
+                     parse_epireads, triplet_report,
+                     tv_distance_to_exchangeable, write_report_tsv)
 from latentw.errors import DegenerateGroupError, EpireadParseError
 from latentw.methylation import (MAX_CPG_INDEX, REPORT_COLUMNS, TRIPLET_SPACE,
                                  EpireadRecord, parse_epiread_file,
@@ -273,19 +278,149 @@ class TestTripletReport:
         trip = extract_triplets(records(*["chr1 0 CCC"] * 100,
                                         *["chr2 0 TTT"] * 100))
 
-        real = meth_mod.estimate
+        real = meth_mod._triplet_row
 
-        def flaky(c, **kwargs):
+        def flaky(c, *args):
             if c.counts[0] > 0:   # the TTT triplet
                 raise RuntimeError("synthetic failure")
-            return real(c, **kwargs)
+            return real(c, *args)
 
-        monkeypatch.setattr(meth_mod, "estimate", flaky)
+        monkeypatch.setattr(meth_mod, "_triplet_row", flaky)
         report = triplet_report(trip, n_boot=50, seed=6)
         assert len(report.records) == 1
         assert len(report.failures) == 1
         assert report.failures[0].chrom == "chr2"
         assert "synthetic failure" in report.failures[0].error
+
+    def test_rows_equal_single_triplet_functions(self, monkeypatch):
+        # every field of every row equals estimate(), decompose() and
+        # tv_distance_to_exchangeable() on that triplet bit for bit, with
+        # rows spread over several blocks and two threads; laws include
+        # zero weight, weight 1 and ties
+        rng = np.random.default_rng(21)
+        laws = [np.eye(8)[7], np.eye(8)[3], np.full(8, 1 / 8),
+                np.array([0, 0, 0, 0, 0, 1, 1, 1]) / 3]
+        laws += [rng.dirichlet(np.full(8, 0.4)) for _ in range(26)]
+        trip = {(f"chr{i % 3}", i): CountVector(
+                    TRIPLET_SPACE, rng.multinomial(int(rng.integers(1, 900)),
+                                                   law))
+                for i, law in enumerate(laws)}
+        monkeypatch.setattr(meth_mod, "_BLOCK_CELLS", 3 * 8 * 60)
+        report = triplet_report(trip, n_boot=60, seed=31, threads=2)
+        keys = sorted(trip)
+        children = np.random.SeedSequence(31).spawn(len(keys))
+        assert report.records == tuple(
+            meth_mod._reference_row(key, trip[key], 60, child)
+            for key, child in zip(keys, children))
+
+    def test_reference_row_is_the_single_triplet_path(self):
+        c = CountVector(TRIPLET_SPACE, [40, 3, 0, 9, 0, 0, 12, 61])
+        child = np.random.SeedSequence(4).spawn(1)[0]
+        rec = meth_mod._reference_row(("chr9", 12), c, 80, child)
+        est = estimate(c, n_boot=80, seed=child)
+        p_hat = empirical_distribution(c)
+        assert rec.tv_dist == tv_distance_to_exchangeable(p_hat)[0]
+        assert rec.lam_corrected == est.lambda_corrected
+        assert rec.lam_sd == est.se_boot
+        assert rec.q == tuple(decompose(p_hat).q.p.tolist())
+        assert rec.counts == (40, 3, 0, 9, 0, 0, 12, 61)
+
+    def test_many_threads_on_few_cpus(self, monkeypatch):
+        # more workers than CPUs, one triplet per block and a short switch
+        # interval: the rows must still come out as in a serial run
+        rng = np.random.default_rng(5)
+        trip = {("chr1", i): CountVector(
+                    TRIPLET_SPACE, rng.multinomial(150, rng.dirichlet(
+                        np.ones(8)))) for i in range(24)}
+        serial = triplet_report(trip, n_boot=30, seed=8)
+        monkeypatch.setattr(meth_mod, "_BLOCK_CELLS", 1)
+        monkeypatch.setattr(meth_mod.os, "cpu_count", lambda: 12)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert triplet_report(trip, n_boot=30, seed=8,
+                                      threads=12) == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("per_block", [1, 3])
+    def test_block_size_does_not_change_output(self, monkeypatch, per_block):
+        rng = np.random.default_rng(9)
+        trip = {("chr1", 4 * i): CountVector(
+                    TRIPLET_SPACE, rng.multinomial(200, rng.dirichlet(
+                        np.ones(8)))) for i in range(10)}
+        whole = triplet_report(trip, n_boot=40, seed=2)
+        monkeypatch.setattr(meth_mod, "_BLOCK_CELLS", per_block * 8 * 40)
+        for threads in (1, 2):
+            assert triplet_report(trip, n_boot=40, seed=2,
+                                  threads=threads) == whole
+
+    def test_pool_is_capped(self, monkeypatch):
+        # threads=10**6 must not become 10**6 OS threads: the pool gets at
+        # most one worker per CPU and per block.  The recording executor
+        # starts no thread.
+        import concurrent.futures
+
+        made = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            Recorder)
+        trip = {("chr1", i): CountVector(TRIPLET_SPACE, [10] * 8)
+                for i in range(12)}
+        monkeypatch.setattr(meth_mod, "_BLOCK_CELLS", 2 * 8 * 20)  # 6 blocks
+        serial = triplet_report(trip, n_boot=20, seed=1, threads=1)
+        assert made == []
+        monkeypatch.setattr(meth_mod.os, "cpu_count", lambda: 4)
+        assert triplet_report(trip, n_boot=20, seed=1,
+                              threads=10**6) == serial
+        monkeypatch.setattr(meth_mod.os, "cpu_count", lambda: 64)
+        assert triplet_report(trip, n_boot=20, seed=1,
+                              threads=10**6) == serial
+        monkeypatch.setattr(meth_mod.os, "cpu_count", lambda: None)
+        assert triplet_report(trip, n_boot=20, seed=1,
+                              threads=10**6) == serial
+        assert made == [4, 6]
+
+    def test_empty_mapping(self):
+        report = triplet_report({}, n_boot=20, seed=1, threads=2)
+        assert report.records == () and report.failures == ()
+
+    def test_every_draw_failing(self):
+        trip = extract_triplets(records(*["chr1 0 CCC"] * 100,
+                                        *["chr2 0 TTT"] * 100))
+        report = triplet_report(trip, n_boot=1, seed=6, threads=2)
+        assert report.records == ()
+        assert [f.error for f in report.failures] == \
+            ["ValueError: n_boot must be >= 2"] * 2
+
+    def test_first_row_checked_against_single_path(self, monkeypatch):
+        trip = extract_triplets(records(*["chr1 0 CTC"] * 60,
+                                        *["chr1 0 TTT"] * 40))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            triplet_report(trip, n_boot=50, seed=6)
+
+        real = meth_mod.estimate
+
+        def off_by_one_ulp(c, **kwargs):
+            est = real(c, **kwargs)
+            return dataclasses.replace(
+                est, se_boot=np.nextafter(est.se_boot, 1.0))
+
+        monkeypatch.setattr(meth_mod, "estimate", off_by_one_ulp)
+        with pytest.warns(RuntimeWarning, match="chr1:0: the block"):
+            triplet_report(trip, n_boot=50, seed=6)
 
     def test_row_invariants_random_batch(self):
         # every emitted row: counts at/above threshold, tv and corrected
