@@ -59,7 +59,7 @@ def exchangeable_weight(p: Distribution):
 
 
 def exchangeable_weight_rows(space: SampleSpace, rows: np.ndarray,
-                             total=None) -> np.ndarray:
+                             total=None, lone: bool = False) -> np.ndarray:
     """Exchangeable weights of many probability vectors at once.
 
     ``rows`` is ``(..., n_rows, k**d)`` and the result ``(..., n_rows)``,
@@ -69,17 +69,31 @@ def exchangeable_weight_rows(space: SampleSpace, rows: np.ndarray,
     fewer cells and with the same bits, since dividing by a positive
     number keeps the order.
 
-    Each slice is reduced by one matrix product, whose rounding depends
-    on its shape: numpy computes one row as a BLAS dot and several rows
-    as a matrix-vector product.  So a slice gets the same bits alone or
-    stacked with others, and rows that must round like a lone vector are
-    passed as ``(n, 1, k**d)``.
+    By default each slice is reduced by one matrix product, as the
+    replicates of one sample are.  ``lone=True`` reduces every row as a
+    lone vector is reduced, so each row gets the bits of a
+    single-distribution call (see :func:`_weights_of_minima`).
     """
     index = space.orbit_index()
     mins = index.class_minima_rows(np.asarray(rows))
     if total is not None:
         mins = mins / np.asarray(total)[..., None, None]
-    return np.clip(mins @ index.sizes.astype(np.float64), 0.0, 1.0)
+    return _weights_of_minima(index, mins, lone)
+
+
+def _weights_of_minima(index, mins: np.ndarray, lone: bool) -> np.ndarray:
+    """``sum_z |z| m_z`` along the last axis, clipped to ``[0, 1]``.
+
+    numpy rounds a matrix product by its shape and memory layout: one
+    contiguous row as a BLAS dot, several rows as a matrix-vector
+    product, strided rows without BLAS.  ``lone=True`` makes every row a
+    contiguous product of its own, which rounds as a lone vector does.
+    """
+    sizes = index.sizes.astype(np.float64)
+    if lone:
+        rows = np.ascontiguousarray(mins)[..., None, :]
+        return np.clip(rows @ sizes, 0.0, 1.0)[..., 0]
+    return np.clip(mins @ sizes, 0.0, 1.0)
 
 
 def argmin_sets(p: Distribution, mins: np.ndarray | None = None,
@@ -176,7 +190,7 @@ def exchangeable_component_rows(space: SampleSpace, rows: np.ndarray,
     """
     index = space.orbit_index()
     mins = index.class_minima_rows(rows)
-    lam = exchangeable_weight_rows(space, rows[:, None, :])[:, 0]
+    lam = _weights_of_minima(index, mins, lone=True)
     has_q = lam[:, None] > 0.0
     q = np.divide(mins[:, index.class_of], lam[:, None],
                   out=np.zeros(rows.shape), where=has_q)
@@ -319,7 +333,7 @@ def lumping_weight_bound(p: Distribution, symbol_map):
 # Total variation projection onto the exchangeable simplex.
 # ---------------------------------------------------------------------------
 
-def tv_distance_to_exchangeable(p: Distribution) -> tuple[float, Distribution]:
+def tv_distance_to_exchangeable(p: Distribution):
     """Minimum TV distance from ``p`` to any exchangeable distribution.
 
     The objective ``(1/2) sum_x |p(x) - q_[x]|`` is convex and separable
@@ -338,24 +352,15 @@ def tv_distance_to_exchangeable(p: Distribution) -> tuple[float, Distribution]:
     Hence ``TV = (1-lam)/2 + (1/2) sum slope * mass``, which lies in
     ``[0, 1-lam]`` since every slope is in ``(-1, 1]``.  Returns the
     minimum and the achieving distribution, computed in float64 (exact
-    inputs are converted first).
+    inputs are converted first).  For a stack of laws it returns the
+    ``(n,)`` distances and the stack of projections; each row is
+    computed as if it came alone, since the fill order depends only on
+    the orbit sizes and one order serves every row.
     """
     pf = p.as_float()
-    dist, q = tv_distance_to_exchangeable_rows(pf.space, pf.p[None, :])
-    return float(dist[0]), Distribution(pf.space, q[0])
-
-
-def tv_distance_to_exchangeable_rows(space: SampleSpace, rows: np.ndarray,
-                                     ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`tv_distance_to_exchangeable` of each row of a float
-    ``(n, k**d)`` array: the distances ``(n,)`` and the projections
-    ``(n, k**d)``.
-
-    The fill order depends only on the orbit sizes, so one order serves
-    every row; each row is computed as if it came alone.
-    """
+    index = pf.space.orbit_index()
+    rows = np.atleast_2d(pf.p)
     n = len(rows)
-    index = space.orbit_index()
     cls = index.class_of[index.order]
     vals = rows[:, index.order]
     order = np.lexsort((vals, np.broadcast_to(cls, vals.shape)), axis=-1)
@@ -367,7 +372,7 @@ def tv_distance_to_exchangeable_rows(space: SampleSpace, rows: np.ndarray,
     gap[:, j == size - 1] = np.inf
     mins = vals[:, index.starts]
     # Clipped at 1: a weight rounded above 1 leaves nothing to fill either way.
-    lam = exchangeable_weight_rows(space, rows[:, None, :])[:, 0]
+    lam = _weights_of_minima(index, mins, lone=True)
 
     fill = np.lexsort((cls, slope))
     cap = size[fill] * gap[:, fill]
@@ -383,7 +388,10 @@ def tv_distance_to_exchangeable_rows(space: SampleSpace, rows: np.ndarray,
     added = added.reshape(n, index.n_classes)
     q = np.take(mins + added / index.sizes, index.class_of, axis=-1)
     q /= q.sum(axis=-1, keepdims=True)
-    return 0.5 * np.abs(rows - q).sum(axis=-1), q
+    dist = 0.5 * np.abs(rows - q).sum(axis=-1)
+    if pf.p.ndim == 2:
+        return dist, Distribution(pf.space, q)
+    return float(dist[0]), Distribution(pf.space, q[0])
 
 
 def tv_distance(p1: Distribution, p2: Distribution) -> float:

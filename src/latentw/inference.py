@@ -41,7 +41,11 @@ def _as_seed_sequence(seed) -> np.random.SeedSequence:
 
 @dataclass(frozen=True)
 class WeightEstimate:
-    """Plug-in and bias-corrected exchangeable-weight estimates."""
+    """Plug-in and bias-corrected exchangeable-weight estimates.
+
+    For a stack of samples the numeric fields are ``(n,)`` arrays, one
+    entry per row, and ``seed`` and ``regularity_flag`` are None.
+    """
 
     lambda_hat: float          # weight of the empirical measure
     lambda_corrected: float    # 2*lambda_hat - mean(replicates), clamped to [0,1]
@@ -51,17 +55,18 @@ class WeightEstimate:
     n_boot: int
     resample_size: int
     seed: int | None
-    regularity_flag: str       # UNIQUE_ARGMIN or TIED_ARGMIN
+    regularity_flag: str | None  # UNIQUE_ARGMIN or TIED_ARGMIN
 
 
-def resample_counts(c: CountVector, n_boot: int,
+def resample_counts(counts: np.ndarray, n_boot: int,
                     resample_size: int | None = None, seed=0) -> np.ndarray:
-    """The ``(n_boot, k**d)`` multinomial resamples :func:`estimate` draws.
+    """The ``(n_boot, k**d)`` multinomial resamples of one count vector.
 
-    Validates its arguments as :func:`estimate` does; the resamples have
-    size ``resample_size`` (default ``n``) and come from ``seed`` alone.
+    The resamples have size ``resample_size`` (default: the sample size)
+    and come from ``seed`` alone.  Validates the arguments for
+    :func:`estimate` and :func:`bootstrap_distribution`.
     """
-    n = c.n
+    n = int(counts.sum())
     if n == 0:
         raise EmptySampleError("cannot estimate from an empty sample")
     if n_boot < 2:
@@ -70,7 +75,7 @@ def resample_counts(c: CountVector, n_boot: int,
     if n0 < 1:
         raise ValueError("resample_size must be >= 1")
     rng = np.random.default_rng(_as_seed_sequence(seed))
-    return rng.multinomial(n0, c.counts / n, size=n_boot)
+    return rng.multinomial(n0, counts / n, size=n_boot)
 
 
 def replicate_moments(space: SampleSpace, draws: np.ndarray, n0,
@@ -79,8 +84,7 @@ def replicate_moments(space: SampleSpace, draws: np.ndarray, n0,
 
     ``draws`` is ``(..., n_boot, k**d)`` counts and ``n0`` their resample
     size, broadcast over the leading axes.  Each stack reduces as it would
-    alone, so a block of triplets and a single :func:`estimate` agree bit
-    for bit.
+    alone, so a stack of samples and a single one agree bit for bit.
     """
     reps = exchangeable_weight_rows(space, draws, total=n0)
     return reps.mean(axis=-1), reps.std(axis=-1, ddof=1)
@@ -124,7 +128,8 @@ def estimate(c: CountVector, n_boot: int = 1000,
     Parameters
     ----------
     c : CountVector
-        Observed outcome counts (total ``n >= 1``).
+        Observed outcome counts (total ``n >= 1``), or a stack of samples
+        whose rows are estimated at once, each as if it came alone.
     n_boot : int
         Number of bootstrap resamples (>= 2).
     resample_size : int, optional
@@ -133,22 +138,34 @@ def estimate(c: CountVector, n_boot: int = 1000,
         in the tied-argmin regime.
     seed : int or numpy SeedSequence
         All randomness flows from here; fixed seed gives a bit-identical
-        result.
+        result.  A stack takes a sequence of seeds, one per row.
+
+    A stack gets no regime diagnosis: its ``regularity_flag`` is None.
     """
-    draws = resample_counts(c, n_boot, resample_size, seed)
-    n = c.n
-    n0 = n if resample_size is None else int(resample_size)
-    lam_hat = float(exchangeable_weight_rows(c.space,
-                                             (c.counts / n)[None, :])[0])
-    mean_rep, se = (float(v) for v in replicate_moments(c.space, draws, n0))
+    stack = c.counts.ndim == 2
+    counts = c.counts if stack else c.counts[None, :]
+    seeds = list(seed) if stack else [seed]
+    if len(seeds) != len(counts):
+        raise ValueError("a stack of samples takes one seed per row")
+    draws = [resample_counts(row, n_boot, resample_size, s)
+             for row, s in zip(counts, seeds)]
+    # A lone sample's resamples are used in place, without a stacked copy.
+    draws = np.stack(draws) if stack else draws[0][None]
+    n = counts.sum(axis=1)
+    n0 = n if resample_size is None else np.full(len(n), int(resample_size))
+    lam_hat = exchangeable_weight_rows(c.space, counts / n[:, None],
+                                       lone=True)
+    mean_rep, se = replicate_moments(c.space, draws, n0)
+    fields = (lam_hat, bias_corrected(lam_hat, mean_rep), se,
+              mean_rep - lam_hat)
+    if stack:
+        return WeightEstimate(*fields, n=n, n_boot=n_boot, resample_size=n0,
+                              seed=None, regularity_flag=None)
     return WeightEstimate(
-        lambda_hat=lam_hat,
-        lambda_corrected=float(bias_corrected(lam_hat, mean_rep)),
-        se_boot=se,
-        bias_boot=mean_rep - lam_hat,
-        n=n,
+        *(float(v[0]) for v in fields),
+        n=int(n[0]),
         n_boot=n_boot,
-        resample_size=n0,
+        resample_size=int(n0[0]),
         seed=seed if isinstance(seed, int) else None,
         regularity_flag=empirical_regularity(c),
     )
@@ -162,14 +179,11 @@ def bootstrap_distribution(c: CountVector, n_boot: int = 1000,
     With ``resample_size = n`` (default) this is the full bootstrap
     distribution estimator; with ``n0 = o(n)`` the subsample variant.
     """
+    draws = resample_counts(c.counts, n_boot, resample_size, seed)
     n = c.n
-    if n == 0:
-        raise EmptySampleError("cannot resample an empty sample")
     n0 = n if resample_size is None else int(resample_size)
     lam_hat = float(exchangeable_weight_rows(c.space,
                                              (c.counts / n)[None, :])[0])
-    rng = np.random.default_rng(_as_seed_sequence(seed))
-    draws = rng.multinomial(n0, c.counts / n, size=n_boot)
     reps = exchangeable_weight_rows(c.space, draws, total=n0)
     return np.sqrt(n0) * (reps - lam_hat)
 

@@ -16,19 +16,17 @@ from __future__ import annotations
 import concurrent.futures
 import itertools
 import os
-import warnings
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DegenerateGroupError, EpireadParseError
-from .exchangeable import (decompose, exchangeable_component_rows,
-                           tv_distance_to_exchangeable,
-                           tv_distance_to_exchangeable_rows)
-from .inference import (bias_corrected, estimate, replicate_moments,
-                        resample_counts)
-from .space import CountVector, SampleSpace, empirical_distribution
+# The report does not call decompose; the benchmark's tracer wraps it here.
+from .exchangeable import (decompose, exchangeable_component_rows,  # noqa: F401
+                           tv_distance_to_exchangeable)
+from .inference import WeightEstimate, estimate
+from .space import CountVector, Distribution, SampleSpace
 
 TRIPLET_SPACE = SampleSpace(k=2, d=3)
 CONFIGS = tuple(TRIPLET_SPACE.outcome_str(i) for i in range(8))  # 000..111
@@ -236,10 +234,18 @@ class TripletReport:
 
 
 def _triplet_row(c: CountVector, n_boot: int,
-                 seed_seq: np.random.SeedSequence) -> np.ndarray:
-    """The one per-triplet step of the report: the ``(n_boot, 8)``
-    bootstrap resamples of ``c``, drawn from its own stream."""
-    return resample_counts(c, n_boot, seed=seed_seq)
+                 seeds: Sequence[np.random.SeedSequence]) -> WeightEstimate:
+    """One task of the report's pool: :func:`estimate` of a stack of
+    triplets, each drawing its resamples from its own stream."""
+    return estimate(c, n_boot=n_boot, seed=seeds)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (a CPU quota of a container is not seen)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def triplet_report(triplets: Mapping[tuple[str, int], CountVector],
@@ -249,17 +255,16 @@ def triplet_report(triplets: Mapping[tuple[str, int], CountVector],
 
     Rows come out sorted by ``(chrom, index)``; each triplet gets its own
     RNG stream spawned from the master seed in that sorted order, so the
-    output is identical whatever the thread count.  A triplet whose draw
-    fails is recorded as a failure entry instead of aborting the batch.
+    output is identical whatever the thread count.  A triplet whose
+    estimate fails is recorded as a failure entry instead of aborting the
+    batch.
 
     The sorted triplets are cut into blocks of at most ``_BLOCK_CELLS``
     draw cells.  A block is one task of a pool of at most ``threads``
-    workers (fewer with fewer CPUs or blocks): its triplets draw their
-    resamples, which numpy does without the GIL, and one numpy pass
-    reduces them to replicate means and sds.  Meanwhile the calling
-    thread computes the plug-in weights, components and TV distances of
-    all rows at once, and recomputes the first row with the
-    single-triplet functions to check that both give the same bits.
+    workers (fewer with fewer CPUs or blocks): :func:`estimate` of the
+    block as a stack, whose per-triplet draws numpy makes without the
+    GIL.  Meanwhile the calling thread computes the exchangeable
+    components and TV distances of all rows at once.
     """
     keys = sorted(triplets.keys())
     root = (seed if isinstance(seed, np.random.SeedSequence)
@@ -269,84 +274,59 @@ def triplet_report(triplets: Mapping[tuple[str, int], CountVector],
                       dtype=np.int64).reshape(len(keys), len(CONFIGS))
     n = counts.sum(axis=1)
     per_block = max(1, _BLOCK_CELLS // max(1, n_boot * len(CONFIGS)))
-    blocks = [range(lo, min(lo + per_block, len(keys)))
+    blocks = [slice(lo, lo + per_block)
               for lo in range(0, len(keys), per_block)]
 
-    def run(block: range):
-        draws, done, failed = [], [], []
-        for i in block:
-            try:
-                draws.append(_triplet_row(triplets[keys[i]], n_boot,
-                                          children[i]))
-                done.append(i)
-            except Exception as exc:    # noqa: BLE001 - row-level isolation
-                failed.append(TripletFailure(
-                    chrom=keys[i][0], index=keys[i][1],
-                    error=f"{type(exc).__name__}: {exc}"))
-        if not done:
-            return done, np.empty(0), np.empty(0), failed
-        mean, sd = replicate_moments(TRIPLET_SPACE, np.stack(draws), n[done])
-        return done, mean, sd, failed
+    def run(block: slice) -> list:
+        try:
+            return [(block, _triplet_row(
+                CountVector(TRIPLET_SPACE, counts[block]), n_boot,
+                children[block]))]
+        except Exception as exc:    # noqa: BLE001 - row-level isolation
+            rows = range(len(keys))[block]
+            if len(rows) > 1:       # a failing triplet fails alone
+                return [r for i in rows for r in run(slice(i, i + 1))]
+            (chrom, index), = keys[block]
+            return [(block, TripletFailure(
+                chrom=chrom, index=index,
+                error=f"{type(exc).__name__}: {exc}"))]
 
-    workers = min(threads, os.cpu_count() or 1, len(blocks))
+    lam, sd = np.zeros(len(keys)), np.zeros(len(keys))
+    tv, q = np.zeros(len(keys)), np.zeros(counts.shape)
+    ok = np.zeros(len(keys), dtype=bool)
+    failures = []
+    workers = min(threads, _usable_cpus(), len(blocks))
     pool = (concurrent.futures.ThreadPoolExecutor(max_workers=workers)
             if workers > 1 else None)
     try:
         results = pool.map(run, blocks) if pool else map(run, blocks)
-        # Empty triplets fail in their draw; the guard keeps their rows finite.
-        p_hat = counts / np.maximum(n, 1)[:, None]
-        lam_hat, q, _ = exchangeable_component_rows(TRIPLET_SPACE, p_hat)
-        tv, _ = tv_distance_to_exchangeable_rows(TRIPLET_SPACE, p_hat)
-        reference = (_reference_row(keys[0], triplets[keys[0]], n_boot,
-                                    children[0]) if keys else None)
-        mean, sd = np.zeros(len(keys)), np.zeros(len(keys))
-        ok = np.zeros(len(keys), dtype=bool)
-        failures = []
-        for done, block_mean, block_sd, failed in results:
-            mean[done], sd[done], ok[done] = block_mean, block_sd, True
-            failures.extend(failed)
+        # An empty triplet fails in its estimate and has no law.
+        seen = n > 0
+        if seen.any():
+            p_hat = Distribution(TRIPLET_SPACE, counts[seen] / n[seen, None])
+            tv[seen], _ = tv_distance_to_exchangeable(p_hat)
+            _, q[seen], _ = exchangeable_component_rows(TRIPLET_SPACE,
+                                                        p_hat.p)
+        for part in results:
+            for block, res in part:
+                if isinstance(res, TripletFailure):
+                    failures.append(res)
+                else:
+                    lam[block] = res.lambda_corrected
+                    sd[block] = res.se_boot
+                    ok[block] = True
     finally:
         if pool:
             pool.shutdown()
 
-    rows = zip(keys, ok, tv.tolist(),
-               bias_corrected(lam_hat, mean).tolist(), sd.tolist(),
+    rows = zip(keys, ok, tv.tolist(), lam.tolist(), sd.tolist(),
                counts.tolist(), q.tolist())
     records = tuple(
         TripletRecord(chrom=key[0], index=key[1], tv_dist=t,
-                      lam_corrected=lam, lam_sd=s, counts=tuple(c),
+                      lam_corrected=lc, lam_sd=s, counts=tuple(c),
                       q=tuple(qs))
-        for key, kept, t, lam, s, c, qs in rows if kept)
-    if reference is not None and ok[0] and records[0] != reference:
-        warnings.warn(
-            f"triplet {keys[0][0]}:{keys[0][1]}: the block computation "
-            "differs from estimate(), decompose() and "
-            "tv_distance_to_exchangeable(); this numpy rounds stacked "
-            "products differently, so report rows may differ from "
-            "single-triplet calls in the last bits", RuntimeWarning)
+        for key, kept, t, lc, s, c, qs in rows if kept)
     return TripletReport(records=records, failures=tuple(failures))
-
-
-def _reference_row(key: tuple[str, int], c: CountVector, n_boot: int,
-                   seed_seq: np.random.SeedSequence) -> TripletRecord | None:
-    """One report row computed by the single-triplet functions, or None
-    when its draw fails.
-
-    :func:`triplet_report` warns when its block computation of the first
-    row differs from this one.  The check costs one extra draw per report.
-    """
-    try:
-        est = estimate(c, n_boot=n_boot, seed=seed_seq)
-    except Exception:               # noqa: BLE001 - the block path records it
-        return None
-    p_hat = empirical_distribution(c)
-    dec = decompose(p_hat)
-    tv, _ = tv_distance_to_exchangeable(p_hat)
-    q = (0.0,) * 8 if dec.q is None else tuple(dec.q.p.tolist())
-    return TripletRecord(chrom=key[0], index=key[1], tv_dist=tv,
-                         lam_corrected=est.lambda_corrected,
-                         lam_sd=est.se_boot,
-                         counts=tuple(c.counts.tolist()), q=q)
 
 
 def write_report_tsv(report: TripletReport, target: str | IO[str],

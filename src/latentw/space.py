@@ -210,6 +210,8 @@ class Distribution:
     p : sequence of floats or Fractions
         Probabilities in outcome-index order.  Must be non-negative and
         sum to one (within ``1e-12`` for floats, exactly for Fractions).
+        A float ``(n, k**d)`` array is a stack of ``n`` laws, one per
+        row; only ``tv_distance_to_exchangeable`` takes stacks.
     """
 
     __slots__ = ("space", "p", "is_exact")
@@ -228,13 +230,15 @@ class Distribution:
                 raise ValueError(f"exact probabilities sum to {total}, not 1")
         else:
             vec = np.asarray(p, dtype=np.float64).copy()
-            if vec.shape != (space.n_outcomes,):
+            if vec.ndim not in (1, 2) or vec.shape[-1] != space.n_outcomes:
                 raise ValueError("probability vector has wrong length")
             if np.any(vec < 0):
                 raise ValueError("negative probability")
-            total = float(vec.sum())
-            if abs(total - 1.0) > NORMALIZATION_ATOL:
-                raise ValueError(f"probabilities sum to {total}, not 1")
+            total = np.atleast_1d(vec.sum(axis=-1))
+            off = total[np.abs(total - 1.0) > NORMALIZATION_ATOL]
+            if len(off):
+                raise ValueError(f"probabilities sum to {float(off[0])}, "
+                                 "not 1")
         vec.setflags(write=False)
         self.p = vec
         self.is_exact = exact
@@ -303,13 +307,14 @@ def _as_fraction(v) -> Fraction:
 
 
 class CountVector:
-    """Observed multinomial counts over a sample space."""
+    """Observed multinomial counts over a sample space; an ``(n, k**d)``
+    array is a stack of ``n`` samples, which only ``estimate`` takes."""
 
     __slots__ = ("space", "counts")
 
     def __init__(self, space: SampleSpace, counts):
         arr = np.asarray(counts)
-        if arr.shape != (space.n_outcomes,):
+        if arr.ndim not in (1, 2) or arr.shape[-1] != space.n_outcomes:
             raise ValueError("count vector has wrong length")
         if not np.issubdtype(arr.dtype, np.integer):
             raised = arr.astype(np.int64)
@@ -324,8 +329,10 @@ class CountVector:
         self.counts = arr
 
     @property
-    def n(self) -> int:
-        return int(self.counts.sum())
+    def n(self):
+        """The sample size (of each row, for a stack)."""
+        total = self.counts.sum(axis=-1)
+        return int(total) if total.ndim == 0 else total
 
     @classmethod
     def from_mapping(cls, space: SampleSpace, mapping: Mapping) -> "CountVector":

@@ -309,3 +309,25 @@ def extract_triplets_oracle(records, coverage_threshold: int
             acc.setdefault(key, [0] * 8)[config] += 1
     return {key: tuple(bins) for key, bins in acc.items()
             if sum(bins) >= coverage_threshold}
+
+
+def triplet_row_oracle(key, c, n_boot: int, seed_seq):
+    """One ``triplet_report`` row built from the single-triplet public
+    functions (``estimate``, ``decompose``, ``tv_distance_to_exchangeable``)
+    on that triplet alone, or None when its estimate raises."""
+    from latentw import (decompose, empirical_distribution, estimate,
+                         tv_distance_to_exchangeable)
+    from latentw.methylation import TripletRecord
+
+    try:
+        est = estimate(c, n_boot=n_boot, seed=seed_seq)
+    except Exception:               # noqa: BLE001 - a failure row
+        return None
+    p_hat = empirical_distribution(c)
+    dec = decompose(p_hat)
+    tv, _ = tv_distance_to_exchangeable(p_hat)
+    q = (0.0,) * 8 if dec.q is None else tuple(dec.q.p.tolist())
+    return TripletRecord(chrom=key[0], index=key[1], tv_dist=tv,
+                         lam_corrected=est.lambda_corrected,
+                         lam_sd=est.se_boot,
+                         counts=tuple(c.counts.tolist()), q=q)

@@ -14,8 +14,7 @@ from latentw import (Distribution, SampleSpace, decompose,
 from latentw.errors import (EmptyIndexSetError, NotExchangeableError,
                             ResidualNotPureError)
 from latentw.exchangeable import (exchangeable_component_rows,
-                                  exchangeable_weight_rows,
-                                  tv_distance_to_exchangeable_rows)
+                                  exchangeable_weight_rows)
 
 from conftest import dirichlet_distributions
 from oracle_utils import brute_weight_vector, tv_grid_oracle, tv_lp_oracle
@@ -456,9 +455,10 @@ def test_tv_projection_properties(law):
 
 
 @pytest.mark.parametrize("k,d", [(2, 3), (3, 2), (2, 5), (4, 4), (3, 6)])
-def test_rows_forms_equal_single_calls(k, d):
-    # the rows forms compute each row as the single-distribution
-    # functions do, bit for bit, whatever the other rows are
+def test_stacks_equal_single_calls(k, d):
+    # a stack of laws and the component rows compute each row as the
+    # single-distribution functions do, bit for bit, whatever the other
+    # rows are
     space = SampleSpace(k, d)
     n = space.n_outcomes
     rng = np.random.default_rng(k * 100 + d)
@@ -466,7 +466,9 @@ def test_rows_forms_equal_single_calls(k, d):
     rows += [np.eye(n)[0], np.full(n, 1 / n),
              (np.arange(n) % 3 == 0) / np.count_nonzero(np.arange(n) % 3 == 0)]
     rows = np.array(rows)
-    dist, q = tv_distance_to_exchangeable_rows(space, rows)
+    dist, q = tv_distance_to_exchangeable(Distribution(space, rows))
+    assert dist.shape == (len(rows),) and q.p.shape == rows.shape
+    q = q.p
     lam, comp, mins = exchangeable_component_rows(space, rows)
     for i, row in enumerate(rows):
         p = Distribution(space, row)

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from latentw import (CountVector, Distribution, asymptotic_variance,
-                     bootstrap_distribution, estimate, exchangeable_weight,
-                     limit_law_sample, limit_law_spec, sample_size_heuristic,
-                     subsample_size, worst_case_source)
+from latentw import (CountVector, Distribution, SampleSpace,
+                     asymptotic_variance, bootstrap_distribution, estimate,
+                     exchangeable_weight, limit_law_sample, limit_law_spec,
+                     sample_size_heuristic, subsample_size, worst_case_source)
 from latentw.errors import EmptySampleError, TiedArgminError
 from latentw.inference import TIED_ARGMIN, UNIQUE_ARGMIN
 
@@ -70,6 +70,41 @@ class TestEstimate:
     def test_subsample_size(self):
         assert subsample_size(10000) == 200
         assert subsample_size(101) == 21
+
+
+class TestEstimateStack:
+    @pytest.mark.parametrize("resample_size", [None, 30])
+    def test_rows_equal_single_estimates(self, resample_size):
+        # every row of a stack is estimated as if it came alone, bit for
+        # bit, each from its own seed
+        space = SampleSpace(3, 2)
+        rng = np.random.default_rng(40)
+        counts = np.array([rng.multinomial(int(rng.integers(1, 500)),
+                                           rng.dirichlet(np.ones(9)))
+                           for _ in range(7)] + [[0] * 8 + [12]])
+        seeds = np.random.SeedSequence(41).spawn(len(counts))
+        stack = estimate(CountVector(space, counts), n_boot=50,
+                         resample_size=resample_size, seed=seeds)
+        assert stack.regularity_flag is None and stack.seed is None
+        for i, (row, s) in enumerate(zip(counts, seeds)):
+            one = estimate(CountVector(space, row), n_boot=50,
+                           resample_size=resample_size, seed=s)
+            assert stack.lambda_hat[i] == one.lambda_hat
+            assert stack.lambda_corrected[i] == one.lambda_corrected
+            assert stack.se_boot[i] == one.se_boot
+            assert stack.bias_boot[i] == one.bias_boot
+            assert stack.n[i] == one.n
+            assert stack.resample_size[i] == one.resample_size
+
+    def test_one_seed_per_row(self, space22):
+        c = CountVector(space22, [[1, 2, 3, 4], [4, 3, 2, 1]])
+        with pytest.raises(ValueError, match="one seed per row"):
+            estimate(c, n_boot=10, seed=[1])
+
+    def test_empty_row_raises(self, space22):
+        c = CountVector(space22, [[1, 2, 3, 4], [0, 0, 0, 0]])
+        with pytest.raises(EmptySampleError):
+            estimate(c, n_boot=10, seed=[1, 2])
 
 
 class TestAsymptoticVariance:
@@ -156,6 +191,15 @@ class TestBootstrapDistribution:
         limit = limit_law_sample(unique_argmin_fixture, 10**5, seed=17)
         ks = stats.ks_2samp(reps, limit).statistic
         assert ks <= 0.05
+
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"n_boot": 1}, "n_boot"), ({"n_boot": 0}, "n_boot"),
+        ({"n_boot": 3, "resample_size": 0}, "resample_size")])
+    def test_bad_sizes_raise(self, space22, kwargs, match):
+        # as estimate does, instead of dividing by zero or drawing nothing
+        c = CountVector(space22, [5, 5, 5, 5])
+        with pytest.raises(ValueError, match=match):
+            bootstrap_distribution(c, seed=1, **kwargs)
 
     def test_scaling_uses_resample_size(self, space22):
         c = CountVector(space22, [40, 10, 20, 30])

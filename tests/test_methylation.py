@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import sys
 import warnings
@@ -11,15 +10,13 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import latentw.methylation as meth_mod
-from latentw import (CountVector, correlate, decompose,
-                     empirical_distribution, estimate, extract_triplets,
-                     parse_epireads, triplet_report,
-                     tv_distance_to_exchangeable, write_report_tsv)
+from latentw import (CountVector, correlate, estimate, extract_triplets,
+                     parse_epireads, triplet_report, write_report_tsv)
 from latentw.errors import DegenerateGroupError, EpireadParseError
 from latentw.methylation import (MAX_CPG_INDEX, REPORT_COLUMNS, TRIPLET_SPACE,
                                  EpireadRecord, parse_epiread_file,
                                  read_report_tsv)
-from oracle_utils import extract_triplets_oracle
+from oracle_utils import extract_triplets_oracle, triplet_row_oracle
 
 
 def records(*lines):
@@ -281,7 +278,9 @@ class TestTripletReport:
         real = meth_mod._triplet_row
 
         def flaky(c, *args):
-            if c.counts[0] > 0:   # the TTT triplet
+            # the pool task gets a stack of triplets; TTT fails it, and
+            # must fail alone, without the CCC triplet of its block
+            if c.counts[:, 0].any():
                 raise RuntimeError("synthetic failure")
             return real(c, *args)
 
@@ -310,20 +309,24 @@ class TestTripletReport:
         keys = sorted(trip)
         children = np.random.SeedSequence(31).spawn(len(keys))
         assert report.records == tuple(
-            meth_mod._reference_row(key, trip[key], 60, child)
+            triplet_row_oracle(key, trip[key], 60, child)
             for key, child in zip(keys, children))
 
-    def test_reference_row_is_the_single_triplet_path(self):
-        c = CountVector(TRIPLET_SPACE, [40, 3, 0, 9, 0, 0, 12, 61])
-        child = np.random.SeedSequence(4).spawn(1)[0]
-        rec = meth_mod._reference_row(("chr9", 12), c, 80, child)
-        est = estimate(c, n_boot=80, seed=child)
-        p_hat = empirical_distribution(c)
-        assert rec.tv_dist == tv_distance_to_exchangeable(p_hat)[0]
-        assert rec.lam_corrected == est.lambda_corrected
-        assert rec.lam_sd == est.se_boot
-        assert rec.q == tuple(decompose(p_hat).q.p.tolist())
-        assert rec.counts == (40, 3, 0, 9, 0, 0, 12, 61)
+    def test_empty_triplet_fails_alone(self):
+        # an all-zero count vector fails its estimate; the other triplets
+        # of its block keep their rows, and nothing divides by its zero
+        trip = {("chr1", i): CountVector(TRIPLET_SPACE, [i % 3 * 20] * 8)
+                for i in range(6)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = triplet_report(trip, n_boot=30, seed=3, threads=2)
+        children = np.random.SeedSequence(3).spawn(6)
+        assert [f.index for f in report.failures] == [0, 3]
+        assert report.failures[0].error == (
+            "EmptySampleError: cannot estimate from an empty sample")
+        assert report.records == tuple(
+            triplet_row_oracle(("chr1", i), trip[("chr1", i)], 30,
+                               children[i]) for i in (1, 2, 4, 5))
 
     def test_many_threads_on_few_cpus(self, monkeypatch):
         # more workers than CPUs, one triplet per block and a short switch
@@ -334,7 +337,7 @@ class TestTripletReport:
                         np.ones(8)))) for i in range(24)}
         serial = triplet_report(trip, n_boot=30, seed=8)
         monkeypatch.setattr(meth_mod, "_BLOCK_CELLS", 1)
-        monkeypatch.setattr(meth_mod.os, "cpu_count", lambda: 12)
+        monkeypatch.setattr(meth_mod, "_usable_cpus", lambda: 12)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -381,16 +384,25 @@ class TestTripletReport:
         monkeypatch.setattr(meth_mod, "_BLOCK_CELLS", 2 * 8 * 20)  # 6 blocks
         serial = triplet_report(trip, n_boot=20, seed=1, threads=1)
         assert made == []
-        monkeypatch.setattr(meth_mod.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(meth_mod, "_usable_cpus", lambda: 4)
         assert triplet_report(trip, n_boot=20, seed=1,
                               threads=10**6) == serial
-        monkeypatch.setattr(meth_mod.os, "cpu_count", lambda: 64)
-        assert triplet_report(trip, n_boot=20, seed=1,
-                              threads=10**6) == serial
-        monkeypatch.setattr(meth_mod.os, "cpu_count", lambda: None)
+        monkeypatch.setattr(meth_mod, "_usable_cpus", lambda: 64)
         assert triplet_report(trip, n_boot=20, seed=1,
                               threads=10**6) == serial
         assert made == [4, 6]
+
+    def test_usable_cpus(self, monkeypatch):
+        # the affinity mask counts, not the CPUs of the host; without an
+        # affinity call the CPU count, and 1 when that is unknown
+        monkeypatch.setattr(meth_mod.os, "sched_getaffinity",
+                            lambda pid: {0, 5}, raising=False)
+        monkeypatch.setattr(meth_mod.os, "cpu_count", lambda: 64)
+        assert meth_mod._usable_cpus() == 2
+        monkeypatch.delattr(meth_mod.os, "sched_getaffinity")
+        assert meth_mod._usable_cpus() == 64
+        monkeypatch.setattr(meth_mod.os, "cpu_count", lambda: None)
+        assert meth_mod._usable_cpus() == 1
 
     def test_empty_mapping(self):
         report = triplet_report({}, n_boot=20, seed=1, threads=2)
@@ -403,24 +415,6 @@ class TestTripletReport:
         assert report.records == ()
         assert [f.error for f in report.failures] == \
             ["ValueError: n_boot must be >= 2"] * 2
-
-    def test_first_row_checked_against_single_path(self, monkeypatch):
-        trip = extract_triplets(records(*["chr1 0 CTC"] * 60,
-                                        *["chr1 0 TTT"] * 40))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            triplet_report(trip, n_boot=50, seed=6)
-
-        real = meth_mod.estimate
-
-        def off_by_one_ulp(c, **kwargs):
-            est = real(c, **kwargs)
-            return dataclasses.replace(
-                est, se_boot=np.nextafter(est.se_boot, 1.0))
-
-        monkeypatch.setattr(meth_mod, "estimate", off_by_one_ulp)
-        with pytest.warns(RuntimeWarning, match="chr1:0: the block"):
-            triplet_report(trip, n_boot=50, seed=6)
 
     def test_row_invariants_random_batch(self):
         # every emitted row: counts at/above threshold, tv and corrected

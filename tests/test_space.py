@@ -128,6 +128,24 @@ class TestDistribution:
         assert np.allclose(u.p, 1 / 8)
 
 
+class TestStacks:
+    def test_distribution_stack_checks_every_row(self, space22):
+        Distribution(space22, [[0.25] * 4, [1.0, 0, 0, 0]])
+        with pytest.raises(ValueError, match="sum to 0.5"):
+            Distribution(space22, [[0.25] * 4, [0.5, 0, 0, 0]])
+        with pytest.raises(ValueError, match="wrong length"):
+            Distribution(space22, np.full((1, 2, 4), 0.25))
+        with pytest.raises(ValueError, match="negative"):
+            Distribution(space22, [[0.25] * 4, [1.5, -0.5, 0, 0]])
+
+    def test_count_stack_sizes_per_row(self, space22):
+        c = CountVector(space22, [[1, 2, 3, 4], [0, 0, 0, 5]])
+        assert c.n.tolist() == [10, 5]
+        assert CountVector(space22, [1, 2, 3, 4]).n == 10
+        with pytest.raises(ValueError, match="wrong length"):
+            CountVector(space22, [[1, 2, 3]])
+
+
 class TestEmpiricalDistribution:
     def test_basic(self, space22):
         c = CountVector(space22, [2, 1, 1, 0])
