@@ -13,10 +13,28 @@ when every orbit minimum is uniquely achieved ("unique argmin", the
 regular case) the limit is normal with a closed-form variance; with ties
 the limit is a weighted sum of minima of correlated Gaussians, which we
 sample by Monte Carlo instead of evaluating in closed form.
+
+Every bootstrap here follows one draw plan.  A sample's ``n_boot``
+resamples are cut into chunks of at most ``_BLOCK_CELLS = 2**15`` draw
+cells (resamples x ``k**d`` outcomes, at least one resample per chunk).
+A sample that fits in one chunk draws from its seed as one
+``Generator.multinomial`` call, and consecutive such samples of a stack
+share a chunk of at most ``2**15`` cells.  Otherwise chunk ``i`` draws
+from ``SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (i,))``,
+the seed that ``seed.spawn`` would give its ``i``-th child, without
+spawning from the caller's seed.  Each chunk is reduced to its resample
+weights as soon as it is drawn, so a worker holds about
+``max(2**15, k**d)`` draw cells at a time (int64, with their
+orbit-ordered copy).  A lone sample's chunks run on a thread pool of up
+to one worker per usable CPU, since numpy draws without the GIL; a
+stack's run in the calling thread.  The result is the same bits
+whatever the number of workers.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,6 +49,20 @@ TIED_ARGMIN = "tied_argmin"
 
 #: Eigenvalues of the limit covariance below this are a hard error.
 EIGEN_FLOOR = -1e-12
+
+
+#: Draw cells (resamples x ``k**d`` outcomes) in one chunk of a bootstrap
+#: and in one block of the triplet report: the unit of work of their
+#: pools, and the bound on the memory one worker holds.
+_BLOCK_CELLS = 2**15
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (a CPU quota of a container is not seen)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _as_seed_sequence(seed) -> np.random.SeedSequence:
@@ -58,36 +90,71 @@ class WeightEstimate:
     regularity_flag: str | None  # UNIQUE_ARGMIN or TIED_ARGMIN
 
 
-def resample_counts(counts: np.ndarray, n_boot: int,
-                    resample_size: int | None = None, seed=0) -> np.ndarray:
-    """The ``(n_boot, k**d)`` multinomial resamples of one count vector.
+def resample_law(counts: np.ndarray, n_boot: int,
+                 resample_size: int | None = None,
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Resample sizes and cell probabilities of a stack of samples.
 
-    The resamples have size ``resample_size`` (default: the sample size)
-    and come from ``seed`` alone.  Validates the arguments for
-    :func:`estimate` and :func:`bootstrap_distribution`.
+    ``counts`` is ``(n, k**d)``, one sample per row; the result is the
+    ``(n,)`` resample sizes (default: the sample sizes) and the
+    ``(n, k**d)`` probabilities ``counts / n``.  Validates the arguments
+    for :func:`estimate` and :func:`bootstrap_distribution`.
     """
-    n = int(counts.sum())
-    if n == 0:
+    n = counts.sum(axis=1)
+    if not n.all():
         raise EmptySampleError("cannot estimate from an empty sample")
     if n_boot < 2:
         raise ValueError("n_boot must be >= 2")
-    n0 = n if resample_size is None else int(resample_size)
-    if n0 < 1:
+    n0 = n if resample_size is None else np.full(len(n), int(resample_size))
+    if n0.min() < 1:
         raise ValueError("resample_size must be >= 1")
-    rng = np.random.default_rng(_as_seed_sequence(seed))
-    return rng.multinomial(n0, counts / n, size=n_boot)
+    return n0, counts / n[:, None]
 
 
-def replicate_moments(space: SampleSpace, draws: np.ndarray, n0,
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and sd (``ddof=1``) of the weights of stacked resamples.
+def multinomial_weights(space: SampleSpace, n0: np.ndarray, p: np.ndarray,
+                        size: int, seeds: Sequence, workers: int = 1,
+                        ) -> np.ndarray:
+    """Exchangeable weights of ``size`` multinomial ``(n0[j], p[j])``
+    samples for each row ``j``, drawn by the module's chunk plan.
 
-    ``draws`` is ``(..., n_boot, k**d)`` counts and ``n0`` their resample
-    size, broadcast over the leading axes.  Each stack reduces as it would
-    alone, so a stack of samples and a single one agree bit for bit.
+    Returns the ``(len(p), size)`` weights.  Rows whose samples fit in
+    one chunk are drawn from their seeds and reduced together, up to
+    ``_BLOCK_CELLS`` cells at a time; other rows are reduced chunk by
+    chunk.  The chunks run on a pool of at most ``workers`` threads.
     """
-    reps = exchangeable_weight_rows(space, draws, total=n0)
-    return reps.mean(axis=-1), reps.std(axis=-1, ddof=1)
+    per_chunk = max(1, _BLOCK_CELLS // space.n_outcomes)
+    seeds = [_as_seed_sequence(s) for s in seeds]
+    if size <= per_chunk:
+        per_task = per_chunk // size
+        tasks = [(slice(lo, lo + per_task), slice(0, size),
+                  seeds[lo:lo + per_task])
+                 for lo in range(0, len(p), per_task)]
+    else:
+        parts = [slice(lo, min(lo + per_chunk, size))
+                 for lo in range(0, size, per_chunk)]
+        tasks = [(slice(j, j + 1), part, [np.random.SeedSequence(
+                     s.entropy, pool_size=s.pool_size,
+                     spawn_key=s.spawn_key + (i,))])
+                 for j, s in enumerate(seeds) for i, part in enumerate(parts)]
+    weights = np.empty((len(p), size))
+
+    def draw(rows: slice, part: slice, row_seeds: list) -> None:
+        counts = [np.random.default_rng(s).multinomial(
+                      n0[j], p[j], size=part.stop - part.start)
+                  for j, s in zip(range(len(p))[rows], row_seeds)]
+        # A lone row's draws are reduced in place, without a stacked copy.
+        counts = np.stack(counts) if len(counts) > 1 else counts[0][None]
+        weights[rows, part] = exchangeable_weight_rows(space, counts,
+                                                       total=n0[rows])
+
+    workers = min(workers, len(tasks))
+    if workers > 1:
+        with concurrent.futures.ThreadPoolExecutor(workers) as pool:
+            list(pool.map(draw, *zip(*tasks)))
+    else:
+        for task in tasks:
+            draw(*task)
+    return weights
 
 
 def bias_corrected(lam_hat, mean_rep):
@@ -147,15 +214,14 @@ def estimate(c: CountVector, n_boot: int = 1000,
     seeds = list(seed) if stack else [seed]
     if len(seeds) != len(counts):
         raise ValueError("a stack of samples takes one seed per row")
-    draws = [resample_counts(row, n_boot, resample_size, s)
-             for row, s in zip(counts, seeds)]
-    # A lone sample's resamples are used in place, without a stacked copy.
-    draws = np.stack(draws) if stack else draws[0][None]
+    n0, p = resample_law(counts, n_boot, resample_size)
+    # A stack runs its chunks in the calling thread: the triplet report
+    # calls it from the threads of its own pool.
+    reps = multinomial_weights(c.space, n0, p, n_boot, seeds,
+                               1 if stack else _usable_cpus())
     n = counts.sum(axis=1)
-    n0 = n if resample_size is None else np.full(len(n), int(resample_size))
-    lam_hat = exchangeable_weight_rows(c.space, counts / n[:, None],
-                                       lone=True)
-    mean_rep, se = replicate_moments(c.space, draws, n0)
+    lam_hat = exchangeable_weight_rows(c.space, p, lone=True)
+    mean_rep, se = reps.mean(axis=-1), reps.std(axis=-1, ddof=1)
     fields = (lam_hat, bias_corrected(lam_hat, mean_rep), se,
               mean_rep - lam_hat)
     if stack:
@@ -179,13 +245,11 @@ def bootstrap_distribution(c: CountVector, n_boot: int = 1000,
     With ``resample_size = n`` (default) this is the full bootstrap
     distribution estimator; with ``n0 = o(n)`` the subsample variant.
     """
-    draws = resample_counts(c.counts, n_boot, resample_size, seed)
-    n = c.n
-    n0 = n if resample_size is None else int(resample_size)
-    lam_hat = float(exchangeable_weight_rows(c.space,
-                                             (c.counts / n)[None, :])[0])
-    reps = exchangeable_weight_rows(c.space, draws, total=n0)
-    return np.sqrt(n0) * (reps - lam_hat)
+    n0, p = resample_law(c.counts[None, :], n_boot, resample_size)
+    reps = multinomial_weights(c.space, n0, p, n_boot, [seed],
+                               _usable_cpus())[0]
+    lam_hat = float(exchangeable_weight_rows(c.space, p)[0])
+    return np.sqrt(n0[0]) * (reps - lam_hat)
 
 
 def subsample_size(n: int) -> int:
@@ -347,9 +411,8 @@ def sample_size_heuristic(space: SampleSpace, candidate_sizes: Sequence[int],
     children = root.spawn(len(sizes))
     rows = []
     for n, child in zip(sizes, children):
-        rng = np.random.default_rng(child)
-        draws = rng.multinomial(n, t.p, size=reps)
-        lams = exchangeable_weight_rows(space, draws, total=n)
+        lams = multinomial_weights(space, np.array([n]), t.p[None, :], reps,
+                                   [child], _usable_cpus())[0]
         rows.append(BiasTableRow(n=n, mean_bias=float(lams.mean() - 1.0),
                                  sd=float(lams.std(ddof=1))))
     return rows

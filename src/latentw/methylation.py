@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import itertools
-import os
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -25,7 +24,7 @@ from .errors import DegenerateGroupError, EpireadParseError
 # The report does not call decompose; the benchmark's tracer wraps it here.
 from .exchangeable import (decompose, exchangeable_component_rows,  # noqa: F401
                            tv_distance_to_exchangeable)
-from .inference import WeightEstimate, estimate
+from .inference import _BLOCK_CELLS, WeightEstimate, _usable_cpus, estimate
 from .space import CountVector, Distribution, SampleSpace
 
 TRIPLET_SPACE = SampleSpace(k=2, d=3)
@@ -36,11 +35,6 @@ REPORT_COLUMNS = (
     + tuple(f"n_{c}" for c in CONFIGS)
     + tuple(f"q_{c}" for c in CONFIGS)
 )
-
-#: Draw cells (triplets x resamples x 8 configurations) in one block of
-#: :func:`triplet_report`: the unit of work of its pool, and the bound on
-#: the memory of one block.
-_BLOCK_CELLS = 2**15
 
 #: Reads taken into one numpy pass of :func:`extract_triplets`; bounds the
 #: memory of the pass whatever the input size.
@@ -240,14 +234,6 @@ def _triplet_row(c: CountVector, n_boot: int,
     return estimate(c, n_boot=n_boot, seed=seeds)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform
-    has one (a CPU quota of a container is not seen)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def triplet_report(triplets: Mapping[tuple[str, int], CountVector],
                    n_boot: int = 1000, seed=0, threads: int = 1,
                    ) -> TripletReport:
@@ -260,11 +246,13 @@ def triplet_report(triplets: Mapping[tuple[str, int], CountVector],
     batch.
 
     The sorted triplets are cut into blocks of at most ``_BLOCK_CELLS``
-    draw cells.  A block is one task of a pool of at most ``threads``
-    workers (fewer with fewer CPUs or blocks): :func:`estimate` of the
-    block as a stack, whose per-triplet draws numpy makes without the
-    GIL.  Meanwhile the calling thread computes the exchangeable
-    components and TV distances of all rows at once.
+    draw cells (triplets x resamples x 8 configurations), or of one
+    triplet when ``n_boot`` is above ``_BLOCK_CELLS / 8``.  A block is
+    one task of a pool of at most ``threads`` workers (fewer with fewer
+    CPUs or blocks): :func:`estimate` of the block as a stack, whose
+    per-triplet draws numpy makes without the GIL, and which starts no
+    pool of its own.  Meanwhile the calling thread computes the
+    exchangeable components and TV distances of all rows at once.
     """
     keys = sorted(triplets.keys())
     root = (seed if isinstance(seed, np.random.SeedSequence)

@@ -208,8 +208,9 @@ class Distribution:
     ----------
     space : SampleSpace
     p : sequence of floats or Fractions
-        Probabilities in outcome-index order.  Must be non-negative and
-        sum to one (within ``1e-12`` for floats, exactly for Fractions).
+        Probabilities in outcome-index order.  Must be finite,
+        non-negative and sum to one (within ``1e-12`` for floats, exactly
+        for Fractions).
         A float ``(n, k**d)`` array is a stack of ``n`` laws, one per
         row; only ``tv_distance_to_exchangeable`` takes stacks.
     """
@@ -232,6 +233,8 @@ class Distribution:
             vec = np.asarray(p, dtype=np.float64).copy()
             if vec.ndim not in (1, 2) or vec.shape[-1] != space.n_outcomes:
                 raise ValueError("probability vector has wrong length")
+            if not np.all(np.isfinite(vec)):
+                raise ValueError("probabilities must be finite")
             if np.any(vec < 0):
                 raise ValueError("negative probability")
             total = np.atleast_1d(vec.sum(axis=-1))

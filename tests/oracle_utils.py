@@ -331,3 +331,31 @@ def triplet_row_oracle(key, c, n_boot: int, seed_seq):
                          lam_corrected=est.lambda_corrected,
                          lam_sd=est.se_boot,
                          counts=tuple(c.counts.tolist()), q=q)
+
+
+def chunked_replicates_oracle(p: np.ndarray, n0: int, n_boot: int, k: int,
+                              d: int, seed_seq) -> list[float]:
+    """Weights of ``n_boot`` multinomial ``(n0, p)`` resamples drawn by the
+    documented chunk plan, one chunk at a time in a plain loop.
+
+    Chunks hold ``max(1, 2**15 // k**d)`` resamples.  One chunk draws
+    from ``seed_seq`` itself; with several, chunk ``i`` draws from the
+    seed with ``(i,)`` appended to its spawn key.  Each resample's weight
+    is ``sum_z |z| * (min count in orbit z) / n0``, with the minima taken
+    member by member over the enumerated orbits.
+    """
+    orbits = [[_lex_index(m, k) for m in members]
+              for members in brute_orbits(k, d).values()]
+    per_chunk = max(1, 2**15 // k**d)
+    n_chunks = -(-n_boot // per_chunk)
+    weights = []
+    for i in range(n_chunks):
+        seed = seed_seq if n_chunks == 1 else np.random.SeedSequence(
+            seed_seq.entropy, spawn_key=tuple(seed_seq.spawn_key) + (i,))
+        size = min(per_chunk, n_boot - i * per_chunk)
+        draws = np.random.default_rng(seed).multinomial(n0, p, size=size)
+        for row in draws.tolist():
+            mass = sum(len(members) * min(row[x] for x in members)
+                       for members in orbits)
+            weights.append(mass / n0)
+    return weights

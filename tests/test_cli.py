@@ -144,14 +144,17 @@ class TestSpaceBudget:
     # limit, so a regression fails with a memory error instead of
     # allocating k**d cells.
     @staticmethod
-    def run_limited(*argv):
+    def run_limited(*argv, cpus=None):
         def limit_memory():
             import resource
             resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+            if cpus:    # each thread reserves stack and heap address space
+                os.sched_setaffinity(
+                    0, sorted(os.sched_getaffinity(0))[:cpus])
 
         return subprocess.run(
             [sys.executable, "-m", "latentw", *argv], capture_output=True,
-            text=True, preexec_fn=limit_memory,
+            text=True, preexec_fn=limit_memory, timeout=120,
             env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
 
     @pytest.mark.parametrize("outcome", ["01" * 20, "Z" + "0" * 12],
@@ -163,6 +166,23 @@ class TestSpaceBudget:
         assert proc.returncode == 1, proc.stderr
         assert "[E_SPACE_TOO_LARGE]" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="needs a CPU affinity call")
+    def test_bootstrap_draws_in_bounded_memory(self, tmp_path):
+        # 600 resamples of 2**17 cells: one array of all the draws and its
+        # orbit-ordered copy would take 2 x 629 MB.  Drawn one resample
+        # per chunk, two workers hold a few MB.
+        lines = [f"{i * 3277 % 2**17:017b}\t{5 + i}" for i in range(40)]
+        path = tmp_path / "cells17.tsv"
+        path.write_text("outcome\tcount\n" + "\n".join(lines) + "\n")
+        proc = self.run_limited("estimate", "--counts", str(path),
+                                "--boot", "600", "--seed", "3", cpus=2)
+        assert proc.returncode == 0, proc.stderr
+        est = json.loads(proc.stdout)
+        assert (est["n"], est["n_boot"]) == (980, 600)
+        assert est["se_boot"] > 0.0
+        assert 0.0 <= est["lambda_corrected"] <= 1.0
 
     @pytest.mark.parametrize("k,d", [(2, 40), (36, 13)])
     def test_oversized_simulation_exits_1(self, k, d):

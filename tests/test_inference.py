@@ -1,13 +1,30 @@
+import concurrent.futures
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy import stats
+
+import latentw.inference as inference_mod
 
 from latentw import (CountVector, Distribution, SampleSpace,
                      asymptotic_variance, bootstrap_distribution, estimate,
                      exchangeable_weight, limit_law_sample, limit_law_spec,
                      sample_size_heuristic, subsample_size, worst_case_source)
 from latentw.errors import EmptySampleError, TiedArgminError
+from latentw.exchangeable import exchangeable_weight_rows
 from latentw.inference import TIED_ARGMIN, UNIQUE_ARGMIN
+from oracle_utils import brute_weight_vector, chunked_replicates_oracle
+
+#: 256 cells: a chunk of the bootstrap holds 128 resamples.
+SPACE44 = SampleSpace(4, 4)
+
+
+def sample44(seed, n=900):
+    rng = np.random.default_rng(seed)
+    return CountVector(SPACE44,
+                       rng.multinomial(n, rng.dirichlet(np.ones(256))))
 
 
 def lam_hat_rows_22(freqs: np.ndarray) -> np.ndarray:
@@ -96,6 +113,20 @@ class TestEstimateStack:
             assert stack.n[i] == one.n
             assert stack.resample_size[i] == one.resample_size
 
+    def test_multi_chunk_rows_equal_lone_estimates(self, monkeypatch):
+        # rows of 2 chunks each: the stack draws them in the calling
+        # thread, a lone estimate on a pool, with the same bits
+        monkeypatch.setattr(inference_mod, "_usable_cpus", lambda: 2)
+        counts = np.array([sample44(s).counts for s in (60, 61, 62)])
+        seeds = np.random.SeedSequence(63).spawn(3)
+        stack = estimate(CountVector(SPACE44, counts), n_boot=200,
+                         seed=seeds)
+        for i, (row, s) in enumerate(zip(counts, seeds)):
+            one = estimate(CountVector(SPACE44, row), n_boot=200, seed=s)
+            assert stack.lambda_corrected[i] == one.lambda_corrected
+            assert stack.se_boot[i] == one.se_boot
+            assert stack.bias_boot[i] == one.bias_boot
+
     def test_one_seed_per_row(self, space22):
         c = CountVector(space22, [[1, 2, 3, 4], [4, 3, 2, 1]])
         with pytest.raises(ValueError, match="one seed per row"):
@@ -105,6 +136,129 @@ class TestEstimateStack:
         c = CountVector(space22, [[1, 2, 3, 4], [0, 0, 0, 0]])
         with pytest.raises(EmptySampleError):
             estimate(c, n_boot=10, seed=[1, 2])
+
+
+class Recorder:
+    """A stand-in thread pool that records its width and starts no
+    thread."""
+
+    made: list = []
+
+    def __init__(self, max_workers):
+        Recorder.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *items):
+        return map(fn, *items)
+
+
+class TestChunkedBootstrap:
+    @pytest.mark.parametrize("seed", [52, np.random.SeedSequence(51).spawn(
+        3)[2]], ids=["int", "spawned"])
+    @pytest.mark.parametrize("resample_size", [None, 40])
+    def test_estimate_matches_oracle(self, seed, resample_size):
+        # 300 resamples of 256 cells: chunks of 128, 128 and 44
+        c = sample44(50)
+        est = estimate(c, n_boot=300, resample_size=resample_size, seed=seed)
+        n0 = resample_size or c.n
+        seq = (np.random.SeedSequence(seed) if isinstance(seed, int)
+               else seed)
+        reps = chunked_replicates_oracle(c.counts / c.n, n0, 300, 4, 4, seq)
+        assert abs(est.lambda_hat + est.bias_boot - np.mean(reps)) < 1e-12
+        assert abs(est.se_boot - np.std(reps, ddof=1)) < 1e-12
+
+    def test_bootstrap_distribution_matches_oracle(self):
+        c = sample44(53)
+        got = bootstrap_distribution(c, n_boot=290, seed=54)
+        lam_hat = brute_weight_vector(c.counts / c.n, 4, 4)
+        reps = chunked_replicates_oracle(c.counts / c.n, c.n, 290, 4, 4,
+                                         np.random.SeedSequence(54))
+        want = np.sqrt(c.n) * (np.array(reps) - lam_hat)
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_sample_size_heuristic_matches_oracle(self):
+        rows = sample_size_heuristic(SPACE44, [60, 500], reps=300, seed=55)
+        p = worst_case_source(SPACE44).p
+        children = np.random.SeedSequence(55).spawn(2)
+        for row, n, child in zip(rows, (60, 500), children):
+            reps = chunked_replicates_oracle(p, n, 300, 4, 4, child)
+            assert abs(row.mean_bias - (np.mean(reps) - 1.0)) < 1e-12
+            assert abs(row.sd - np.std(reps, ddof=1)) < 1e-12
+
+    def test_single_chunk_keeps_direct_draws(self, space23):
+        # 4096 resamples of 8 cells fill exactly one chunk: the draws are
+        # those of one multinomial call on the seed, as before chunking
+        c = CountVector(space23, [30, 5, 9, 14, 2, 11, 7, 22])
+        draws = np.random.default_rng(56).multinomial(c.n, c.counts / c.n,
+                                                      size=4096)
+        reps = exchangeable_weight_rows(space23, draws, total=c.n)
+        est = estimate(c, n_boot=4096, seed=56)
+        assert est.se_boot == reps.std(ddof=1)
+        assert est.bias_boot == reps.mean() - est.lambda_hat
+        boot = bootstrap_distribution(c, n_boot=4096, seed=56)
+        assert np.array_equal(boot,
+                              np.sqrt(c.n) * (reps - est.lambda_hat))
+
+    def test_pool_width_does_not_change_bits(self, monkeypatch):
+        c = sample44(57)
+        out = []
+        for cpus in (1, 2, 16):
+            monkeypatch.setattr(inference_mod, "_usable_cpus", lambda: cpus)
+            out.append((estimate(c, n_boot=1000, seed=58),
+                        bootstrap_distribution(c, n_boot=1000, seed=58)))
+        for est, boot in out[1:]:
+            assert est == out[0][0]
+            assert np.array_equal(boot, out[0][1])
+
+    def test_many_workers_short_switch_interval(self, monkeypatch):
+        # 16 workers on a 1-resample chunk plan, with the interpreter
+        # switching threads as often as it can: same bits as one worker,
+        # and no deadlock (the run has a time limit)
+        c = sample44(59)
+        monkeypatch.setattr(inference_mod, "_BLOCK_CELLS", 1)
+        one_per_chunk = estimate(c, n_boot=120, seed=60)
+        monkeypatch.setattr(inference_mod, "_usable_cpus", lambda: 16)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=lambda: results.extend(
+                estimate(c, n_boot=120, seed=60) for _ in range(3)),
+                daemon=True)
+            worker.start()
+            worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert results == [one_per_chunk] * 3
+
+    def test_pool_only_for_a_lone_sample(self, monkeypatch):
+        # a lone sample gets min(CPUs, chunks) workers; a stack, as the
+        # triplet report's pool threads pass it, starts no pool
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            Recorder)
+        monkeypatch.setattr(Recorder, "made", [])
+        monkeypatch.setattr(inference_mod, "_usable_cpus", lambda: 64)
+        c = sample44(61)
+        estimate(c, n_boot=300, seed=1)                  # 3 chunks
+        estimate(c, n_boot=128, seed=1)                  # 1 chunk
+        bootstrap_distribution(c, n_boot=1000, seed=1)   # 8 chunks
+        estimate(CountVector(SPACE44, np.stack([c.counts] * 2)),
+                 n_boot=300, seed=[1, 2])
+        assert Recorder.made == [3, 8]
+
+    def test_seed_sequence_left_unspawned(self):
+        # chunk seeds are built from the seed's entropy and spawn key;
+        # the caller's SeedSequence spawns no children
+        seed = np.random.SeedSequence(62)
+        first = estimate(sample44(62), n_boot=300, seed=seed)
+        assert seed.n_children_spawned == 0
+        assert estimate(sample44(62), n_boot=300, seed=seed) == first
 
 
 class TestAsymptoticVariance:

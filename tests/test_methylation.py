@@ -1,4 +1,5 @@
 import io
+import os
 import sys
 import warnings
 from unittest import mock
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import latentw.inference as inference_mod
 import latentw.methylation as meth_mod
 from latentw import (CountVector, correlate, estimate, extract_triplets,
                      parse_epireads, triplet_report, write_report_tsv)
@@ -394,14 +396,17 @@ class TestTripletReport:
 
     def test_usable_cpus(self, monkeypatch):
         # the affinity mask counts, not the CPUs of the host; without an
-        # affinity call the CPU count, and 1 when that is unknown
-        monkeypatch.setattr(meth_mod.os, "sched_getaffinity",
-                            lambda pid: {0, 5}, raising=False)
-        monkeypatch.setattr(meth_mod.os, "cpu_count", lambda: 64)
+        # affinity call the CPU count, and 1 when that is unknown.  The
+        # report and estimate share the one definition.
+        assert meth_mod._usable_cpus is inference_mod._usable_cpus
+        assert meth_mod._BLOCK_CELLS is inference_mod._BLOCK_CELLS
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
         assert meth_mod._usable_cpus() == 2
-        monkeypatch.delattr(meth_mod.os, "sched_getaffinity")
+        monkeypatch.delattr(os, "sched_getaffinity")
         assert meth_mod._usable_cpus() == 64
-        monkeypatch.setattr(meth_mod.os, "cpu_count", lambda: None)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert meth_mod._usable_cpus() == 1
 
     def test_empty_mapping(self):

@@ -109,6 +109,16 @@ class TestDistribution:
         with pytest.raises(ValueError):
             Distribution(space22, [1.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("p", [
+        [np.nan] * 4, [0.5, np.nan, 0.5, 0.0], [np.inf, 0.0, 0.0, 0.0],
+        [[0.25] * 4, [np.nan, 0.5, 0.5, 0.0]]],
+        ids=["all-nan", "one-nan", "inf", "stack-nan-row"])
+    def test_non_finite_rejected(self, space22, p):
+        # NaN passes both the sign check and the sum check, so it is
+        # caught first; the message names it in place of a NaN sum
+        with pytest.raises(ValueError, match="must be finite"):
+            Distribution(space22, p)
+
     def test_exact_mode(self, space22):
         p = Distribution(space22, [Fraction(1, 2), Fraction(1, 2), 0, 0])
         assert p.is_exact
