@@ -315,7 +315,7 @@ def build_parser() -> _Parser:
                        help="alphabet size override")
         if exact:
             p.add_argument("--exact", action="store_true",
-                           help="exact rational arithmetic")
+                           help="print exact fractions")
         p.add_argument("--json", action="store_true",
                        help="structured JSON output")
         p.add_argument("--out", default=None, help="write output to file")

@@ -16,6 +16,7 @@ exchangeable part and a fully unexchangeable part.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,115 +24,79 @@ import numpy as np
 
 from .errors import (EmptyIndexSetError, NotExchangeableError,
                      ResidualNotPureError)
-from .space import Distribution, SampleSpace
+from .space import (CountVector, Distribution, SampleSpace,
+                    empirical_distribution, ratio)
 
-#: Relative tolerance for detecting argmin ties in float mode.
+#: Relative tolerance for detecting argmin ties in a float law.
 ARGMIN_RTOL = 1e-9
 #: Absolute slack added on top of the relative tie tolerance.
 ARGMIN_ATOL = 1e-15
-#: lam closer to 1 than this is treated as exactly 1 (residual undefined).
+#: A float law's lam closer to 1 than this is treated as exactly 1
+#: (residual undefined).
 LAMBDA_ONE_ATOL = 1e-12
-#: Exchangeability / residual-purity check tolerance.
+#: Exchangeability / residual-purity check tolerance for float laws.
 PURITY_TOL = 1e-9
 
 
-def class_minima(p: Distribution) -> np.ndarray:
-    """Per-orbit minima ``m_z`` of ``p`` (Fraction array in exact mode)."""
+def _orbit_mass(p: Distribution) -> tuple[np.ndarray, np.ndarray]:
+    """Orbit minima of ``p``'s numerators and ``sum_z |z| m_z``, the
+    weight's numerator (capped at ``den``, which only a float law's
+    rounding can pass)."""
     index = p.space.orbit_index()
-    if p.is_exact:
-        mins = [min(p.p[i] for i in index.members(z))
-                for z in range(index.n_classes)]
-        return np.array(mins, dtype=object)
-    return index.class_minima(p.p)
+    mins = index.class_minima_rows(p.num)
+    return mins, np.minimum(mins @ index.sizes, np.asarray(p.den))
 
 
 def exchangeable_weight(p: Distribution):
     """The exchangeable weight ``sum_z |z| * m_z`` of ``p``.
 
-    Returns a ``Fraction`` in exact mode, otherwise a float clipped to
-    ``[0, 1]`` (the clip only absorbs last-ulp rounding).
+    A ``Fraction`` for an exact law, otherwise the correctly rounded float
+    (of a float law's own rounded sum); an array for a stack of laws.
     """
-    if not p.is_exact:
-        return float(exchangeable_weight_rows(p.space, p.p[None, :])[0])
-    index = p.space.orbit_index()
-    return sum(Fraction(int(s)) * m
-               for s, m in zip(index.sizes, class_minima(p)))
+    return p.ratio(_orbit_mass(p)[1], p.den)
 
 
 def exchangeable_weight_rows(space: SampleSpace, rows: np.ndarray,
-                             total=None, lone: bool = False) -> np.ndarray:
-    """Exchangeable weights of many probability vectors at once.
+                             total=1) -> np.ndarray:
+    """Exchangeable weights of many vectors at once.
 
     ``rows`` is ``(..., n_rows, k**d)`` and the result ``(..., n_rows)``,
-    clipped to ``[0, 1]``.  The rows are probabilities, or counts whose
-    sum ``total`` is given per ``(n_rows, k**d)`` slice (broadcast over
-    ``...``).  Counts are divided after the orbit minima are taken, on
-    fewer cells and with the same bits, since dividing by a positive
-    number keeps the order.
-
-    By default each slice is reduced by one matrix product, as the
-    replicates of one sample are.  ``lone=True`` reduces every row as a
-    lone vector is reduced, so each row gets the bits of a
-    single-distribution call (see :func:`_weights_of_minima`).
+    capped at 1.  The rows are float probabilities, or counts whose sum
+    ``total`` is given per ``(n_rows, k**d)`` slice (broadcast over
+    ``...``).  Counts divide once, after the orbit minima: each weight is
+    the correctly rounded ``W / total``, whatever the rows around it.
     """
     index = space.orbit_index()
-    mins = index.class_minima_rows(np.asarray(rows))
-    if total is not None:
-        mins = mins / np.asarray(total)[..., None, None]
-    return _weights_of_minima(index, mins, lone)
-
-
-def _weights_of_minima(index, mins: np.ndarray, lone: bool) -> np.ndarray:
-    """``sum_z |z| m_z`` along the last axis, clipped to ``[0, 1]``.
-
-    numpy rounds a matrix product by its shape and memory layout: one
-    contiguous row as a BLAS dot, several rows as a matrix-vector
-    product, strided rows without BLAS.  ``lone=True`` makes every row a
-    contiguous product of its own, which rounds as a lone vector does.
-    """
-    sizes = index.sizes.astype(np.float64)
-    if lone:
-        rows = np.ascontiguousarray(mins)[..., None, :]
-        return np.clip(rows @ sizes, 0.0, 1.0)[..., 0]
-    return np.clip(mins @ sizes, 0.0, 1.0)
+    mass = index.class_minima_rows(np.asarray(rows)) @ index.sizes
+    return np.minimum(ratio(mass, np.expand_dims(total, -1)), 1.0)
 
 
 def argmin_sets(p: Distribution, mins: np.ndarray | None = None,
                 ) -> tuple[tuple[int, ...], ...]:
     """Per-orbit sets ``C_z`` of outcomes achieving the orbit minimum.
 
-    Float mode uses the tie rule ``p(x) <= m_z*(1+1e-9) + 1e-15`` so that
-    near-equal floats count as ties; exact mode uses equality.  ``mins``
-    are the orbit minima of ``p`` when the caller has them already.
+    Integer numerators tie when equal.  A float law uses the tie rule
+    ``p(x) <= m_z*(1+1e-9) + 1e-15`` so that near-equal floats count as
+    ties.  ``mins`` are the orbit minima of ``p``'s numerators when the
+    caller has them already.
     """
     index = p.space.orbit_index()
     if mins is None:
-        mins = class_minima(p)
-    out = []
-    for z in range(index.n_classes):
-        members = index.members(z)
-        m = mins[z]
-        if p.is_exact:
-            hit = tuple(int(i) for i in members if p.p[i] == m)
-        else:
-            thresh = m * (1.0 + ARGMIN_RTOL) + ARGMIN_ATOL
-            hit = tuple(int(i) for i in members if p.p[i] <= thresh)
-        out.append(hit)
-    return tuple(out)
+        mins = index.class_minima_rows(p.num)
+    m_x = mins[index.class_of]
+    hit = p.num <= m_x + p.slack(ARGMIN_RTOL) * m_x + p.slack(ARGMIN_ATOL)
+    return tuple(tuple(members[hit[members]].tolist())
+                 for members in map(index.members, range(index.n_classes)))
 
 
 def is_exchangeable(p: Distribution, tol: float = PURITY_TOL) -> bool:
-    """True when ``p`` is constant within every orbit (within ``tol``)."""
+    """True when ``p`` is constant within every orbit (within ``tol`` for
+    a float law, exactly otherwise)."""
     index = p.space.orbit_index()
-    if p.is_exact:
-        return all(
-            len({p.p[i] for i in index.members(z)}) == 1
-            for z in range(index.n_classes)
-        )
-    grouped = p.p[index.order]
-    mins = np.minimum.reduceat(grouped, index.starts)
-    maxs = np.maximum.reduceat(grouped, index.starts)
-    return bool(np.max(maxs - mins) <= tol)
+    grouped = p.num[index.order]
+    spread = (np.maximum.reduceat(grouped, index.starts)
+              - np.minimum.reduceat(grouped, index.starts))
+    return bool(spread.max() <= p.slack(tol))
 
 
 @dataclass(frozen=True)
@@ -152,51 +117,41 @@ class ExchangeableDecomposition:
 
 
 def decompose(p: Distribution) -> ExchangeableDecomposition:
-    """Split ``p`` into exchangeable component and unexchangeable residual."""
+    """Split ``p`` into exchangeable component and unexchangeable residual.
+
+    On numerators ``c`` over ``n`` with orbit minima ``m`` and weight
+    numerator ``W``, the component is ``m_[x] / W`` and the residual
+    ``(c - m_[x]) / (n - W)``, each divided once.
+    """
     index = p.space.orbit_index()
-    if p.is_exact:
-        mins = class_minima(p)
-        lam = sum(Fraction(int(s)) * m for s, m in zip(index.sizes, mins))
-        at_one = lam == 1
-        q = None if lam == 0 else Distribution(p.space,
-                                               mins[index.class_of] / lam)
-    else:
-        lams, q_rows, min_rows = exchangeable_component_rows(
-            p.space, p.p[None, :])
-        lam, mins = float(lams[0]), min_rows[0]
-        at_one = lam >= 1.0 - LAMBDA_ONE_ATOL
-        q = None if lam == 0.0 else Distribution(p.space, q_rows[0])
-        mins.setflags(write=False)
-    # Residual computed from the orbit minima directly (rather than
-    # lam*q) so its argmin entries are exactly zero.  It is scaled by its
-    # own sum: in float mode ``1 - lam`` loses digits as lam nears 1.
-    r = None
-    if not at_one:
-        resid = p.p - mins[index.class_of]
-        r = Distribution(p.space, resid / resid.sum())
-    return ExchangeableDecomposition(lam=lam, q=q, r=r, per_class_min=mins,
-                                     argmin_sets=argmin_sets(p, mins))
+    mins, mass = _orbit_mass(p)
+    m_x = mins[index.class_of]
+    q = None if mass == 0 else p.law(m_x, mass)
+    # The residual is scaled by its own sum: ``n - W`` for integers, where
+    # a float law's ``1 - lam`` would lose digits as lam nears 1.
+    resid = p.num - m_x
+    r = (p.law(resid, resid.sum())
+         if mass < p.den - p.slack(LAMBDA_ONE_ATOL) else None)
+    return ExchangeableDecomposition(
+        lam=p.ratio(mass, p.den), q=q, r=r,
+        per_class_min=p.ratio(mins, p.den), argmin_sets=argmin_sets(p, mins))
 
 
 def exchangeable_component_rows(space: SampleSpace, rows: np.ndarray,
                                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weights, exchangeable components and orbit minima of float rows.
+    """Weights, exchangeable components and orbit minima of count rows.
 
-    ``rows`` is ``(n, k**d)``; returns ``lam`` ``(n,)``, ``q`` ``(n, k**d)``
-    and the minima ``(n, n_classes)``.  A row's ``q`` is ``m_[x] / lam``,
-    the row itself when ``lam`` is within ``1e-12`` of 1 (it is its own
-    component), and all zero when ``lam == 0`` (there is no component).
-    Each row is computed as if it came alone.
+    ``rows`` is ``(n, k**d)`` counts; returns, as floats, ``lam``
+    ``(n,)``, ``q`` ``(n, k**d)`` and the minima ``(n, n_classes)``, each
+    row as :func:`decompose` gives it.  A row's ``q`` is all zero when
+    ``lam == 0`` (there is no component).
     """
+    p = empirical_distribution(CountVector(space, rows))
     index = space.orbit_index()
-    mins = index.class_minima_rows(rows)
-    lam = _weights_of_minima(index, mins, lone=True)
-    has_q = lam[:, None] > 0.0
-    q = np.divide(mins[:, index.class_of], lam[:, None],
-                  out=np.zeros(rows.shape), where=has_q)
-    at_one = lam >= 1.0 - LAMBDA_ONE_ATOL
-    q[at_one] = rows[at_one]
-    return lam, q, mins
+    mins, mass = _orbit_mass(p)
+    # With W = 0 every minimum is 0, so dividing by 1 gives the zero row.
+    q = p.ratio(mins[:, index.class_of], np.maximum(mass, 1)[:, None])
+    return p.ratio(mass, p.den), q, p.ratio(mins, p.den[:, None])
 
 
 def synthesize_mixture(q: Distribution, r: Distribution, beta) -> Distribution:
@@ -258,14 +213,7 @@ def marginalize(p: Distribution, index_set) -> Distribution:
     mat = p.space.outcome_matrix()
     cols = mat[:, [c - 1 for c in coords]].astype(np.int64)
     radix = k ** np.arange(len(coords) - 1, -1, -1, dtype=np.int64)
-    target = cols @ radix
-    if p.is_exact:
-        acc = [Fraction(0)] * sub_space.n_outcomes
-        for i, t in enumerate(target):
-            acc[t] += p.p[i]
-        return Distribution(sub_space, acc)
-    acc = np.bincount(target, weights=p.p, minlength=sub_space.n_outcomes)
-    return Distribution(sub_space, acc)
+    return _forward(p, sub_space, cols @ radix)
 
 
 def marginal_weight_bound(p: Distribution, index_set):
@@ -275,7 +223,7 @@ def marginal_weight_bound(p: Distribution, index_set):
     one-coordinate marginal is trivially exchangeable: weight 1.
     """
     if len(_marginal_coords(p, index_set)) == 1:
-        return Fraction(1) if p.is_exact else 1.0
+        return p.ratio(1, 1)
     return exchangeable_weight(marginalize(p, index_set))
 
 
@@ -302,15 +250,16 @@ def lump(p: Distribution, symbol_map) -> Distribution:
     mat = p.space.outcome_matrix().astype(np.int64)
     lumped = relabel[mat]
     radix = new_k ** np.arange(p.space.d - 1, -1, -1, dtype=np.int64)
-    target = lumped @ radix
-    new_space = SampleSpace(k=new_k, d=p.space.d)
-    if p.is_exact:
-        acc = [Fraction(0)] * new_space.n_outcomes
-        for i, t in enumerate(target):
-            acc[t] += p.p[i]
-        return Distribution(new_space, acc)
-    acc = np.bincount(target, weights=p.p, minlength=new_space.n_outcomes)
-    return Distribution(new_space, acc)
+    return _forward(p, SampleSpace(k=new_k, d=p.space.d), lumped @ radix)
+
+
+def _forward(p: Distribution, space: SampleSpace,
+             target: np.ndarray) -> Distribution:
+    """The law on ``space`` that puts ``p``'s mass at ``x`` on
+    ``target[x]``, summed on the numerators."""
+    acc = np.zeros(space.n_outcomes, dtype=p.num.dtype)
+    np.add.at(acc, target, p.num)
+    return p.law(acc, p.den, space)
 
 
 def lumping_weight_bound(p: Distribution, symbol_map):
@@ -325,7 +274,7 @@ def lumping_weight_bound(p: Distribution, symbol_map):
     except KeyError as exc:
         raise ValueError(f"symbol map is not total: missing {exc.args[0]!r}")
     if len(labels) == 1:
-        return Fraction(1) if p.is_exact else 1.0
+        return p.ratio(1, 1)
     return exchangeable_weight(lump(p, symbol_map))
 
 
@@ -338,60 +287,55 @@ def tv_distance_to_exchangeable(p: Distribution):
 
     The objective ``(1/2) sum_x |p(x) - q_[x]|`` is convex and separable
     over orbits under the one constraint ``sum_z |z| q_z = 1``, so an
-    ordered fill solves it exactly:
+    ordered fill solves it exactly.  On numerators ``c`` over ``n``:
 
-    1. start every orbit at its minimum, which places mass ``lam``;
-    2. the gap above the j-th sorted value (0-based) of orbit ``z`` holds
-       ``|z| (p_(j+1) - p_(j))`` mass at cost ``(2(j+1) - |z|)/|z|`` per
-       unit, and the gap above the orbit maximum any mass at cost 1
-       (never needed, since ``sum_z |z| max_z >= 1``);
-    3. put the missing ``1 - lam`` into the cheapest gaps first, ties
+    1. start every orbit at its minimum, which places ``W``;
+    2. the gap above the j-th sorted value (0-based) of orbit ``z``, up
+       to its maximum, holds ``|z| (c_(j+1) - c_(j))`` at cost
+       ``(2(j+1) - |z|)/|z|`` per unit; the gaps hold ``n - W`` at least,
+       since ``sum_z |z| max_z >= n``;
+    3. pour the missing ``n - W`` into the cheapest gaps first, ties
        broken by orbit id so that ``q`` is deterministic (slopes rise
        strictly within an orbit, so its gaps fill in order of j).
 
-    Hence ``TV = (1-lam)/2 + (1/2) sum slope * mass``, which lies in
-    ``[0, 1-lam]`` since every slope is in ``(-1, 1]``.  Returns the
-    minimum and the achieving distribution, computed in float64 (exact
-    inputs are converted first).  For a stack of laws it returns the
-    ``(n,)`` distances and the stack of projections; each row is
-    computed as if it came alone, since the fill order depends only on
-    the orbit sizes and one order serves every row.
+    Hence ``2n TV = (n - W) + sum slope * taken``, which lies in
+    ``[0, 2(n - W)]`` since every slope is in ``(-1, 1)``.  ``L * slope``
+    is an integer for ``L`` the lcm of the orbit sizes (below ``2**30``
+    for ``k**d <= 2**24``), so on integer numerators the fill is exact
+    and ``2nL TV`` an integer, divided once.  No integer of the fill
+    exceeds ``2nL`` in size; past int64 it runs on Python ints.
+
+    Returns the minimum and the achieving distribution, exact for an
+    exact law.  For a stack of laws it returns the ``(n,)`` distances and
+    the stack of projections: the fill order depends only on the orbit
+    sizes, so one order serves every row.
     """
-    pf = p.as_float()
-    index = pf.space.orbit_index()
-    rows = np.atleast_2d(pf.p)
-    n = len(rows)
+    index = p.space.orbit_index()
+    num, den = np.atleast_2d(p.num), np.atleast_1d(p.den)
+    scale = math.lcm(*index.sizes.tolist())
+    if num.dtype.kind != "f" and 2 * scale * int(den.max()) >= 2**63:
+        num, den = num.astype(object), den.astype(object)
     cls = index.class_of[index.order]
-    vals = rows[:, index.order]
-    order = np.lexsort((vals, np.broadcast_to(cls, vals.shape)), axis=-1)
-    vals = np.take_along_axis(vals, order, axis=-1)   # ascending in orbit
+    vals = num[:, index.order]
+    vals = np.take_along_axis(vals, np.lexsort(
+        (vals, np.broadcast_to(cls, vals.shape)), axis=-1), axis=-1)
     size = index.sizes[cls]
     j = np.arange(len(cls)) - index.starts[cls]       # rank inside the orbit
-    slope = (2 * (j + 1) - size) / size               # 1 above the orbit max
-    gap = np.diff(vals, axis=-1, append=np.inf)
-    gap[:, j == size - 1] = np.inf
+    slope = (2 * (j + 1) - size) * (scale // size)    # L * cost per unit
+    below = np.flatnonzero(j < size - 1)              # gaps below an orbit max
+    fill = below[np.lexsort((cls[below], slope[below]))]
+    cap = size[fill] * (vals[:, fill + 1] - vals[:, fill])
     mins = vals[:, index.starts]
-    # Clipped at 1: a weight rounded above 1 leaves nothing to fill either way.
-    lam = _weights_of_minima(index, mins, lone=True)
-
-    fill = np.lexsort((cls, slope))
-    cap = size[fill] * gap[:, fill]
-    before = np.zeros_like(cap)
-    np.cumsum(cap[:, :-1], axis=-1, out=before[:, 1:])
-    taken = np.clip((1.0 - lam)[:, None] - before, 0.0, cap)
-    # One bincount over all rows: bin (row, orbit), summed in fill order.
-    bins = np.arange(n)[:, None] * index.n_classes + cls[fill]
-    added = np.bincount(bins.ravel(), weights=taken.ravel(),
-                        minlength=n * index.n_classes)
-    # np.take keeps q C-contiguous, so each row sums pairwise as a lone
-    # vector does; q[:, class_of] would be strided and sum sequentially.
-    added = added.reshape(n, index.n_classes)
-    q = np.take(mins + added / index.sizes, index.class_of, axis=-1)
-    q /= q.sum(axis=-1, keepdims=True)
-    dist = 0.5 * np.abs(rows - q).sum(axis=-1)
-    if pf.p.ndim == 2:
-        return dist, Distribution(pf.space, q)
-    return float(dist[0]), Distribution(pf.space, q[0])
+    pour = den - np.minimum(mins @ index.sizes, den)
+    taken = np.minimum(np.maximum(
+        pour[:, None] - (np.cumsum(cap, axis=-1) - cap), 0), cap)
+    placed = mins * index.sizes                       # |z| q_z, in units of c
+    np.add.at(placed, (np.arange(len(num))[:, None], cls[fill]), taken)
+    dist = p.ratio(pour * scale + taken @ slope[fill], 2 * scale * den)
+    q_num = (placed * (scale // index.sizes))[:, index.class_of]
+    if p.num.ndim == 1:
+        return dist.tolist()[0], p.law(q_num[0], scale * den[0])
+    return dist, p.law(q_num, scale * den)
 
 
 def tv_distance(p1: Distribution, p2: Distribution) -> float:

@@ -25,7 +25,7 @@ the seed that ``seed.spawn`` would give its ``i``-th child, without
 spawning from the caller's seed.  Each chunk is reduced to its resample
 weights as soon as it is drawn, so a worker holds about
 ``max(2**15, k**d)`` draw cells at a time (int64, with their
-orbit-ordered copy).  A lone sample's chunks run on a thread pool of up
+orbit-ordered copy).  A single sample's chunks run on a thread pool of up
 to one worker per usable CPU, since numpy draws without the GIL; a
 stack's run in the calling thread.  The result is the same bits
 whatever the number of workers.
@@ -41,8 +41,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptySampleError, TiedArgminError
-from .exchangeable import argmin_sets, class_minima, exchangeable_weight_rows
-from .space import CountVector, Distribution, SampleSpace
+from .exchangeable import (argmin_sets, exchangeable_weight,
+                           exchangeable_weight_rows)
+from .space import (CountVector, Distribution, SampleSpace,
+                    empirical_distribution)
 
 UNIQUE_ARGMIN = "unique_argmin"
 TIED_ARGMIN = "tied_argmin"
@@ -142,7 +144,7 @@ def multinomial_weights(space: SampleSpace, n0: np.ndarray, p: np.ndarray,
         counts = [np.random.default_rng(s).multinomial(
                       n0[j], p[j], size=part.stop - part.start)
                   for j, s in zip(range(len(p))[rows], row_seeds)]
-        # A lone row's draws are reduced in place, without a stacked copy.
+        # A single row's draws are reduced in place, without a stacked copy.
         counts = np.stack(counts) if len(counts) > 1 else counts[0][None]
         weights[rows, part] = exchangeable_weight_rows(space, counts,
                                                        total=n0[rows])
@@ -165,27 +167,17 @@ def bias_corrected(lam_hat, mean_rep):
 def empirical_regularity(c: CountVector) -> str:
     """Tie diagnosis for the empirical measure.
 
-    Empirical ties are exact count ties, so the tolerance is half a count
-    (1/(2n) on probabilities): any orbit whose minimum is achieved by two
-    or more cells within that slack is flagged.  Orbits whose minimum is
-    zero are skipped; zero cells are inert under resampling and cannot
-    perturb the bootstrap regime.
+    An orbit is tied when two or more of its cells hold its minimum count
+    exactly.  Orbits whose minimum is zero are skipped; zero cells are
+    inert under resampling and cannot perturb the bootstrap regime.
     """
-    n = c.n
-    if n == 0:
+    if c.n == 0:
         raise EmptySampleError("empty sample")
     index = c.space.orbit_index()
-    p = c.counts / n
-    mins = index.class_minima(p)
-    tol = 0.5 / n
-    for z in range(index.n_classes):
-        members = index.members(z)
-        if len(members) == 1 or mins[z] == 0.0:
-            continue
-        hits = np.count_nonzero(p[members] <= mins[z] + tol)
-        if hits > 1:
-            return TIED_ARGMIN
-    return UNIQUE_ARGMIN
+    mins = index.class_minima_rows(c.counts)
+    at_min = c.counts == mins[index.class_of]
+    hits = np.add.reduceat(at_min[index.order], index.starts)
+    return TIED_ARGMIN if np.any((hits > 1) & (mins > 0)) else UNIQUE_ARGMIN
 
 
 def estimate(c: CountVector, n_boot: int = 1000,
@@ -196,7 +188,7 @@ def estimate(c: CountVector, n_boot: int = 1000,
     ----------
     c : CountVector
         Observed outcome counts (total ``n >= 1``), or a stack of samples
-        whose rows are estimated at once, each as if it came alone.
+        whose rows are estimated at once, each as if it came by itself.
     n_boot : int
         Number of bootstrap resamples (>= 2).
     resample_size : int, optional
@@ -220,7 +212,7 @@ def estimate(c: CountVector, n_boot: int = 1000,
     reps = multinomial_weights(c.space, n0, p, n_boot, seeds,
                                1 if stack else _usable_cpus())
     n = counts.sum(axis=1)
-    lam_hat = exchangeable_weight_rows(c.space, p, lone=True)
+    lam_hat = np.atleast_1d(exchangeable_weight(empirical_distribution(c)))
     mean_rep, se = reps.mean(axis=-1), reps.std(axis=-1, ddof=1)
     fields = (lam_hat, bias_corrected(lam_hat, mean_rep), se,
               mean_rep - lam_hat)
@@ -248,7 +240,7 @@ def bootstrap_distribution(c: CountVector, n_boot: int = 1000,
     n0, p = resample_law(c.counts[None, :], n_boot, resample_size)
     reps = multinomial_weights(c.space, n0, p, n_boot, [seed],
                                _usable_cpus())[0]
-    lam_hat = float(exchangeable_weight_rows(c.space, p)[0])
+    lam_hat = exchangeable_weight(empirical_distribution(c))
     return np.sqrt(n0[0]) * (reps - lam_hat)
 
 
@@ -291,11 +283,12 @@ class LimitLawSpec:
 
 
 def limit_law_spec(p: Distribution) -> LimitLawSpec:
-    """Build the limit-law description (covariance and argmin blocks)."""
+    """Build the limit-law description (covariance and argmin blocks);
+    the argmin sets of a law of counts are exact count ties."""
     pf = p.as_float()
     index = pf.space.orbit_index()
-    mins = np.asarray(class_minima(pf), dtype=np.float64)
-    sets = argmin_sets(pf, mins)
+    mins = index.class_minima_rows(pf.p)
+    sets = argmin_sets(p)
     coords = np.array([x for s in sets for x in s], dtype=np.int64)
     m_coord = np.array([mins[z] for z, s in enumerate(sets) for _ in s])
     cov = -np.outer(m_coord, m_coord)

@@ -25,7 +25,7 @@ from .errors import DegenerateGroupError, EpireadParseError
 from .exchangeable import (decompose, exchangeable_component_rows,  # noqa: F401
                            tv_distance_to_exchangeable)
 from .inference import _BLOCK_CELLS, WeightEstimate, _usable_cpus, estimate
-from .space import CountVector, Distribution, SampleSpace
+from .space import CountVector, SampleSpace, empirical_distribution
 
 TRIPLET_SPACE = SampleSpace(k=2, d=3)
 CONFIGS = tuple(TRIPLET_SPACE.outcome_str(i) for i in range(8))  # 000..111
@@ -272,7 +272,7 @@ def triplet_report(triplets: Mapping[tuple[str, int], CountVector],
                 children[block]))]
         except Exception as exc:    # noqa: BLE001 - row-level isolation
             rows = range(len(keys))[block]
-            if len(rows) > 1:       # a failing triplet fails alone
+            if len(rows) > 1:       # a failing triplet fails by itself
                 return [r for i in rows for r in run(slice(i, i + 1))]
             (chrom, index), = keys[block]
             return [(block, TripletFailure(
@@ -291,10 +291,11 @@ def triplet_report(triplets: Mapping[tuple[str, int], CountVector],
         # An empty triplet fails in its estimate and has no law.
         seen = n > 0
         if seen.any():
-            p_hat = Distribution(TRIPLET_SPACE, counts[seen] / n[seen, None])
+            p_hat = empirical_distribution(CountVector(TRIPLET_SPACE,
+                                                       counts[seen]))
             tv[seen], _ = tv_distance_to_exchangeable(p_hat)
             _, q[seen], _ = exchangeable_component_rows(TRIPLET_SPACE,
-                                                        p_hat.p)
+                                                        counts[seen])
         for part in results:
             for block, res in part:
                 if isinstance(res, TripletFailure):

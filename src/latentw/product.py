@@ -29,16 +29,18 @@ def singleton_weight(p: Distribution, q0: Distribution):
     Equals ``min_x p(x)/q0(x)`` over the support of ``q0`` (ratios with
     ``q0(x) = 0``, including 0/0, count as +infinity and never attain the
     minimum).  The result never exceeds 1 mathematically; the raw ratio is
-    returned, exact when both inputs are exact.
+    returned, a Fraction when ``p`` is exact and ``q0`` has integer
+    numerators, else correctly rounded from the numerators (rounding keeps
+    the order, so the minimum of the rounded ratios is the rounded
+    minimum).
     """
     if p.space != q0.space:
         raise ValueError("p and q0 must share a sample space")
-    if p.is_exact and q0.is_exact:
-        ratios = [pv / qv for pv, qv in zip(p.p, q0.p) if qv > 0]
-        return min(ratios)
-    pf, qf = p.as_float().p, q0.as_float().p
-    mask = qf > 0
-    return float(np.min(pf[mask] / qf[mask]))
+    mask = q0.num > 0
+    # p(x)/q0(x) = a*B / (b*A), on Python ints: products can pass int64.
+    a, b = (law.num[mask] if law.num.dtype.kind == "f"
+            else law.num[mask].astype(object) for law in (p, q0))
+    return min(p.ratio(a * q0.den, b * p.den).tolist())
 
 
 @dataclass(frozen=True)

@@ -7,17 +7,18 @@ The basic objects are:
 * :class:`OrbitIndex` -- the partition of the space into permutation
   orbits (outcomes that are coordinate permutations of one another),
   precomputed once so that per-orbit minima cost O(|space|).
-* :class:`Distribution` / :class:`CountVector` -- an exact probability
-  vector, respectively observed multinomial counts, over the space.
+* :class:`Distribution` / :class:`CountVector` -- a probability law,
+  respectively observed multinomial counts, over the space.
 
-Distributions come in two numeric modes.  The default is float64.  If the
-probability vector is built from :class:`fractions.Fraction` entries the
-distribution is *exact* and downstream closed-form operations (weights,
-decompositions, bounds) stay in exact rational arithmetic.
+A distribution keeps its law as numerators over one denominator, and the
+closed forms downstream (weights, decompositions, bounds, the TV
+projection) divide once, through :func:`ratio`: an *exact* law gets
+Fractions back, any other law the correctly rounded floats.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Mapping, Sequence
@@ -31,6 +32,10 @@ DEFAULT_MAX_OUTCOMES = 2**24
 
 #: Tolerance for float probability vectors summing to one.
 NORMALIZATION_ATOL = 1e-12
+
+#: Counts and their totals stay below this bound.  Integers below it are
+#: exact in float64, so numpy divides them correctly rounded.
+MAX_COUNT = 2**53
 
 _SYMBOL_CHARS = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -165,13 +170,9 @@ class OrbitIndex:
         hi = self.starts[z + 1] if z + 1 < self.n_classes else len(self.order)
         return self.order[lo:hi]
 
-    def class_minima(self, p: np.ndarray) -> np.ndarray:
-        """Per-class minimum of a float vector over the space."""
-        return np.minimum.reduceat(p[self.order], self.starts)
-
     def class_minima_rows(self, rows: np.ndarray) -> np.ndarray:
         """Per-class minima along the last axis of a ``(..., n_outcomes)``
-        float array."""
+        array (of ints, Python ints or floats)."""
         return np.minimum.reduceat(np.take(rows, self.order, axis=-1),
                                    self.starts, axis=-1)
 
@@ -201,8 +202,32 @@ def build_orbit_index(space: SampleSpace,
                       sizes=sizes, order=order, starts=starts)
 
 
+def ratio(num, den, exact: bool = False):
+    """``num / den`` elementwise, divided once: Fractions when ``exact``
+    and both are integers, the correctly rounded floats otherwise.
+
+    Both are non-negative.  Integers are numpy ints or Python ints (object
+    arrays).  numpy divides integers below ``2**53`` correctly rounded, as
+    float64 holds them exactly; larger ones are divided as Python ints,
+    which round correctly at any size.  A float operand, such as a float
+    law's values, gives floats.
+    """
+    num, den = np.asarray(num), np.asarray(den)
+    ints = num.dtype.kind in "iuO" and den.dtype.kind in "iuO"
+    if exact and ints:
+        num, den = np.broadcast_arrays(num, den)
+        out = np.array([Fraction(int(a), int(b))
+                        for a, b in zip(num.flat, den.flat)],
+                       dtype=object).reshape(num.shape)
+    else:
+        if ints and max(num.max(initial=0), den.max(initial=0)) >= MAX_COUNT:
+            num, den = num.astype(object), den.astype(object)
+        out = np.asarray(num / den, dtype=np.float64)
+    return out.item() if out.ndim == 0 else out
+
+
 class Distribution:
-    """A probability vector over a :class:`SampleSpace`.
+    """A probability law over a :class:`SampleSpace`.
 
     Parameters
     ----------
@@ -210,80 +235,105 @@ class Distribution:
     p : sequence of floats or Fractions
         Probabilities in outcome-index order.  Must be finite,
         non-negative and sum to one (within ``1e-12`` for floats, exactly
-        for Fractions).
-        A float ``(n, k**d)`` array is a stack of ``n`` laws, one per
-        row; only ``tv_distance_to_exchangeable`` takes stacks.
+        for Fractions).  Fraction entries make an exact law.
+
+    The law is kept as numerators ``num`` over one denominator ``den``:
+    Python ints over their common denominator for Fractions, float64
+    values over 1 for floats, and counts over the sample size for
+    :func:`empirical_distribution`, the only source of a stack of laws
+    (``(n, k**d)`` counts over ``(n,)`` totals).  ``p`` holds the
+    probabilities, divided by :func:`ratio`.
     """
 
-    __slots__ = ("space", "p", "is_exact")
+    __slots__ = ("space", "num", "den", "is_exact", "_p")
 
     def __init__(self, space: SampleSpace, p):
-        self.space = space
         exact = _looks_exact(p)
         if exact:
-            vec = np.array([_as_fraction(v) for v in p], dtype=object)
-            if len(vec) != space.n_outcomes:
-                raise ValueError("probability vector has wrong length")
-            if any(v < 0 for v in vec):
-                raise ValueError("negative probability")
-            total = sum(vec)
-            if total != 1:
-                raise ValueError(f"exact probabilities sum to {total}, not 1")
+            fracs = [_as_fraction(v) for v in p]
+            den = math.lcm(*(f.denominator for f in fracs))
+            num = np.array([f.numerator * (den // f.denominator)
+                            for f in fracs], dtype=object)
+            total = Fraction(sum(num), den)
         else:
-            vec = np.asarray(p, dtype=np.float64).copy()
-            if vec.ndim not in (1, 2) or vec.shape[-1] != space.n_outcomes:
-                raise ValueError("probability vector has wrong length")
-            if not np.all(np.isfinite(vec)):
+            num, den = np.array(p, dtype=np.float64), 1
+            if not np.all(np.isfinite(num)):
                 raise ValueError("probabilities must be finite")
-            if np.any(vec < 0):
-                raise ValueError("negative probability")
-            total = np.atleast_1d(vec.sum(axis=-1))
-            off = total[np.abs(total - 1.0) > NORMALIZATION_ATOL]
-            if len(off):
-                raise ValueError(f"probabilities sum to {float(off[0])}, "
-                                 "not 1")
-        vec.setflags(write=False)
-        self.p = vec
-        self.is_exact = exact
+            total = num.sum()
+        if num.shape != (space.n_outcomes,):
+            raise ValueError("probability vector has wrong length")
+        if np.any(num < 0):
+            raise ValueError("negative probability")
+        if abs(total - 1) > (0 if exact else NORMALIZATION_ATOL):
+            raise ValueError(f"probabilities sum to {total}, not 1")
+        self._fill(space, num, den, exact)
+
+    @classmethod
+    def _of(cls, space: SampleSpace, num: np.ndarray, den,
+            exact: bool) -> "Distribution":
+        """The law ``num / den`` of numerators known to be valid."""
+        law = object.__new__(cls)
+        law._fill(space, num, den, exact)
+        return law
+
+    def _fill(self, space, num, den, exact):
+        if num.dtype.kind == "f":       # a float law is over 1
+            num, den = ratio(num, den), 1
+        num.setflags(write=False)
+        self.space, self.num, self.den, self.is_exact = space, num, den, exact
+        self._p = num if num.dtype.kind == "f" else None
+
+    @property
+    def p(self) -> np.ndarray:
+        """The probabilities: Fractions for an exact law, else floats."""
+        if self._p is None:
+            self._p = ratio(self.num, np.expand_dims(self.den, -1),
+                            self.is_exact)
+            self._p.setflags(write=False)
+        return self._p
+
+    def ratio(self, num, den):
+        """:func:`ratio` with this law's exactness."""
+        return ratio(num, den, self.is_exact)
+
+    def law(self, num: np.ndarray, den, space: SampleSpace | None = None,
+            ) -> "Distribution":
+        """The law ``num / den`` on ``space`` (default: this law's), exact
+        when this law is, of valid (non-negative, summing) numerators."""
+        return Distribution._of(space or self.space, num, den, self.is_exact)
+
+    def slack(self, tol):
+        """``tol`` for a float law; integer numerators compare exactly."""
+        return tol if self.num.dtype.kind == "f" else 0
 
     @classmethod
     def uniform(cls, space: SampleSpace, exact: bool = False) -> "Distribution":
         n = space.n_outcomes
-        if exact:
-            return cls(space, [Fraction(1, n)] * n)
-        return cls(space, np.full(n, 1.0 / n))
+        return cls(space, [Fraction(1, n)] * n if exact else np.full(n, 1 / n))
 
     @classmethod
     def point_mass(cls, space: SampleSpace, outcome,
                    exact: bool = False) -> "Distribution":
-        i = space.index_of(outcome)
-        if exact:
-            p = [Fraction(0)] * space.n_outcomes
-            p[i] = Fraction(1)
-            return cls(space, p)
-        p = np.zeros(space.n_outcomes)
-        p[i] = 1.0
-        return cls(space, p)
+        return cls.from_mapping(space, {outcome: 1}, exact=exact)
 
     @classmethod
     def from_mapping(cls, space: SampleSpace, mapping: Mapping,
                      exact: bool = False) -> "Distribution":
         """Build from ``{outcome: probability}``; unlisted outcomes get 0."""
-        if exact:
-            p = [Fraction(0)] * space.n_outcomes
-            for outcome, prob in mapping.items():
-                p[space.index_of(outcome)] = _as_fraction(prob)
-            return cls(space, p)
-        p = np.zeros(space.n_outcomes)
+        as_prob = _as_fraction if exact else float
+        p = [as_prob(0)] * space.n_outcomes
         for outcome, prob in mapping.items():
-            p[space.index_of(outcome)] = float(prob)
+            p[space.index_of(outcome)] = as_prob(prob)
         return cls(space, p)
 
     def as_float(self) -> "Distribution":
-        """Float64 copy of this distribution (identity if already float)."""
-        if not self.is_exact:
+        """Float64 copy of this law (identity for a float law); a law of
+        counts gives ``counts / n``."""
+        if self.num.dtype.kind == "f":
             return self
-        return Distribution(self.space, np.array([float(v) for v in self.p]))
+        return Distribution._of(
+            self.space, ratio(self.num, np.expand_dims(self.den, -1)), 1,
+            False)
 
     def __getitem__(self, outcome):
         return self.p[self.space.index_of(outcome)
@@ -311,7 +361,7 @@ def _as_fraction(v) -> Fraction:
 
 class CountVector:
     """Observed multinomial counts over a sample space; an ``(n, k**d)``
-    array is a stack of ``n`` samples, which only ``estimate`` takes."""
+    array is a stack of ``n`` samples.  Every total is below ``2**53``."""
 
     __slots__ = ("space", "counts")
 
@@ -319,13 +369,17 @@ class CountVector:
         arr = np.asarray(counts)
         if arr.ndim not in (1, 2) or arr.shape[-1] != space.n_outcomes:
             raise ValueError("count vector has wrong length")
+        if arr.min(initial=0) < 0:
+            raise ValueError("negative count")
+        # A float sum of non-negative integers reaches 2**53 exactly when
+        # their sum does, so this check cannot wrap.
+        if arr.sum(axis=-1, dtype=np.float64).max(initial=0) >= MAX_COUNT:
+            raise ValueError("counts sum to 2**53 or more")
         if not np.issubdtype(arr.dtype, np.integer):
             raised = arr.astype(np.int64)
             if not np.array_equal(raised, arr):
                 raise ValueError("counts must be integers")
             arr = raised
-        if np.any(arr < 0):
-            raise ValueError("negative count")
         arr = arr.astype(np.int64).copy()
         arr.setflags(write=False)
         self.space = space
@@ -350,20 +404,18 @@ class CountVector:
 
 
 def empirical_distribution(c: CountVector, exact: bool = False) -> Distribution:
-    """The empirical measure ``counts / n``.
+    """The empirical measure, kept as the counts over ``n``; a stack of
+    samples gives a stack of laws.
 
     Raises
     ------
     EmptySampleError
-        If the total count is zero.
+        If a total count is zero.
     """
     n = c.n
-    if n == 0:
+    if np.asarray(n).min() == 0:
         raise EmptySampleError("cannot normalize an empty sample")
-    if exact:
-        return Distribution(c.space,
-                            [Fraction(int(v), n) for v in c.counts])
-    return Distribution(c.space, c.counts / n)
+    return Distribution._of(c.space, c.counts, n, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +437,7 @@ def read_counts(source: str | IO[str], k: int | None = None) -> CountVector:
             return read_counts(fh, k=k)
     rows: list[tuple[str, int]] = []
     header: list[str] | None = None
+    total = 0
     for line_no, raw in enumerate(source, start=1):
         line = raw.rstrip("\n").rstrip("\r")
         if not line.strip() or line.lstrip().startswith("#"):
@@ -408,6 +461,10 @@ def read_counts(source: str | IO[str], k: int | None = None) -> CountVector:
                 f"line {line_no}: count {count_s!r} is not an integer")
         if count < 0:
             raise CountsFileError(f"line {line_no}: negative count {count}")
+        total += count
+        if total >= MAX_COUNT:
+            raise CountsFileError(f"line {line_no}: count {count} brings "
+                                  "the total to 2**53 or more")
         rows.append((outcome, count))
     if header is None or not rows:
         raise CountsFileError("counts file has no data rows")

@@ -1,13 +1,16 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 Everything here recomputes quantities from first principles (itertools
-enumeration, per-outcome permutation minima, simplex grids, a generic LP
-solver, a per-window loop over reads) without touching the package's
-orbit index, TV projection, optimizer or window-counting code paths.
+enumeration, per-outcome permutation minima, ``Fraction`` arithmetic,
+simplex grids, a generic LP solver, a per-window loop over reads) without
+touching the package's orbit index, TV projection, optimizer or
+window-counting code paths.
 """
 
 import itertools
 import math
+from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linprog
@@ -44,6 +47,75 @@ def brute_weight_vector(p: np.ndarray, k: int, d: int) -> float:
     outcomes = list(itertools.product(range(k), repeat=d))
     table = {o: p[i] for i, o in enumerate(outcomes)}
     return brute_exchangeable_weight(table)
+
+
+class ExactDecomposition(NamedTuple):
+    lam: Fraction
+    minima: list            # per orbit, in canonical-representative order
+    q: list | None          # per outcome; None when lam == 0
+    r: list | None          # per outcome; None when lam == 1
+
+
+def exact_decomposition_oracle(counts, k: int, d: int) -> ExactDecomposition:
+    """Weight, orbit minima, component and residual of ``counts / n`` in
+    ``Fraction`` arithmetic, orbit by enumerated orbit.
+
+    ``lam = sum_z |z| m_z``, ``q(x) = m_[x] / lam`` and
+    ``r(x) = (p(x) - m_[x]) / (1 - lam)``, with ``m_z`` the smallest
+    probability in orbit ``z``.
+    """
+    n = sum(int(c) for c in counts)
+    p = [Fraction(int(c), n) for c in counts]
+    orbits = [[_lex_index(m, k) for m in members]
+              for _, members in sorted(brute_orbits(k, d).items())]
+    minima = [min(p[x] for x in members) for members in orbits]
+    m_at = [Fraction(0)] * len(p)
+    for members, m in zip(orbits, minima):
+        for x in members:
+            m_at[x] = m
+    lam = sum(len(members) * m for members, m in zip(orbits, minima))
+    q = None if lam == 0 else [m / lam for m in m_at]
+    r = None if lam == 1 else [(px - m) / (1 - lam)
+                               for px, m in zip(p, m_at)]
+    return ExactDecomposition(lam, minima, q, r)
+
+
+def tv_fill_oracle(counts, k: int, d: int) -> tuple[Fraction, list]:
+    """Minimum TV distance of ``counts / n`` to the exchangeable simplex
+    and its projection, by the ordered fill in ``Fraction`` arithmetic.
+
+    Each orbit starts at its minimum; the gap above its j-th smallest
+    value (0-based) holds ``|z| * gap`` mass at cost
+    ``(2(j+1) - |z|)/|z|`` per unit.  The missing mass goes into the
+    cheapest gaps first, the lower orbit first on a tie.  The distance is
+    then recomputed as ``(1/2) sum_x |p(x) - q(x)|`` and checked against
+    the fill's own cost.
+    """
+    n = sum(int(c) for c in counts)
+    p = [Fraction(int(c), n) for c in counts]
+    orbits = [[_lex_index(m, k) for m in members]
+              for _, members in sorted(brute_orbits(k, d).items())]
+    level = [min(p[x] for x in members) for members in orbits]
+    gaps = []
+    for z, members in enumerate(orbits):
+        vals, size = sorted(p[x] for x in members), len(members)
+        gaps += [(Fraction(2 * (j + 1) - size, size), z,
+                  size * (vals[j + 1] - vals[j])) for j in range(size - 1)]
+    missing = 1 - sum(len(m) * lv for m, lv in zip(orbits, level))
+    cost = missing
+    for slope, z, cap in sorted(gaps, key=lambda g: g[:2]):
+        take = min(cap, missing)
+        level[z] += take / len(orbits[z])
+        cost += slope * take
+        missing -= take
+    assert missing == 0
+    q = [Fraction(0)] * len(p)
+    for members, lv in zip(orbits, level):
+        for x in members:
+            q[x] = lv
+    tv = sum(abs(a - b) for a, b in zip(p, q)) / 2
+    assert tv == cost / 2
+    return tv, q
 
 
 def tv_grid_oracle(p: np.ndarray, k: int, d: int,

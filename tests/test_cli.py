@@ -193,6 +193,34 @@ class TestSpaceBudget:
         assert "Traceback" not in proc.stderr
 
 
+class TestCountBound:
+    # Counts and their running total stay below 2**53, where float64 holds
+    # integers exactly; above it a count could overflow int64 or wrap
+    # the total.
+    @pytest.mark.parametrize("rows,line", [
+        ([("01", 10**20)], 2),
+        ([("00", 2**62), ("01", 2**62), ("11", 2**62)], 2),
+        ([("00", 2**52), ("01", 2**52 - 1), ("11", 1)], 4),
+    ], ids=["count-1e20", "three-2^62", "running-total"])
+    @pytest.mark.parametrize("command", ["weight", "tv", "estimate"])
+    def test_count_at_2_53_exits_1(self, capsys, tmp_path, rows, line,
+                                   command):
+        path = tmp_path / "huge.tsv"
+        path.write_text("outcome\tcount\n"
+                        + "".join(f"{o}\t{c}\n" for o, c in rows))
+        code, _, err = run(capsys, command, "--counts", str(path))
+        assert code == 1
+        assert f"[E_COUNTS_FILE]: line {line}:" in err
+        assert "2**53" in err and "Traceback" not in err
+
+    def test_total_just_below_2_53_is_read(self, capsys, tmp_path):
+        path = tmp_path / "edge.tsv"
+        path.write_text(f"outcome\tcount\n00\t{2**52}\n01\t{2**52 - 1}\n")
+        code, out, _ = run(capsys, "weight", "--counts", str(path), "--exact")
+        assert code == 0
+        assert out == f"{2**52}/{2**53 - 1}\n"
+
+
 class TestTv:
     def test_value(self, capsys, third_counts):
         code, out, _ = run(capsys, "tv", "--counts", third_counts)

@@ -6,18 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentw import (Distribution, SampleSpace, decompose,
-                     exchangeable_weight, is_exchangeable, lump,
-                     lumping_weight_bound, marginal_weight_bound, marginalize,
-                     synthesize_mixture, tv_distance,
-                     tv_distance_to_exchangeable)
+from latentw import (CountVector, Distribution, SampleSpace, decompose,
+                     empirical_distribution, estimate, exchangeable_weight,
+                     is_exchangeable, lump, lumping_weight_bound,
+                     marginal_weight_bound, marginalize, synthesize_mixture,
+                     tv_distance, tv_distance_to_exchangeable)
 from latentw.errors import (EmptyIndexSetError, NotExchangeableError,
                             ResidualNotPureError)
 from latentw.exchangeable import (exchangeable_component_rows,
                                   exchangeable_weight_rows)
 
 from conftest import dirichlet_distributions
-from oracle_utils import brute_weight_vector, tv_grid_oracle, tv_lp_oracle
+from oracle_utils import (brute_weight_vector, exact_decomposition_oracle,
+                          tv_fill_oracle, tv_grid_oracle, tv_lp_oracle)
 
 
 class TestExchangeableWeight:
@@ -416,62 +417,88 @@ def _random_laws(space, rng):
 
 @st.composite
 def _laws(draw):
-    """``(p, exchangeable by construction)`` with k^d <= 64, boundaries too."""
+    """``(p, form, exchangeable by construction)`` with k^d <= 64,
+    boundaries too; ``form`` is a float law, a Fraction law or a law of
+    counts."""
     k = draw(st.integers(2, 4))
     d = draw(st.integers(2, 5 if k == 2 else 3))
     space = SampleSpace(k, d)
     index = space.orbit_index()
+    form = draw(st.sampled_from(["float", "fraction", "counts"]))
     kind = draw(st.sampled_from(["general", "point", "exchangeable"]))
     if kind == "point":
-        return Distribution(space, np.eye(space.n_outcomes)[
-            draw(st.integers(0, space.n_outcomes - 1))]), False
-    size = index.n_classes if kind == "exchangeable" else space.n_outcomes
-    weight = st.one_of(st.just(0.0), st.just(1.0), st.floats(1e-9, 1.0))
-    w = np.array(draw(st.lists(weight, min_size=size, max_size=size)))
-    if w.sum() == 0:
-        w[draw(st.integers(0, size - 1))] = 1.0
-    if kind == "exchangeable":
-        w = (w / index.sizes)[index.class_of]
-    return Distribution(space, w / w.sum()), kind == "exchangeable"
+        w = np.eye(space.n_outcomes, dtype=np.int64)[
+            draw(st.integers(0, space.n_outcomes - 1))]
+    else:
+        size = index.n_classes if kind == "exchangeable" else space.n_outcomes
+        weight = (st.one_of(st.just(0.0), st.just(1.0), st.floats(1e-9, 1.0))
+                  if form == "float" else st.integers(0, 12))
+        w = np.array(draw(st.lists(weight, min_size=size, max_size=size)))
+        if w.sum() == 0:
+            w[draw(st.integers(0, size - 1))] = 1
+        if kind == "exchangeable":
+            w = w[index.class_of] if form != "float" else (
+                (w / index.sizes)[index.class_of])
+    if form == "counts":
+        p = empirical_distribution(CountVector(space, w))
+    elif form == "fraction":
+        p = Distribution(space, [Fraction(int(v), int(w.sum())) for v in w])
+    else:
+        p = Distribution(space, w / w.sum())
+    return p, form, kind == "exchangeable"
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(_laws())
 def test_tv_projection_properties(law):
-    p, exchangeable = law
+    p, form, exchangeable = law
     dist, q = tv_distance_to_exchangeable(p)
     lam = exchangeable_weight(p)
-    assert 0.0 <= dist <= 1.0 - lam + 1e-12
     assert is_exchangeable(q, tol=0)
-    assert abs(q.p.sum() - 1.0) <= 1e-12
-    assert abs(tv_distance(p, q) - dist) <= 1e-12
+    if form == "fraction":          # exact: no tolerance anywhere
+        assert isinstance(dist, Fraction) and isinstance(lam, Fraction)
+        assert 0 <= dist <= 1 - lam
+        assert sum(q.p) == 1
+        assert dist == sum(abs(a - b) for a, b in zip(p.p, q.p)) / 2
+    else:
+        assert 0.0 <= dist <= 1.0 - lam + 1e-12
+        assert abs(q.p.sum() - 1.0) <= 1e-12
+        assert abs(tv_distance(p, q) - dist) <= 1e-12
     dec_q = decompose(p).q
     if dec_q is not None:          # any exchangeable law is feasible
         assert dist <= tv_distance(p, dec_q) + 1e-12
-    if exchangeable:               # zero up to normalization rounding
-        assert dist <= 1e-14
+    if exchangeable:               # a float law: zero up to rounding
+        assert dist == 0 if form != "float" else dist <= 1e-14
     again, q_again = tv_distance_to_exchangeable(p)
     assert again == dist and np.array_equal(q_again.p, q.p)
 
 
+def _stack_rows(space, rng):
+    """Count rows of one space: multinomial draws of varied sizes, a point
+    mass, a constant row and a sparse pattern."""
+    n = space.n_outcomes
+    rows = [rng.multinomial(int(rng.integers(1, 5000)),
+                            rng.dirichlet(np.full(n, 0.3)))
+            for _ in range(12)]
+    rows += [7 * np.eye(n, dtype=np.int64)[0], np.full(n, 3),
+             (np.arange(n) % 3 == 0).astype(np.int64)]
+    return np.array(rows)
+
+
 @pytest.mark.parametrize("k,d", [(2, 3), (3, 2), (2, 5), (4, 4), (3, 6)])
 def test_stacks_equal_single_calls(k, d):
-    # a stack of laws and the component rows compute each row as the
-    # single-distribution functions do, bit for bit, whatever the other
-    # rows are
+    # a stack of count laws and the component rows compute each row as
+    # the single-law functions do, bit for bit, whatever the other rows
+    # are
     space = SampleSpace(k, d)
-    n = space.n_outcomes
-    rng = np.random.default_rng(k * 100 + d)
-    rows = [rng.dirichlet(np.full(n, 0.3)) for _ in range(12)]
-    rows += [np.eye(n)[0], np.full(n, 1 / n),
-             (np.arange(n) % 3 == 0) / np.count_nonzero(np.arange(n) % 3 == 0)]
-    rows = np.array(rows)
-    dist, q = tv_distance_to_exchangeable(Distribution(space, rows))
+    rows = _stack_rows(space, np.random.default_rng(k * 100 + d))
+    dist, q = tv_distance_to_exchangeable(
+        empirical_distribution(CountVector(space, rows)))
     assert dist.shape == (len(rows),) and q.p.shape == rows.shape
     q = q.p
     lam, comp, mins = exchangeable_component_rows(space, rows)
     for i, row in enumerate(rows):
-        p = Distribution(space, row)
+        p = empirical_distribution(CountVector(space, row))
         one_dist, one_q = tv_distance_to_exchangeable(p)
         assert dist[i] == one_dist and np.array_equal(q[i], one_q.p)
         dec = decompose(p)
@@ -485,8 +512,9 @@ def test_stacks_equal_single_calls(k, d):
 
 @pytest.mark.parametrize("k,d", [(2, 3), (3, 3), (2, 6)])
 def test_weight_rows_of_counts_divide_after_minima(k, d):
-    # dividing the orbit minima of counts gives the bits of dividing the
-    # counts first, per stack and with one total per stack
+    # the orbit minima of counts are divided once: every weight is the
+    # correctly rounded W/total of the Fraction oracle, per stack and
+    # with one total per stack
     space = SampleSpace(k, d)
     rng = np.random.default_rng(k + d)
     totals = np.array([1, 7, 150, 999])
@@ -494,10 +522,94 @@ def test_weight_rows_of_counts_divide_after_minima(k, d):
                                       size=50) for t in totals])
     stacked = exchangeable_weight_rows(space, draws, total=totals)
     for i, t in enumerate(totals):
-        assert np.array_equal(stacked[i],
-                              exchangeable_weight_rows(space, draws[i] / t))
+        exact = [float(exact_decomposition_oracle(row, k, d).lam)
+                 for row in draws[i]]
+        assert stacked[i].tolist() == exact
         assert np.array_equal(
             exchangeable_weight_rows(space, draws[i], total=t), stacked[i])
+
+
+def _floats(fractions):
+    return None if fractions is None else [float(v) for v in fractions]
+
+
+def _check_against_oracle(counts, k, d):
+    """Every output on a law of counts equals the Fraction oracle: exact
+    outputs as Fractions, float outputs as their correctly rounded
+    floats, bit for bit."""
+    space = SampleSpace(k, d)
+    c = CountVector(space, counts)
+    want = exact_decomposition_oracle(counts, k, d)
+    want_tv, want_proj = tv_fill_oracle(counts, k, d)
+    for exact in (True, False):
+        conv = (lambda v: v) if exact else float
+        lists = (lambda v: v) if exact else _floats
+        p = empirical_distribution(c, exact=exact)
+        assert exchangeable_weight(p) == conv(want.lam)
+        dec = decompose(p)
+        assert dec.lam == conv(want.lam)
+        assert list(dec.per_class_min) == lists(want.minima)
+        assert (None if dec.q is None else list(dec.q.p)) == lists(want.q)
+        assert (None if dec.r is None else list(dec.r.p)) == lists(want.r)
+        dist, proj = tv_distance_to_exchangeable(p)
+        assert dist == conv(want_tv)
+        assert list(proj.p) == lists(want_proj)
+    lam = float(want.lam)
+    assert exchangeable_weight_rows(space, c.counts[None],
+                                    total=c.n).tolist() == [lam]
+    rows_lam, rows_q, rows_min = exchangeable_component_rows(
+        space, c.counts[None])
+    assert rows_lam.tolist() == [lam]
+    assert rows_q[0].tolist() == (_floats(want.q) or [0.0] * len(counts))
+    assert rows_min[0].tolist() == _floats(want.minima)
+    stack_tv, stack_proj = tv_distance_to_exchangeable(
+        empirical_distribution(CountVector(space, c.counts[None])))
+    assert stack_tv.tolist() == [float(want_tv)]
+    assert stack_proj.p[0].tolist() == _floats(want_proj)
+    assert estimate(c, n_boot=2, seed=0).lambda_hat == lam
+
+
+@st.composite
+def _count_tables(draw):
+    """Counts on a space with k^d <= 64: small counts (ties and zero
+    cells), sparse rows, point masses and orbit-constant rows, scaled up
+    to totals near 2**52 at times."""
+    k, d = draw(st.sampled_from(_BUDGET_SPACES))
+    space = SampleSpace(k, d)
+    n = space.n_outcomes
+    kind = draw(st.sampled_from(["general", "sparse", "point",
+                                 "exchangeable"]))
+    if kind == "exchangeable":
+        per_orbit = draw(st.lists(st.integers(0, 5),
+                                  min_size=space.orbit_index().n_classes,
+                                  max_size=space.orbit_index().n_classes))
+        w = [per_orbit[z] for z in space.orbit_index().class_of]
+    else:
+        w = draw(st.lists(st.integers(0, 12), min_size=n, max_size=n))
+        if kind != "general":
+            keep = draw(st.sets(st.integers(0, n - 1), min_size=1,
+                                max_size=1 if kind == "point" else 3))
+            w = [v if i in keep else 0 for i, v in enumerate(w)]
+    if sum(w) == 0:
+        w[draw(st.integers(0, n - 1))] = 1
+    scale = draw(st.sampled_from([1, 1, 3, 2**40 + 1]))
+    return [v * scale for v in w], k, d
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_count_tables())
+def test_outputs_on_counts_match_fraction_oracle(case):
+    _check_against_oracle(*case)
+
+
+def test_oracle_match_past_int64():
+    # at (2, 10) the lcm of the orbit sizes is 2520, so a total near 2**52
+    # makes 2nL about 2**64: the fill has to leave int64 and stay exact
+    rng = np.random.default_rng(52)
+    counts = rng.multinomial(2**52 - 12345, rng.dirichlet(np.ones(1024)))
+    counts[:3] = (0, 5, 5)             # a zero cell and a tie
+    assert 2 * int(counts.sum()) * 2520 > 2**63
+    _check_against_oracle(counts.tolist(), 2, 10)
 
 
 _BUDGET_SPACES = [(k, d) for k in range(2, 9) for d in range(2, 7)

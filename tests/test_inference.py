@@ -9,9 +9,10 @@ from scipy import stats
 import latentw.inference as inference_mod
 
 from latentw import (CountVector, Distribution, SampleSpace,
-                     asymptotic_variance, bootstrap_distribution, estimate,
-                     exchangeable_weight, limit_law_sample, limit_law_spec,
-                     sample_size_heuristic, subsample_size, worst_case_source)
+                     asymptotic_variance, bootstrap_distribution,
+                     empirical_distribution, estimate, exchangeable_weight,
+                     limit_law_sample, limit_law_spec, sample_size_heuristic,
+                     subsample_size, worst_case_source)
 from latentw.errors import EmptySampleError, TiedArgminError
 from latentw.exchangeable import exchangeable_weight_rows
 from latentw.inference import TIED_ARGMIN, UNIQUE_ARGMIN
@@ -79,6 +80,41 @@ class TestEstimate:
         unique = CountVector(space22, [10, 5, 9, 10])
         assert estimate(unique, n_boot=10,
                         seed=0).regularity_flag == UNIQUE_ARGMIN
+
+    @pytest.mark.parametrize("counts,flag", [
+        ([10, 5, 6, 10], UNIQUE_ARGMIN),            # one count apart
+        ([3, 0, 0, 3], UNIQUE_ARGMIN),              # tied at zero: inert
+        ([0, 1, 1, 0], TIED_ARGMIN),
+        ([7, 2**50, 2**50 + 1, 2**51], UNIQUE_ARGMIN),
+        ([7, 2**50, 2**50, 2**51], TIED_ARGMIN),
+    ])
+    def test_regularity_compares_counts_exactly(self, space22, counts, flag):
+        # a tie is two cells of one orbit at its positive minimum count
+        c = CountVector(space22, counts)
+        assert inference_mod.empirical_regularity(c) == flag
+
+    def test_regularity_against_orbit_loop(self):
+        rng = np.random.default_rng(71)
+        space = SampleSpace(3, 3)
+        index = space.orbit_index()
+        for _ in range(200):
+            counts = rng.integers(0, 4, size=27) * rng.integers(0, 2, size=27)
+            if not counts.any():
+                continue
+            tied = any(
+                min(counts[m]) > 0 and np.sum(counts[m] == min(counts[m])) > 1
+                for m in map(index.members, range(index.n_classes)))
+            assert inference_mod.empirical_regularity(
+                CountVector(space, counts)) == (TIED_ARGMIN if tied
+                                                else UNIQUE_ARGMIN)
+
+    def test_limit_law_ties_counts_exactly(self, space22):
+        # counts one apart are not tied, however large n is
+        c = CountVector(space22, [3 * 10**10, 10**10, 10**10 + 1, 2 * 10**10])
+        assert inference_mod.empirical_regularity(c) == UNIQUE_ARGMIN
+        p = empirical_distribution(c)
+        assert limit_law_spec(p).argmin_sets == ((0,), (1,), (3,))
+        assert asymptotic_variance(p) > 0.0
 
     def test_empty_sample(self, space22):
         with pytest.raises(EmptySampleError):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentw import (Distribution, OptimizerOptions, ProductClassSpec,
-                     SampleSpace, class_weight, exchangeable_weight,
+from latentw import (CountVector, Distribution, OptimizerOptions,
+                     ProductClassSpec, SampleSpace, class_weight,
+                     empirical_distribution, exchangeable_weight,
                      singleton_weight)
 from latentw import product
 from latentw.errors import DimensionTooLargeError
@@ -51,6 +52,16 @@ class TestSingletonWeight:
         p = Distribution.from_mapping(space22, {"01": 1.0})
         q0 = Distribution.point_mass(space22, "10")
         assert singleton_weight(p, q0) == 0.0
+
+    def test_counts_divide_once(self, space22):
+        # on laws of counts the ratio is a*B / (b*A); with totals near
+        # 10**12 those products pass int64 and must not wrap
+        a, b = [10**12 + 39, 3 * 10**12, 10**12, 5 * 10**12], [7, 3, 10**12, 5]
+        exact = min(Fraction(x * sum(b), y * sum(a)) for x, y in zip(a, b))
+        for e, want in ((True, exact), (False, float(exact))):
+            p, q0 = (empirical_distribution(CountVector(space22, v), exact=e)
+                     for v in (a, b))
+            assert singleton_weight(p, q0) == want
 
     def test_zero_division_convention(self, space22):
         # ratios over q0's zeros never attain the minimum (0/0 -> +inf)

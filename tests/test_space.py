@@ -8,6 +8,7 @@ import pytest
 from latentw import (CountVector, Distribution, SampleSpace,
                      build_orbit_index, empirical_distribution, read_counts,
                      write_counts)
+from latentw.space import ratio
 from latentw.errors import (CountsFileError, EmptySampleError,
                             SpaceTooLargeError)
 
@@ -138,15 +139,49 @@ class TestDistribution:
         assert np.allclose(u.p, 1 / 8)
 
 
+class TestRatio:
+    def test_correctly_rounded_past_2_53(self):
+        # int64 operands at or above 2**53 are not exact in float64: they
+        # divide as Python ints, which round correctly
+        num = np.array([2**53 + 1, 2**62 + 1, 7])
+        den = np.array([3, 2**62 + 3, 2**53 + 1])
+        assert ratio(num, den).tolist() == [
+            (2**53 + 1) / 3, (2**62 + 1) / (2**62 + 3), 7 / (2**53 + 1)]
+        assert ratio(num[0], den[0]) == (2**53 + 1) / 3
+        assert ratio(2**70 + 1, 3 * 2**70) == (2**70 + 1) / (3 * 2**70)
+
+    def test_exact_and_float_operands(self):
+        assert ratio(3, 6, exact=True) == Fraction(1, 2)
+        assert ratio(np.array([1, 2]), 4, exact=True).tolist() == [
+            Fraction(1, 4), Fraction(1, 2)]
+        # a float operand gives floats, exact or not
+        assert ratio(np.array([0.5]), 1, exact=True).tolist() == [0.5]
+
+
 class TestStacks:
     def test_distribution_stack_checks_every_row(self, space22):
-        Distribution(space22, [[0.25] * 4, [1.0, 0, 0, 0]])
-        with pytest.raises(ValueError, match="sum to 0.5"):
-            Distribution(space22, [[0.25] * 4, [0.5, 0, 0, 0]])
+        # a stack of laws is made of counts, one sample per row
+        stack = empirical_distribution(
+            CountVector(space22, [[1, 1, 1, 1], [3, 0, 0, 0]]))
+        assert stack.p.tolist() == [[0.25] * 4, [1.0, 0, 0, 0]]
+        with pytest.raises(EmptySampleError):
+            empirical_distribution(CountVector(space22, [[1] * 4, [0] * 4]))
         with pytest.raises(ValueError, match="wrong length"):
-            Distribution(space22, np.full((1, 2, 4), 0.25))
+            CountVector(space22, np.ones((1, 2, 4), dtype=np.int64))
         with pytest.raises(ValueError, match="negative"):
-            Distribution(space22, [[0.25] * 4, [1.5, -0.5, 0, 0]])
+            CountVector(space22, [[1] * 4, [2, -1, 0, 0]])
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            CountVector(space22, [[1] * 4, [2**52, 2**52, 0, 0]])
+        # float probabilities make single laws only
+        with pytest.raises(ValueError, match="wrong length"):
+            Distribution(space22, [[0.25] * 4, [1.0, 0, 0, 0]])
+
+    def test_totals_below_2_53(self, space22):
+        # a total at 2**53 is refused before any int64 sum could wrap
+        assert CountVector(space22, [2**53 - 1, 0, 0, 0]).n == 2**53 - 1
+        for counts in ([2**53, 0, 0, 0], [10**20, 0, 0, 0], [2**62] * 3 + [0]):
+            with pytest.raises(ValueError, match="2\\*\\*53"):
+                CountVector(space22, counts)
 
     def test_count_stack_sizes_per_row(self, space22):
         c = CountVector(space22, [[1, 2, 3, 4], [0, 0, 0, 5]])
@@ -179,6 +214,17 @@ class TestEmpiricalDistribution:
         c = CountVector(space22, [1, 2, 0, 0])
         p = empirical_distribution(c, exact=True)
         assert p.p[0] == Fraction(1, 3) and p.p[1] == Fraction(2, 3)
+
+    def test_as_float_divides_counts(self, space23):
+        # a law of counts keeps the counts over n; its float view is
+        # counts / n, exact or not
+        counts = np.array([3, 0, 5, 7, 11, 13, 1, 2])
+        c = CountVector(space23, counts)
+        for exact in (False, True):
+            p = empirical_distribution(c, exact=exact)
+            assert p.num.tolist() == counts.tolist() and p.den == 42
+            assert np.array_equal(p.as_float().p, counts / 42)
+            assert not p.as_float().is_exact
 
 
 class TestCountsFile:
