@@ -89,7 +89,7 @@ def _cmd_decompose(args) -> int:
     space = p.space
 
     def vec(dist):
-        return None if dist is None else [float(v) for v in dist.p]
+        return None if dist is None else dist.as_float().p.tolist()
 
     payload = {
         "meta": _meta(args),

@@ -43,7 +43,7 @@ import numpy as np
 from .errors import EmptySampleError, TiedArgminError
 from .exchangeable import (argmin_sets, exchangeable_weight,
                            exchangeable_weight_rows)
-from .space import (CountVector, Distribution, SampleSpace,
+from .space import (MAX_COUNT, CountVector, Distribution, SampleSpace,
                     empirical_distribution)
 
 UNIQUE_ARGMIN = "unique_argmin"
@@ -107,6 +107,8 @@ def resample_law(counts: np.ndarray, n_boot: int,
         raise EmptySampleError("cannot estimate from an empty sample")
     if n_boot < 2:
         raise ValueError("n_boot must be >= 2")
+    if resample_size is not None and resample_size >= MAX_COUNT:
+        raise ValueError("resample_size must be below 2**53")
     n0 = n if resample_size is None else np.full(len(n), int(resample_size))
     if n0.min() < 1:
         raise ValueError("resample_size must be >= 1")
@@ -192,7 +194,8 @@ def estimate(c: CountVector, n_boot: int = 1000,
     n_boot : int
         Number of bootstrap resamples (>= 2).
     resample_size : int, optional
-        Resample size ``n0``; defaults to ``n`` (the full bootstrap).
+        Resample size ``n0``, from 1 to below ``2**53``; defaults to
+        ``n`` (the full bootstrap).
         ``ceil(2*sqrt(n))`` gives the subsample variant, consistent even
         in the tied-argmin regime.
     seed : int or numpy SeedSequence

@@ -9,7 +9,8 @@ the supremum is found numerically: a coarse grid over the marginal
 parameters seeds a handful of derivative-free compass-search refinements,
 and the winner is certified by checking ``P >= lam*Q`` pointwise.  The
 objective is scored in batches: the whole grid in one numpy pass, and
-every direction of a compass poll in one more.
+the searches run in lockstep, every direction of every running start's
+compass poll scored together in one pass per round.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ def class_weight(p: Distribution, spec: ProductClassSpec,
     """
     opts = opts or OptimizerOptions()
     if spec.kind == "singleton":
-        lam = float(singleton_weight(p.as_float(), spec.q0.as_float()))
+        lam = float(singleton_weight(p, spec.q0))
         qf = spec.q0.as_float()
         margin = float(np.min(p.as_float().p - lam * qf.p))
         return SupMinResult(lam=lam, argmax_q=qf, certificate_margin=margin,
@@ -117,13 +118,9 @@ def class_weight(p: Distribution, spec: ProductClassSpec,
     objective = _Objective(pf, mat, k, d)
 
     starts = _grid_starts(objective, dim, opts)
-    log = []
-    converged = True
-    for theta0 in starts:
-        theta, value, ok = _compass_search(objective, theta0, opts)
-        converged = converged and ok
-        log.append((tuple(float(t) for t in theta0), float(value),
-                    tuple(float(t) for t in theta)))
+    thetas, values, converged = _compass_search(objective, starts, opts)
+    log = [(tuple(start.tolist()), value, tuple(theta.tolist()))
+           for start, value, theta in zip(starts, values.tolist(), thetas)]
     # Deterministic winner: best value, ties broken by lexicographically
     # smallest refined parameter vector.
     log.sort(key=lambda rec: (-rec[1], rec[2]))
@@ -137,7 +134,7 @@ def class_weight(p: Distribution, spec: ProductClassSpec,
         argmax_q=q,
         certificate_margin=margin,
         multistart_log=tuple((start, val) for start, val, _ in log),
-        converged=converged,
+        converged=bool(converged.all()),
     )
 
 
@@ -201,7 +198,8 @@ class _Objective:
 
 def _grid_starts(objective, dim, opts):
     """Score a deterministic grid in one batch and keep the best starting
-    points, ordered by value, then lexicographically by parameters."""
+    points, ordered by value, then lexicographically by parameters (the
+    order of the ``ij`` grid rows, which a stable sort keeps)."""
     per_param = opts.grid_points
     # Shrink the per-parameter resolution until the full grid fits the
     # evaluation budget (high-dimensional products explode otherwise).
@@ -211,7 +209,7 @@ def _grid_starts(objective, dim, opts):
     grid = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"),
                     axis=-1).reshape(-1, dim)
     values = objective(grid)
-    return grid[np.lexsort((*grid.T[::-1], -values))[: opts.n_starts]]
+    return grid[np.argsort(-values, kind="stable")[: opts.n_starts]]
 
 
 def _poll_directions(dim: int) -> np.ndarray:
@@ -233,31 +231,39 @@ def _poll_directions(dim: int) -> np.ndarray:
     return np.array(dirs)
 
 
-def _compass_search(objective, theta0, opts):
-    """Maximize over the unit cube by coordinate/diagonal polling with an
-    expanding-on-success, halving-on-failure step.
+def _compass_search(objective, starts, opts):
+    """Maximize over the unit cube from each of the ``(S, dim)`` starts by
+    coordinate/diagonal polling with an expanding-on-success,
+    halving-on-failure step.
 
-    Each poll scores every direction in one batch and moves to the first
-    one, in direction order, that improves; ``evals`` counts the
-    directions a one-at-a-time poll would have tried.
+    The searches run in lockstep, each round scoring the polls of all
+    running starts in one batch; a start moves to its first improving
+    direction.  ``evals`` counts the directions a one-at-a-time poll
+    would have tried.  Returns the refined parameters, their values and
+    whether each search converged (rather than ran out of evaluations).
     """
-    dirs = _poll_directions(len(theta0))
-    theta = np.clip(np.asarray(theta0, dtype=np.float64), 0.0, 1.0)
-    best = objective(theta[None])[0]
-    step = 1.0 / (opts.grid_points - 1) if opts.grid_points > 1 else 0.1
-    evals = 0
-    while step >= opts.step_floor:
-        if evals >= opts.max_evals_per_start:
-            return theta, best, False
-        cands = np.clip(theta + step * dirs, 0.0, 1.0)
-        vals = objective(cands)
-        better = vals > best + 1e-15
-        first = int(np.argmax(better))
-        if better[first]:
-            theta, best = cands[first], vals[first]
-            evals += first + 1
-            step = min(step * 2.0, 0.25)
-        else:
-            evals += len(dirs)
-            step *= 0.5
-    return theta, best, True
+    dirs = _poll_directions(starts.shape[1])
+    theta = np.clip(np.asarray(starts, dtype=np.float64), 0.0, 1.0)
+    best = objective(theta)
+    step0 = 1.0 / (opts.grid_points - 1) if opts.grid_points > 1 else 0.1
+    step = np.full(len(theta), step0)
+    evals = np.zeros(len(theta), dtype=np.int64)
+    spent = np.zeros(len(theta), dtype=bool)
+    while True:
+        live = step >= opts.step_floor
+        spent |= live & (evals >= opts.max_evals_per_start)
+        run = np.flatnonzero(live & ~spent)
+        if not run.size:
+            return theta, best, ~spent
+        cands = np.clip(theta[run, None] + step[run, None, None] * dirs,
+                        0.0, 1.0)
+        vals = objective(cands.reshape(-1, dirs.shape[1])).reshape(
+            len(run), len(dirs))
+        better = vals > best[run, None] + 1e-15
+        first = np.argmax(better, axis=1)
+        moved = better[np.arange(len(run)), first]
+        theta[run[moved]] = cands[moved, first[moved]]
+        best[run[moved]] = vals[moved, first[moved]]
+        evals[run] += np.where(moved, first + 1, len(dirs))
+        step[run] = np.where(moved, np.minimum(step[run] * 2.0, 0.25),
+                             step[run] * 0.5)

@@ -141,6 +141,13 @@ def _parse_symbol(c: str) -> int:
     return v
 
 
+#: The symbol of each code point below 128, -1 for none; index 128 stands
+#: for every code point above.
+_ASCII_SYMBOLS = np.full(129, -1, dtype=np.int64)
+_ASCII_SYMBOLS[[ord(c) for c in _SYMBOL_CHARS + _SYMBOL_CHARS.lower()]] = (
+    np.arange(72) % 36)
+
+
 @dataclass(frozen=True)
 class OrbitIndex:
     """Partition of a sample space into permutation-equivalence orbits.
@@ -435,7 +442,8 @@ def read_counts(source: str | IO[str], k: int | None = None) -> CountVector:
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
             return read_counts(fh, k=k)
-    rows: list[tuple[str, int]] = []
+    outcomes: list[str] = []
+    values: list[int] = []
     header: list[str] | None = None
     total = 0
     for line_no, raw in enumerate(source, start=1):
@@ -465,20 +473,28 @@ def read_counts(source: str | IO[str], k: int | None = None) -> CountVector:
         if total >= MAX_COUNT:
             raise CountsFileError(f"line {line_no}: count {count} brings "
                                   "the total to 2**53 or more")
-        rows.append((outcome, count))
-    if header is None or not rows:
+        outcomes.append(outcome)
+        values.append(count)
+    if header is None or not outcomes:
         raise CountsFileError("counts file has no data rows")
 
-    lengths = {len(o) for o, _ in rows}
+    lengths = {len(o) for o in outcomes}
     if len(lengths) != 1:
         raise CountsFileError(f"inconsistent outcome lengths {sorted(lengths)}")
     d = lengths.pop()
-    try:
-        symbol_rows = [tuple(_parse_symbol(c) for c in o) for o, _ in rows]
-    except ValueError as exc:
-        raise CountsFileError(str(exc))
-    max_sym = max(max(r) for r in symbol_rows)
-    inferred_k = max(max_sym + 1, 2)
+    # Symbols as _parse_symbol reads them: ASCII through the table, others
+    # (such as 'ı', which upper-cases to I) one by one.
+    text = "".join(outcomes)
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"),
+                          dtype=np.uint32)
+    symbols = _ASCII_SYMBOLS[np.minimum(codes, 128)]
+    for i in np.flatnonzero(codes >= 128):
+        symbols[i] = _SYMBOL_CHARS.find(text[i].upper())
+    bad = np.flatnonzero(symbols < 0)
+    if bad.size:
+        raise CountsFileError(f"invalid symbol character {text[bad[0]]!r}")
+    symbols = symbols.reshape(len(outcomes), d)
+    inferred_k = max(int(symbols.max(initial=-1)) + 1, 2)
     if k is None:
         k = inferred_k
     elif k < inferred_k:
@@ -487,13 +503,15 @@ def read_counts(source: str | IO[str], k: int | None = None) -> CountVector:
     space = SampleSpace(k=k, d=d)
 
     counts = np.zeros(space.check_budget(), dtype=np.int64)
-    seen: set[int] = set()
-    for (outcome, count), syms in zip(rows, symbol_rows):
-        idx = space.encode(syms)
-        if idx in seen:
-            raise CountsFileError(f"duplicate outcome row {outcome!r}")
-        seen.add(idx)
-        counts[idx] = count
+    idx = symbols @ (k ** np.arange(d - 1, -1, -1, dtype=np.int64))
+    # A stable sort puts each repeat after the row it repeats; the first
+    # repeat in file order is the earliest of those.
+    order = np.argsort(idx, kind="stable")
+    repeats = order[1:][idx[order[1:]] == idx[order[:-1]]]
+    if repeats.size:
+        raise CountsFileError(
+            f"duplicate outcome row {outcomes[repeats.min()]!r}")
+    counts[idx] = values
     return CountVector(space, counts)
 
 

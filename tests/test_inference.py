@@ -391,6 +391,24 @@ class TestBootstrapDistribution:
         with pytest.raises(ValueError, match=match):
             bootstrap_distribution(c, seed=1, **kwargs)
 
+    @pytest.mark.parametrize("size", [2**53, 2**63, 2**70])
+    def test_resample_size_below_max_count(self, space22, size):
+        # a ValueError, as for counts, not an OverflowError from numpy
+        c = CountVector(space22, [5, 5, 5, 5])
+        with pytest.raises(ValueError, match="below 2\\*\\*53"):
+            estimate(c, n_boot=2, resample_size=size, seed=1)
+        with pytest.raises(ValueError, match="below 2\\*\\*53"):
+            bootstrap_distribution(c, n_boot=2, resample_size=size, seed=1)
+
+    def test_largest_resample_size_runs(self, space22):
+        c = CountVector(space22, [5, 5, 5, 5])
+        est = estimate(c, n_boot=2, resample_size=2**53 - 1, seed=1)
+        assert est.resample_size == 2**53 - 1
+        # the sample has weight 1, so no replicate lies above it
+        reps = bootstrap_distribution(c, n_boot=2, resample_size=2**53 - 1,
+                                      seed=1)
+        assert np.all(np.isfinite(reps) & (reps <= 0))
+
     def test_scaling_uses_resample_size(self, space22):
         c = CountVector(space22, [40, 10, 20, 30])
         small = bootstrap_distribution(c, n_boot=500, resample_size=25,

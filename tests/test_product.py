@@ -107,6 +107,22 @@ class TestClassWeight:
                                ProductClassSpec(kind="iid"))
         assert res_iid.lam >= 1 - 1e-4
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_singleton_on_counts_is_correctly_rounded(self, data):
+        # lam is the exact min_x p(x)/q0(x) of the laws of counts, rounded
+        # once (dividing the rounded probabilities can miss by an ulp)
+        space = SampleSpace(*data.draw(st.sampled_from([(2, 2), (2, 3),
+                                                        (3, 2)])))
+        counts = st.lists(st.integers(0, 999), min_size=space.n_outcomes,
+                          max_size=space.n_outcomes).filter(any)
+        a, b = data.draw(counts), data.draw(counts)
+        exact = min(Fraction(x * sum(b), y * sum(a))
+                    for x, y in zip(a, b) if y > 0)
+        p, q0 = (empirical_distribution(CountVector(space, v)) for v in (a, b))
+        res = class_weight(p, ProductClassSpec(kind="singleton", q0=q0))
+        assert res.lam == float(exact)
+
     def test_singleton_spec_matches_closed_form(self, intro_joint, space22):
         q0 = bernoulli_product(space22, [3 / 5, 4 / 5])
         res = class_weight(intro_joint, ProductClassSpec(kind="singleton",
@@ -236,8 +252,9 @@ class TestBatchedSearchMatchesScalarOracle:
 
 
 def test_search_scores_in_batches(monkeypatch):
-    """The grid is one batch and each poll is one batch of all directions;
-    a per-point loop would make 59 049 grid calls at (2,5)."""
+    """The grid is one batch, the starts one more, and each later round
+    one batch of every running start's full poll; a per-point loop would
+    make 59 049 grid calls at (2,5)."""
     batches = []
     grid_calls = []
     score = product._Objective.__call__
@@ -256,14 +273,27 @@ def test_search_scores_in_batches(monkeypatch):
     monkeypatch.setattr(product._Objective, "__call__", counting_score)
     monkeypatch.setattr(product, "_grid_starts", counting_grid_starts)
     p = dirichlet_distributions(SampleSpace(2, 5), 1, 64)[0]
-    res = class_weight(p, ProductClassSpec(kind="product"))
+    opts = OptimizerOptions()
+    class_weight(p, ProductClassSpec(kind="product"), opts)
     assert grid_calls == [1]
     assert batches[0] == 9**5
-    polls = batches[1:]
+    n_starts, rounds = batches[1], batches[2:]
     n_dirs = len(product._poll_directions(5))
-    # one single-row call scores each start, every other call a full poll
-    assert polls.count(1) == len(res.multistart_log)
-    assert all(b in (1, n_dirs) for b in polls)
+    assert n_starts == opts.n_starts
+    running = [b // n_dirs for b in rounds]
+    assert [r * n_dirs for r in running] == rounds
+    assert all(n_starts >= a >= b > 0 for a, b in zip(running, running[1:]))
+
+    # Each start searched alone polls as often as it does in lockstep, so
+    # no finished start is scored again.
+    objective = product._Objective(p.p, p.space.outcome_matrix(), 2, 5)
+    starts = grid_starts(objective, 5, opts)
+    del batches[:]
+    for start in starts:
+        product._compass_search(objective, start[None], opts)
+    assert len(batches) - len(starts) > len(rounds)
+    assert (n_starts + sum(rounds)
+            == len(starts) + n_dirs * (len(batches) - len(starts)))
 
 
 @st.composite

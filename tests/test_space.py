@@ -4,13 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latentw import (CountVector, Distribution, SampleSpace,
                      build_orbit_index, empirical_distribution, read_counts,
                      write_counts)
-from latentw.space import ratio
+from latentw.space import _SYMBOL_CHARS, _parse_symbol, ratio
 from latentw.errors import (CountsFileError, EmptySampleError,
-                            SpaceTooLargeError)
+                            LatentwError, SpaceTooLargeError)
 
 from oracle_utils import brute_orbits, multinomial_orbit_size
 
@@ -266,6 +268,104 @@ class TestCountsFile:
     def test_inconsistent_lengths(self):
         with pytest.raises(CountsFileError, match="lengths"):
             read_counts(io.StringIO("outcome\tcount\n01\t1\n011\t1\n"))
+
+    def test_empty_outcomes_name_the_dimension(self):
+        with pytest.raises(ValueError, match="d must be >= 2, got 0"):
+            read_counts(io.StringIO("outcome\tcount\n\t5\n"))
+
+    def test_non_ascii_symbols_upper_case(self):
+        # 'ı' upper-cases to I (18) and 'ſ' to S (28)
+        c = read_counts(io.StringIO("outcome\tcount\n0ı\t5\n1ſ\t3\n"))
+        assert c.space == SampleSpace(29, 2)
+        assert c.counts[18] == 5 and c.counts[29 + 28] == 3
+        assert c.n == 8
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_per_row_reference(self, data):
+        rows, k = data.draw(_counts_rows())
+        text = "outcome\tcount\n" + "".join(f"{o}\t{c}\n" for o, c in rows)
+        # the line loop strips each field
+        stripped = [(o.strip(), c) for o, c in rows]
+        assert _outcome(read_counts, io.StringIO(text), k) == _outcome(
+            _read_counts_reference, stripped, k)
+
+
+#: Characters outside the symbol alphabet, ASCII and not.
+_INVALID_CHARS = "-_ .@[`{é€ß\u00a0ﬀ"
+
+
+@st.composite
+def _counts_rows(draw):
+    """``(outcome, count)`` rows over a random space, in random order and
+    not all listed, with lowercase letters, 'ı' for I and 'ſ' for S, and
+    at times a duplicate, an invalid character, a wrong length or a ``k``
+    that is too small or makes the space too large."""
+    k = draw(st.integers(2, 36))
+    d = draw(st.sampled_from([1, 2, 2, 3, 3, 4] + [5, 5] * (k <= 8)))
+    index = st.integers(0, k**d - 1)
+    idx = draw(st.lists(index, min_size=1, max_size=12))
+    if draw(st.booleans()):
+        idx.insert(draw(st.integers(0, len(idx))),
+                   idx[draw(st.integers(0, len(idx) - 1))])
+    outcomes = []
+    for i in idx:
+        chars = []
+        for s in (i // k**j % k for j in range(d - 1, -1, -1)):
+            style = draw(st.integers(0, 3))
+            c = _SYMBOL_CHARS[s]
+            chars.append({18: "ı", 28: "ſ"}.get(s, c) if style == 3
+                         else c.lower() if style == 2 else c)
+        outcomes.append("".join(chars))
+    rows = st.integers(0, len(outcomes) - 1)
+    fault = draw(st.sampled_from(["none"] * 3 + ["invalid"] * 2 + ["length"]))
+    if fault == "invalid":
+        for _ in range(draw(st.integers(1, 2))):
+            row, pos = draw(rows), draw(st.integers(0, d))
+            bad = draw(st.sampled_from(_INVALID_CHARS))
+            outcomes[row] = outcomes[row][:pos] + bad + outcomes[row][pos + 1:]
+    elif fault == "length":
+        outcomes[draw(rows)] += "0"
+    counts = draw(st.lists(st.integers(0, 10**6), min_size=len(outcomes),
+                           max_size=len(outcomes)))
+    # 36**5 and 5000**2 pass the 2**24 outcome budget
+    override = draw(st.sampled_from([None, None, k - 1, k, k + 1, 36, 5000]))
+    return list(zip(outcomes, counts)), override
+
+
+def _read_counts_reference(rows, k):
+    """Rows read one by one through ``_parse_symbol`` and ``encode``."""
+    lengths = {len(o) for o, _ in rows}
+    if len(lengths) != 1:
+        raise CountsFileError(
+            f"inconsistent outcome lengths {sorted(lengths)}")
+    try:
+        symbols = [[_parse_symbol(c) for c in o] for o, _ in rows]
+    except ValueError as exc:
+        raise CountsFileError(str(exc))
+    need = max(max(max(s) for s in symbols) + 1, 2)
+    if k is not None and k < need:
+        raise CountsFileError(
+            f"k={k} too small for symbols in file (need >= {need})")
+    space = SampleSpace(k=need if k is None else k, d=lengths.pop())
+    counts = np.zeros(space.check_budget(), dtype=np.int64)
+    seen = set()
+    for (outcome, count), syms in zip(rows, symbols):
+        i = space.encode(syms)
+        if i in seen:
+            raise CountsFileError(f"duplicate outcome row {outcome!r}")
+        seen.add(i)
+        counts[i] = count
+    return CountVector(space, counts)
+
+
+def _outcome(read, source, k):
+    """The space and counts read, or the error's type and message."""
+    try:
+        c = read(source, k)
+    except (ValueError, LatentwError) as exc:
+        return type(exc), str(exc)
+    return c.space, c.counts.tolist()
 
 
 class TestRandomSpaces:
