@@ -129,6 +129,7 @@ def _cmd_tv(args) -> int:
 
 
 def _cmd_classweight(args) -> int:
+    opts = OptimizerOptions(grid_points=args.grid)
     c = _counts_arg(args)
     p = empirical_distribution(c)
     if args.cls == "singleton":
@@ -139,7 +140,6 @@ def _cmd_classweight(args) -> int:
         spec = ProductClassSpec(kind="singleton", q0=q0)
     else:
         spec = ProductClassSpec(kind=args.cls)
-    opts = OptimizerOptions(grid_points=args.grid)
     res = class_weight(p, spec, opts)
     if args.json:
         payload = {

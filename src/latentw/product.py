@@ -8,9 +8,11 @@ power) and the product class (independent, possibly different marginals)
 the supremum is found numerically: a coarse grid over the marginal
 parameters seeds a handful of derivative-free compass-search refinements,
 and the winner is certified by checking ``P >= lam*Q`` pointwise.  The
-objective is scored in batches: the whole grid in one numpy pass, and
-the searches run in lockstep, every direction of every running start's
-compass poll scored together in one pass per round.
+objective is scored in batches: the whole grid in one call, and the
+searches run in lockstep, every direction of every running start's
+compass poll scored together in one call per round.  A call works
+through tiles of at most ``_CHUNK_ELEMENTS`` (2^16) parameter rows x
+outcomes, so its memory is bounded whatever the grid or ``k^d``.
 """
 
 from __future__ import annotations
@@ -75,6 +77,15 @@ class OptimizerOptions:
     max_grid_total: int = 60000    # cap on total grid evaluations
     max_evals_per_start: int = 20000
 
+    def __post_init__(self):
+        for name in ("grid_points", "n_starts", "max_grid_total",
+                     "max_evals_per_start"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        if not self.step_floor > 0:
+            raise ValueError(f"step_floor must be > 0, got {self.step_floor}")
+
 
 @dataclass(frozen=True)
 class SupMinResult:
@@ -96,6 +107,8 @@ def class_weight(p: Distribution, spec: ProductClassSpec,
     DimensionTooLargeError
         If the free parameter count (``k-1`` for iid, ``d*(k-1)`` for
         product) exceeds ``opts.max_dim``.
+    SpaceTooLargeError
+        If ``k**d`` exceeds the outcome budget (iid and product classes).
     """
     opts = opts or OptimizerOptions()
     if spec.kind == "singleton":
@@ -113,9 +126,9 @@ def class_weight(p: Distribution, spec: ProductClassSpec,
             f"{spec.kind} class over k={k}, d={d} has {dim} parameters "
             f"(limit {opts.max_dim})")
 
+    space.check_budget()
     pf = p.as_float().p
-    mat = space.outcome_matrix().astype(np.int64)
-    objective = _Objective(pf, mat, k, d)
+    objective = _Objective(pf, k, d)
 
     starts = _grid_starts(objective, dim, opts)
     thetas, values, converged = _compass_search(objective, starts, opts)
@@ -138,9 +151,11 @@ def class_weight(p: Distribution, spec: ProductClassSpec,
     )
 
 
-#: Cap on the ``rows x outcomes`` elements one scoring pass materializes,
-#: so that a large grid or outcome space is scored in bounded memory.
-_CHUNK_ELEMENTS = 2**21
+#: Cap on the elements of one ``rows x outcomes`` tile of a scoring pass:
+#: 2^16 float64 values (512 KiB) stay in cache.  Tiles split the outcomes
+#: as well as the rows, so neither a large grid nor a large outcome space
+#: makes a larger temporary.
+_CHUNK_ELEMENTS = 2**16
 
 
 class _Objective:
@@ -152,12 +167,15 @@ class _Objective:
     simplex including its boundary, so point masses are reachable.
 
     Calls score a batch: a ``(G, dim)`` array of parameter rows maps to
-    ``G`` values, computed ``_CHUNK_ELEMENTS // n_outcomes`` rows at a time.
+    ``G`` values.  A call works on tiles of at most ``_CHUNK_ELEMENTS``
+    rows x outcomes: the marginals are computed once per row tile, the
+    outcomes are split into aligned blocks of a power of ``k`` (all of
+    them when ``k**d`` fits), and the row minima are folded across the
+    blocks.
     """
 
-    def __init__(self, p, mat, k, d):
+    def __init__(self, p, k, d):
         self.p = p
-        self.mat = mat
         self.k = k
         self.d = d
 
@@ -175,22 +193,49 @@ class _Objective:
         return np.broadcast_to(mu, (len(thetas), d, k))
 
     def q_rows(self, thetas: np.ndarray) -> np.ndarray:
-        """``(G, n_outcomes)`` product laws, multiplied coordinate by
-        coordinate in order."""
-        margs = self.marginals(thetas)
-        q = margs[:, 0, self.mat[:, 0]]
-        for j in range(1, self.d):
-            q *= margs[:, j, self.mat[:, j]]
+        """``(G, n_outcomes)`` product laws of ``G`` parameter rows."""
+        return self.q_tile(self.marginals(thetas), 0, self.d)
+
+    def q_tile(self, margs: np.ndarray, start: int, free: int) -> np.ndarray:
+        """Product laws of the marginals ``margs`` at the ``k**free``
+        outcomes from ``start`` (a multiple of ``k**free``), multiplied
+        coordinate by coordinate in order.
+
+        The block's outcomes share their first ``d - free`` symbols,
+        which ``start`` fixes; each later coordinate multiplies every
+        law so far by each of its ``k`` masses (the last coordinate
+        varies fastest, as in the outcome index).  The products start
+        from 1.0, which changes none of them.
+        """
+        k, d = self.k, self.d
+        q = np.ones((len(margs), 1))
+        for j in range(d - free):
+            q *= margs[:, j, start // k**(d - 1 - j) % k, None]
+        for j in range(d - free, d):
+            grown = np.empty(q.shape + (k,))
+            for s in range(k):
+                np.multiply(q, margs[:, j, s, None], out=grown[..., s])
+            q = grown.reshape(len(q), -1)
         return q
 
     def __call__(self, thetas: np.ndarray) -> np.ndarray:
-        rows = max(1, _CHUNK_ELEMENTS // len(self.p))
-        values = np.empty(len(thetas))
-        for lo in range(0, len(thetas), rows):
-            q = self.q_rows(thetas[lo:lo + rows])
-            ratio = np.divide(self.p, q, out=np.full_like(q, np.inf),
-                              where=q > 0.0)
-            values[lo:lo + rows] = ratio.min(axis=1)
+        n = len(self.p)
+        free = self.d
+        while self.k**free > _CHUNK_ELEMENTS:
+            free -= 1
+        cols = self.k**free
+        rows = _CHUNK_ELEMENTS // cols
+        values = np.full(len(thetas), np.inf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for lo in range(0, len(thetas), rows):
+                margs = self.marginals(thetas[lo:lo + rows])
+                row_min = values[lo:lo + rows]
+                for start in range(0, n, cols):
+                    q = self.q_tile(margs, start, free)
+                    # p/0 is inf and 0/0 nan, which fmin skips: the
+                    # minimum runs over the outcomes with Q > 0.
+                    np.divide(self.p[start:start + cols], q, out=q)
+                    np.fmin(row_min, np.fmin.reduce(q, axis=1), out=row_min)
         # A row with no positive Q keeps +inf; g scores it 0.
         values[np.isinf(values)] = 0.0
         return values

@@ -382,15 +382,13 @@ class CountVector:
         # their sum does, so this check cannot wrap.
         if arr.sum(axis=-1, dtype=np.float64).max(initial=0) >= MAX_COUNT:
             raise ValueError("counts sum to 2**53 or more")
-        if not np.issubdtype(arr.dtype, np.integer):
-            raised = arr.astype(np.int64)
-            if not np.array_equal(raised, arr):
-                raise ValueError("counts must be integers")
-            arr = raised
-        arr = arr.astype(np.int64).copy()
-        arr.setflags(write=False)
+        arr64 = arr.astype(np.int64)    # always a new array
+        if (not np.issubdtype(arr.dtype, np.integer)
+                and not np.array_equal(arr64, arr)):
+            raise ValueError("counts must be integers")
+        arr64.setflags(write=False)
         self.space = space
-        self.counts = arr
+        self.counts = arr64
 
     @property
     def n(self):

@@ -252,6 +252,15 @@ class TestClassWeight:
         assert err.startswith("latentw: warning: classweight did not "
                               "converge")
 
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    def test_bad_grid_is_a_validation_error(self, capsys, intro_counts,
+                                            grid):
+        code, out, err = run(capsys, "classweight", "--counts", intro_counts,
+                             "--class", "product", "--grid", grid)
+        assert (code, out) == (1, "")
+        assert err == ("latentw: error [E_VALIDATION]: grid_points must be "
+                       f">= 1, got {grid}\n")
+
     def test_singleton_requires_q0(self, capsys, intro_counts):
         code, _, err = run(capsys, "classweight", "--counts", intro_counts,
                            "--class", "singleton")

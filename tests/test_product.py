@@ -1,3 +1,5 @@
+import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +12,8 @@ from latentw import (CountVector, Distribution, OptimizerOptions,
                      empirical_distribution, exchangeable_weight,
                      singleton_weight)
 from latentw import product
-from latentw.errors import DimensionTooLargeError
+from latentw import space as space_module
+from latentw.errors import DimensionTooLargeError, SpaceTooLargeError
 
 from conftest import dirichlet_distributions
 from oracle_utils import class_weight_scalar_oracle, supmin_grid_oracle
@@ -162,6 +165,13 @@ class TestClassWeight:
                          ProductClassSpec(kind="product"),
                          OptimizerOptions(max_dim=3))
 
+    def test_space_budget(self, monkeypatch):
+        monkeypatch.setattr(space_module, "DEFAULT_MAX_OUTCOMES", 16)
+        p = Distribution.uniform(SampleSpace(2, 5))
+        for kind in ("iid", "product"):
+            with pytest.raises(SpaceTooLargeError):
+                class_weight(p, ProductClassSpec(kind=kind))
+
     def test_deterministic(self, intro_joint):
         a = class_weight(intro_joint, ProductClassSpec(kind="product"))
         b = class_weight(intro_joint, ProductClassSpec(kind="product"))
@@ -198,6 +208,14 @@ def _oracle_laws(space, seed):
     return [Distribution(space, rng.dirichlet(np.full(n, 0.5))),
             Distribution(space, sparse / sparse.sum()),
             Distribution(space, np.eye(n)[rng.integers(n)])]
+
+
+def _sparse_law(space, seed):
+    """A Dirichlet(1) law with every third cell zeroed."""
+    n = space.n_outcomes
+    w = np.random.default_rng(seed).dirichlet(np.ones(n))
+    w *= np.arange(n) % 3 != 1
+    return Distribution(space, w / w.sum())
 
 
 class TestBatchedSearchMatchesScalarOracle:
@@ -286,7 +304,7 @@ def test_search_scores_in_batches(monkeypatch):
 
     # Each start searched alone polls as often as it does in lockstep, so
     # no finished start is scored again.
-    objective = product._Objective(p.p, p.space.outcome_matrix(), 2, 5)
+    objective = product._Objective(p.p, 2, 5)
     starts = grid_starts(objective, 5, opts)
     del batches[:]
     for start in starts:
@@ -294,6 +312,101 @@ def test_search_scores_in_batches(monkeypatch):
     assert len(batches) - len(starts) > len(rounds)
     assert (n_starts + sum(rounds)
             == len(starts) + n_dirs * (len(batches) - len(starts)))
+
+
+def _one_pass_reference(p, k, d, thetas):
+    """g on all rows in one pass, as before tiling: Q gathered through the
+    outcome matrix coordinate by coordinate, ratios over the outcomes
+    with Q > 0, and a row with no positive Q scored 0."""
+    margs = product._Objective(p, k, d).marginals(thetas)
+    mat = SampleSpace(k, d).outcome_matrix()
+    q = margs[:, 0, mat[:, 0]]
+    for j in range(1, d):
+        q *= margs[:, j, mat[:, j]]
+    ratio = np.divide(p, q, out=np.full_like(q, np.inf), where=q > 0.0)
+    values = ratio.min(axis=1)
+    values[np.isinf(values)] = 0.0
+    return values
+
+
+def _tile_thetas(dim, seed):
+    """Interior rows, cube corners (point-mass marginals) and NaN rows,
+    whose Q has no positive entry."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate([rng.random((30, dim)),
+                           rng.integers(0, 2, (15, dim)).astype(float),
+                           np.full((2, dim), 0.5),
+                           np.full((2, dim), np.nan)])
+
+
+class TestTiles:
+    """Tiles of any shape score every row exactly as one pass does."""
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7, product._CHUNK_ELEMENTS])
+    @pytest.mark.parametrize("kind", ["iid", "product"])
+    @pytest.mark.parametrize("k,d", [(2, 3), (3, 2), (2, 5), (3, 3)])
+    def test_values_match_one_pass(self, monkeypatch, chunk, kind, k, d):
+        space = SampleSpace(k, d)
+        dim = k - 1 if kind == "iid" else d * (k - 1)
+        thetas = _tile_thetas(dim, 10 * k + d)
+        monkeypatch.setattr(product, "_CHUNK_ELEMENTS", chunk)
+        for p in _oracle_laws(space, 20 * k + d):
+            values = product._Objective(p.p, k, d)(thetas)
+            assert np.all(values == _one_pass_reference(p.p, k, d, thetas))
+        assert np.all(values[-2:] == 0.0)
+
+    def test_rows_split_across_outcome_tiles(self):
+        # 2^17 outcomes: every row spans two tiles of the default size
+        n = 2**17
+        point = np.zeros(n)
+        point[n // 3] = 1.0
+        thetas = _tile_thetas(1, 17)[::4]
+        for p in (_sparse_law(SampleSpace(2, 17), 17).p, point):
+            values = product._Objective(p, 2, 17)(thetas)
+            assert np.all(values == _one_pass_reference(p, 2, 17, thetas))
+
+    @pytest.mark.parametrize("kind,k,d", [("product", 2, 5),
+                                          ("product", 2, 10),
+                                          ("iid", 2, 16)])
+    def test_class_weight_memory_is_bounded(self, kind, k, d):
+        # one-pass scoring peaked at 36, 69 and 43 MiB on these
+        p = _sparse_law(SampleSpace(k, d), 30 + d)
+        tracemalloc.start()
+        try:
+            class_weight(p, ProductClassSpec(kind=kind))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_class_weight_raises_no_warnings(self):
+        # the divisions by zero are expected, and stay silent
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for space in (SampleSpace(2, 3), SampleSpace(3, 2)):
+                for p in _oracle_laws(space, 72):
+                    for kind in ("iid", "product"):
+                        class_weight(p, ProductClassSpec(kind=kind),
+                                     OptimizerOptions(grid_points=9))
+
+
+class TestOptimizerOptions:
+    @pytest.mark.parametrize("field,value", [
+        ("grid_points", 0), ("grid_points", -3), ("n_starts", 0),
+        ("max_grid_total", 0), ("max_evals_per_start", -1),
+        ("step_floor", 0.0), ("step_floor", -1e-7),
+        ("step_floor", float("nan"))])
+    def test_rejects_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            OptimizerOptions(**{field: value})
+
+    def test_smallest_valid_options_run(self, intro_joint):
+        opts = OptimizerOptions(grid_points=1, n_starts=1, max_grid_total=1,
+                                max_evals_per_start=1, step_floor=5e-324)
+        res = class_weight(intro_joint, ProductClassSpec(kind="product"),
+                           opts)
+        assert len(res.multistart_log) == 1
+        assert res.certificate_margin >= -1e-9
 
 
 @st.composite

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -191,6 +192,22 @@ class TestStacks:
         assert CountVector(space22, [1, 2, 3, 4]).n == 10
         with pytest.raises(ValueError, match="wrong length"):
             CountVector(space22, [[1, 2, 3]])
+
+
+def test_count_vector_copies_once():
+    # 2^20 int64 counts (8 MiB): the stored copy is the only allocation
+    space = SampleSpace(2, 20)
+    counts = np.arange(space.n_outcomes, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        cv = CountVector(space, counts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * counts.nbytes
+    assert np.array_equal(cv.counts, counts)
+    assert not np.shares_memory(cv.counts, counts)
+    assert not cv.counts.flags.writeable
 
 
 class TestEmpiricalDistribution:
