@@ -36,7 +36,6 @@ from .exchangeable import (
     tv_distance_to_exchangeable,
 )
 from .product import (
-    OptimizerOptions,
     ProductClassSpec,
     SupMinResult,
     class_weight,

@@ -5,7 +5,8 @@ simulate, meth.  Exit codes: 0 success, 1 validation error, 2 I/O error.
 Every structured output (JSON or TSV file) embeds the package version,
 the seed, and a hash of the result-affecting configuration; thread count
 is deliberately excluded from the hash because results do not depend on
-it.  All randomness flows from ``--seed`` (default 0, never the clock).
+it; ``--threads`` defaults to the CPU count.  All randomness flows from
+``--seed`` (default 0, never the clock).
 """
 
 from __future__ import annotations
@@ -20,11 +21,12 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import LatentwError
-from .space import CountVector, empirical_distribution, read_counts
+from .space import (_SYMBOL_CHARS, CountVector, empirical_distribution,
+                     read_counts)
 from . import exchangeable as exch
 from . import inference
 from . import methylation as meth
-from .product import OptimizerOptions, ProductClassSpec, class_weight
+from .product import ProductClassSpec, class_weight
 
 
 class _UsageError(Exception):
@@ -129,7 +131,6 @@ def _cmd_tv(args) -> int:
 
 
 def _cmd_classweight(args) -> int:
-    opts = OptimizerOptions(grid_points=args.grid)
     c = _counts_arg(args)
     p = empirical_distribution(c)
     if args.cls == "singleton":
@@ -140,7 +141,7 @@ def _cmd_classweight(args) -> int:
         spec = ProductClassSpec(kind="singleton", q0=q0)
     else:
         spec = ProductClassSpec(kind=args.cls)
-    res = class_weight(p, spec, opts)
+    res = class_weight(p, spec, args.grid)
     if args.json:
         payload = {
             "meta": _meta(args),
@@ -205,7 +206,7 @@ def _cmd_meth_triplets(args) -> int:
     triplets = meth.extract_triplets(records,
                                      coverage_threshold=args.min_coverage)
     report = meth.triplet_report(triplets, n_boot=args.boot, seed=args.seed,
-                                 threads=_resolve_threads(args.threads))
+                                 threads=args.threads)
     meta_kv = {k: str(v) for k, v in _meta(args, seed=args.seed).items()}
     meth.write_report_tsv(report, args.out, meta=meta_kv)
     if report.failures:
@@ -250,20 +251,31 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 
 
 def _read_symbol_map(path: str, k: int) -> dict[int, str]:
-    mapping: dict[int, str] = {}
+    """Symbol -> label rows of a map file: one row per symbol, each a
+    single symbol character below ``k``, after an optional header on the
+    first line that is not a comment."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if line_no == 1 and fields == ["from", "to"]:
-                continue
-            if len(fields) != 2:
-                raise LatentwError(
-                    f"map file line {line_no}: expected 'from<TAB>to'")
-            sym = int(fields[0], 36)
-            mapping[sym] = fields[1]
+        rows = [(line_no, [f.strip() for f in line.split("\t")])
+                for line_no, line in enumerate(fh, start=1)
+                if line.strip() and not line.lstrip().startswith("#")]
+    if rows and rows[0][1] == ["from", "to"]:
+        del rows[0]
+    mapping: dict[int, str] = {}
+    for line_no, fields in rows:
+        where = f"map file line {line_no}"
+        if len(fields) != 2:
+            raise LatentwError(f"{where}: expected 'from<TAB>to'")
+        sym = (_SYMBOL_CHARS.find(fields[0].upper())
+               if len(fields[0]) == 1 else -1)
+        if sym < 0:
+            raise LatentwError(
+                f"{where}: {fields[0]!r} is not a single symbol character")
+        if sym >= k:
+            raise LatentwError(f"{where}: symbol {fields[0]!r} is outside "
+                               f"0..{k - 1} (k={k})")
+        if sym in mapping:
+            raise LatentwError(f"{where}: duplicate symbol {fields[0]!r}")
+        mapping[sym] = fields[1]
     return mapping
 
 
@@ -286,18 +298,6 @@ def _read_covariate(path: str) -> dict[tuple[str, int], float]:
                 raise LatentwError(f"covariate row has {len(fields)} fields")
             out[(fields[0], int(fields[1]))] = float(fields[2])
     return out
-
-
-def _resolve_threads(flag: int | None) -> int:
-    if flag is not None:
-        return max(1, flag)
-    env = os.environ.get("LATENTW_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise _UsageError(f"LATENTW_THREADS={env!r} is not an integer")
-    return os.cpu_count() or 1
 
 
 # -------------------------------------------------------------- parser ----
@@ -385,7 +385,7 @@ def build_parser() -> _Parser:
     mt.add_argument("--min-coverage", type=int, default=100)
     mt.add_argument("--boot", type=int, default=1000)
     mt.add_argument("--seed", type=int, default=0)
-    mt.add_argument("--threads", type=int, default=None)
+    mt.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     mt.add_argument("--out", required=True)
     mt.set_defaults(func=_cmd_meth_triplets)
     mc = msub.add_parser("correlate",

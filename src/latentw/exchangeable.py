@@ -89,14 +89,14 @@ def argmin_sets(p: Distribution, mins: np.ndarray | None = None,
                  for members in map(index.members, range(index.n_classes)))
 
 
-def is_exchangeable(p: Distribution, tol: float = PURITY_TOL) -> bool:
-    """True when ``p`` is constant within every orbit (within ``tol`` for
-    a float law, exactly otherwise)."""
+def is_exchangeable(p: Distribution) -> bool:
+    """True when ``p`` is constant within every orbit (within
+    ``PURITY_TOL`` for a float law, exactly otherwise)."""
     index = p.space.orbit_index()
     grouped = p.num[index.order]
     spread = (np.maximum.reduceat(grouped, index.starts)
               - np.minimum.reduceat(grouped, index.starts))
-    return bool(spread.max() <= p.slack(tol))
+    return bool(spread.max() <= p.slack(PURITY_TOL))
 
 
 @dataclass(frozen=True)

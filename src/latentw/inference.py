@@ -271,7 +271,6 @@ class LimitLawSpec:
     minima: np.ndarray                 # m_z per orbit
     argmin_sets: tuple[tuple[int, ...], ...]
     coords: np.ndarray                 # retained outcome indices
-    covariance: np.ndarray             # (len(coords), len(coords))
 
     @property
     def is_unique_argmin(self) -> bool:
@@ -284,25 +283,27 @@ class LimitLawSpec:
         return all(len(s) == 1 or self.minima[z] == 0.0
                    for z, s in enumerate(self.argmin_sets))
 
+    @property
+    def covariance(self) -> np.ndarray:
+        """The ``(len(coords), len(coords))`` covariance, built anew."""
+        m = np.repeat(self.minima, [len(s) for s in self.argmin_sets])
+        cov = -np.outer(m, m)
+        np.fill_diagonal(cov, m * (1.0 - m))
+        return cov
+
 
 def limit_law_spec(p: Distribution) -> LimitLawSpec:
-    """Build the limit-law description (covariance and argmin blocks);
+    """Build the limit-law description (orbit minima and argmin blocks);
     the argmin sets of a law of counts are exact count ties."""
     pf = p.as_float()
     index = pf.space.orbit_index()
-    mins = index.class_minima_rows(pf.p)
     sets = argmin_sets(p)
-    coords = np.array([x for s in sets for x in s], dtype=np.int64)
-    m_coord = np.array([mins[z] for z, s in enumerate(sets) for _ in s])
-    cov = -np.outer(m_coord, m_coord)
-    np.fill_diagonal(cov, m_coord * (1.0 - m_coord))
     return LimitLawSpec(
         space=pf.space,
         class_sizes=index.sizes,
-        minima=mins,
+        minima=index.class_minima_rows(pf.p),
         argmin_sets=sets,
-        coords=coords,
-        covariance=cov,
+        coords=np.array([x for s in sets for x in s], dtype=np.int64),
     )
 
 
@@ -311,7 +312,8 @@ def asymptotic_variance(p: Distribution) -> float:
 
         V = sum_z |z|^2 m_z (1-m_z) - sum_{z1 != z2} |z1||z2| m_z1 m_z2
 
-    (the second sum runs over ordered pairs of distinct orbits).
+    (the second sum runs over ordered pairs of distinct orbits).  It
+    needs only the orbit minima and sizes, so it builds no covariance.
 
     Raises
     ------

@@ -12,7 +12,9 @@ objective is scored in batches: the whole grid in one call, and the
 searches run in lockstep, every direction of every running start's
 compass poll scored together in one call per round.  A call works
 through tiles of at most ``_CHUNK_ELEMENTS`` (2^16) parameter rows x
-outcomes, so its memory is bounded whatever the grid or ``k^d``.
+outcomes, so its memory is bounded whatever the grid or ``k^d``.  The
+grid resolution is the search's one setting; its other limits are
+module constants.
 """
 
 from __future__ import annotations
@@ -68,23 +70,11 @@ class ProductClassSpec:
             raise ValueError("q0 only applies to the singleton class")
 
 
-@dataclass(frozen=True)
-class OptimizerOptions:
-    grid_points: int = 33          # grid resolution per parameter
-    n_starts: int = 8              # refinements launched from best grid points
-    step_floor: float = 1e-7       # compass search terminates below this step
-    max_dim: int = 16              # refuse problems with more parameters
-    max_grid_total: int = 60000    # cap on total grid evaluations
-    max_evals_per_start: int = 20000
-
-    def __post_init__(self):
-        for name in ("grid_points", "n_starts", "max_grid_total",
-                     "max_evals_per_start"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
-        if not self.step_floor > 0:
-            raise ValueError(f"step_floor must be > 0, got {self.step_floor}")
+_N_STARTS = 8                   # refinements launched from best grid points
+_STEP_FLOOR = 1e-7              # compass search converges below this step
+_MAX_DIM = 16                   # refuse problems with more parameters
+_MAX_GRID_TOTAL = 60_000        # cap on grid points; the resolution shrinks
+_MAX_EVALS_PER_START = 20_000   # polls before a search stops unconverged
 
 
 @dataclass(frozen=True)
@@ -99,18 +89,23 @@ class SupMinResult:
 
 
 def class_weight(p: Distribution, spec: ProductClassSpec,
-                 opts: OptimizerOptions | None = None) -> SupMinResult:
+                 grid_points: int = 33) -> SupMinResult:
     """Latent weight of ``p`` w.r.t. the class described by ``spec``.
+
+    ``grid_points`` is the grid resolution per parameter.
 
     Raises
     ------
+    ValueError
+        If ``grid_points < 1``, whatever the class.
     DimensionTooLargeError
         If the free parameter count (``k-1`` for iid, ``d*(k-1)`` for
-        product) exceeds ``opts.max_dim``.
+        product) exceeds ``_MAX_DIM`` (16).
     SpaceTooLargeError
         If ``k**d`` exceeds the outcome budget (iid and product classes).
     """
-    opts = opts or OptimizerOptions()
+    if grid_points < 1:
+        raise ValueError(f"grid_points must be >= 1, got {grid_points}")
     if spec.kind == "singleton":
         lam = float(singleton_weight(p, spec.q0))
         qf = spec.q0.as_float()
@@ -121,17 +116,18 @@ def class_weight(p: Distribution, spec: ProductClassSpec,
     space = p.space
     k, d = space.k, space.d
     dim = (k - 1) if spec.kind == "iid" else d * (k - 1)
-    if dim > opts.max_dim:
+    if dim > _MAX_DIM:
         raise DimensionTooLargeError(
             f"{spec.kind} class over k={k}, d={d} has {dim} parameters "
-            f"(limit {opts.max_dim})")
+            f"(limit {_MAX_DIM})")
 
     space.check_budget()
     pf = p.as_float().p
     objective = _Objective(pf, k, d)
 
-    starts = _grid_starts(objective, dim, opts)
-    thetas, values, converged = _compass_search(objective, starts, opts)
+    starts = _grid_starts(objective, dim, grid_points)
+    thetas, values, converged = _compass_search(objective, starts,
+                                                grid_points)
     log = [(tuple(start.tolist()), value, tuple(theta.tolist()))
            for start, value, theta in zip(starts, values.tolist(), thetas)]
     # Deterministic winner: best value, ties broken by lexicographically
@@ -241,20 +237,21 @@ class _Objective:
         return values
 
 
-def _grid_starts(objective, dim, opts):
+def _grid_starts(objective, dim, grid_points):
     """Score a deterministic grid in one batch and keep the best starting
     points, ordered by value, then lexicographically by parameters (the
     order of the ``ij`` grid rows, which a stable sort keeps)."""
-    per_param = opts.grid_points
+    per_param = grid_points
     # Shrink the per-parameter resolution until the full grid fits the
     # evaluation budget (high-dimensional products explode otherwise).
-    while per_param > 2 and per_param**dim > opts.max_grid_total:
+    while per_param > 2 and per_param**dim > _MAX_GRID_TOTAL:
         per_param -= 1
     axis = np.linspace(0.0, 1.0, per_param)
-    grid = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"),
+    # Broadcast views, so the stack is the grid's only copy.
+    grid = np.stack(np.meshgrid(*[axis] * dim, indexing="ij", copy=False),
                     axis=-1).reshape(-1, dim)
     values = objective(grid)
-    return grid[np.argsort(-values, kind="stable")[: opts.n_starts]]
+    return grid[np.argsort(-values, kind="stable")[:_N_STARTS]]
 
 
 def _poll_directions(dim: int) -> np.ndarray:
@@ -276,7 +273,7 @@ def _poll_directions(dim: int) -> np.ndarray:
     return np.array(dirs)
 
 
-def _compass_search(objective, starts, opts):
+def _compass_search(objective, starts, grid_points):
     """Maximize over the unit cube from each of the ``(S, dim)`` starts by
     coordinate/diagonal polling with an expanding-on-success,
     halving-on-failure step.
@@ -290,13 +287,13 @@ def _compass_search(objective, starts, opts):
     dirs = _poll_directions(starts.shape[1])
     theta = np.clip(np.asarray(starts, dtype=np.float64), 0.0, 1.0)
     best = objective(theta)
-    step0 = 1.0 / (opts.grid_points - 1) if opts.grid_points > 1 else 0.1
+    step0 = 1.0 / (grid_points - 1) if grid_points > 1 else 0.1
     step = np.full(len(theta), step0)
     evals = np.zeros(len(theta), dtype=np.int64)
     spent = np.zeros(len(theta), dtype=bool)
     while True:
-        live = step >= opts.step_floor
-        spent |= live & (evals >= opts.max_evals_per_start)
+        live = step >= _STEP_FLOOR
+        spent |= live & (evals >= _MAX_EVALS_PER_START)
         run = np.flatnonzero(live & ~spent)
         if not run.size:
             return theta, best, ~spent

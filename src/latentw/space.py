@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import CountsFileError, EmptySampleError, SpaceTooLargeError
 
-#: Hard default on the number of outcomes we are willing to materialize.
+#: The most outcomes we are willing to materialize.
 DEFAULT_MAX_OUTCOMES = 2**24
 
 #: Tolerance for float probability vectors summing to one.
@@ -95,38 +95,36 @@ class SampleSpace:
     def outcome_str(self, index: int) -> str:
         return "".join(_SYMBOL_CHARS[s] for s in self.decode(index))
 
-    def outcome_matrix(self, max_outcomes: int | None = None) -> np.ndarray:
+    def outcome_matrix(self) -> np.ndarray:
         """All outcomes as an ``(n_outcomes, d)`` integer matrix, row ``i``
         being the symbol tuple of index ``i``."""
-        n = self.check_budget(max_outcomes)
+        n = self.check_budget()
         idx = np.arange(n)
         dtype = np.min_scalar_type(self.k - 1)
         cols = [((idx // self.k**j) % self.k).astype(dtype)
                 for j in range(self.d - 1, -1, -1)]
         return np.stack(cols, axis=1)
 
-    def check_budget(self, max_outcomes: int | None = None) -> int:
+    def check_budget(self) -> int:
         """The number of outcomes, once it is known to fit the budget.
 
         Raises
         ------
         SpaceTooLargeError
-            If ``k**d`` exceeds ``max_outcomes`` (default ``2**24``).
+            If ``k**d`` exceeds ``DEFAULT_MAX_OUTCOMES`` (``2**24``).
         """
-        limit = DEFAULT_MAX_OUTCOMES if max_outcomes is None else max_outcomes
         n = self.n_outcomes
-        if n > limit:
-            raise SpaceTooLargeError(
-                f"k^d = {self.k}^{self.d} = {n} exceeds outcome budget {limit}"
-            )
+        if n > DEFAULT_MAX_OUTCOMES:
+            raise SpaceTooLargeError(f"k^d = {self.k}^{self.d} = {n} exceeds "
+                                     f"outcome budget {DEFAULT_MAX_OUTCOMES}")
         return n
 
-    def orbit_index(self, max_outcomes: int | None = None) -> "OrbitIndex":
+    def orbit_index(self) -> "OrbitIndex":
         """The (cached) orbit partition of this space."""
         key = (self.k, self.d)
         index = _ORBIT_CACHE.get(key)
         if index is None:
-            index = build_orbit_index(self, max_outcomes=max_outcomes)
+            index = build_orbit_index(self)
             _ORBIT_CACHE[key] = index
         return index
 
@@ -184,16 +182,15 @@ class OrbitIndex:
                                    self.starts, axis=-1)
 
 
-def build_orbit_index(space: SampleSpace,
-                      max_outcomes: int | None = None) -> OrbitIndex:
+def build_orbit_index(space: SampleSpace) -> OrbitIndex:
     """Enumerate the permutation orbits of ``space``.
 
     Raises
     ------
     SpaceTooLargeError
-        If ``k**d`` exceeds the outcome budget (default ``2**24``).
+        If ``k**d`` exceeds the outcome budget (``2**24``).
     """
-    mat = space.outcome_matrix(max_outcomes=max_outcomes)
+    mat = space.outcome_matrix()
     sorted_rows = np.sort(mat, axis=1)
     # np.unique sorts rows lexicographically, which is exactly the class
     # numbering we promise (canonical representative order).

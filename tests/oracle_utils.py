@@ -15,6 +15,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import linprog
 
+from latentw import product
+
 
 def brute_orbits(k: int, d: int) -> dict[tuple, list[tuple]]:
     """Orbits as {sorted-rep: [member tuples]} via direct enumeration."""
@@ -254,13 +256,15 @@ def supmin_grid_oracle(p: np.ndarray, kind: str, k: int, d: int,
     return best
 
 
-def class_weight_scalar_oracle(p, kind: str, opts) -> tuple:
+def class_weight_scalar_oracle(p, kind: str, grid_points: int) -> tuple:
     """The iid/product class search, scoring one parameter vector per call.
 
     A self-contained copy of the original per-point optimizer: the grid
     is enumerated with ``itertools.product`` and every grid point and
     every poll direction is scored by its own objective call.  ``p`` is
-    a float ``Distribution`` and ``opts`` an ``OptimizerOptions``.
+    a float ``Distribution``; the search limits are read from
+    ``latentw.product``'s constants at call time, so a test that patches
+    them patches both searches.
     Returns ``(lam, argmax_q vector, certificate_margin, multistart_log,
     converged)`` with the same meaning as ``class_weight``'s result.
     """
@@ -295,8 +299,8 @@ def class_weight_scalar_oracle(p, kind: str, opts) -> tuple:
             return 0.0
         return float(np.min(pf[pos] / q[pos]))
 
-    per_param = opts.grid_points
-    while per_param > 2 and per_param**dim > opts.max_grid_total:
+    per_param = grid_points
+    while per_param > 2 and per_param**dim > product._MAX_GRID_TOTAL:
         per_param -= 1
     axis = np.linspace(0.0, 1.0, per_param)
     scored = []
@@ -322,10 +326,10 @@ def class_weight_scalar_oracle(p, kind: str, opts) -> tuple:
     def compass(theta0):
         theta = np.clip(np.asarray(theta0, dtype=np.float64), 0.0, 1.0)
         best = objective(theta)
-        step = 1.0 / (opts.grid_points - 1) if opts.grid_points > 1 else 0.1
+        step = 1.0 / (grid_points - 1) if grid_points > 1 else 0.1
         evals = 0
-        while step >= opts.step_floor:
-            if evals >= opts.max_evals_per_start:
+        while step >= product._STEP_FLOOR:
+            if evals >= product._MAX_EVALS_PER_START:
                 return theta, best, False
             moved = False
             for dvec in dirs:
@@ -344,7 +348,7 @@ def class_weight_scalar_oracle(p, kind: str, opts) -> tuple:
 
     log = []
     converged = True
-    for theta0, _ in scored[: opts.n_starts]:
+    for theta0, _ in scored[:product._N_STARTS]:
         theta, value, ok = compass(theta0)
         converged = converged and ok
         log.append((tuple(float(t) for t in theta0), float(value),

@@ -2,14 +2,13 @@ import json
 import os
 import subprocess
 import sys
-from functools import partial
 from pathlib import Path
 
 import pytest
 
 import latentw
-from latentw import (OptimizerOptions, ProductClassSpec, class_weight, cli,
-                     empirical_distribution, read_counts)
+from latentw import (ProductClassSpec, class_weight, cli,
+                     empirical_distribution, product, read_counts)
 from latentw.cli import main
 
 
@@ -137,6 +136,44 @@ class TestBounds:
         assert code == 0
         assert out == "1.000000\n"
 
+    @pytest.mark.parametrize("text", [
+        "from\tto\n0\ta\n1\tb\n",
+        "# a comment\n\nfrom\tto\n0\ta\n1\tb\n",   # header after it
+        " 0 \t a \n1\tb\n",                         # no header, padded
+    ])
+    def test_lump_map_header_and_rows(self, capsys, tmp_path, text):
+        counts = tmp_path / "c.tsv"
+        counts.write_text("outcome\tcount\n00\t5\n01\t3\n10\t2\n11\t7\n")
+        map_path = tmp_path / "map.tsv"
+        map_path.write_text(text)
+        code, out, err = run(capsys, "bound", "lump", "--counts", str(counts),
+                             "--map", str(map_path))
+        assert (code, out, err) == (0, "0.941176\n", "")
+
+    @pytest.mark.parametrize("text,line,reason", [
+        # a repeat used to override the first row: the bound became 1
+        ("from\tto\n0\ta\n1\tb\n1\ta\n", 4, "duplicate symbol '1'"),
+        ("0\ta\n1\tb\nz\tb\n", 3, "symbol 'z' is outside 0..1 (k=2)"),
+        ("0\ta\n10\tb\n", 2, "'10' is not a single symbol character"),
+        ("0\ta\n-\tb\n", 2, "'-' is not a single symbol character"),
+        ("0\ta\n\tb\n", 2, "'' is not a single symbol character"),
+        # the header is recognised only before the first row
+        ("0\ta\nfrom\tto\n1\tb\n", 2,
+         "'from' is not a single symbol character"),
+        ("# a comment\nfrom\tto\nfrom\tto\n", 3,
+         "'from' is not a single symbol character"),
+        ("0\ta\tb\n", 1, "expected 'from<TAB>to'"),
+    ])
+    def test_lump_bad_map_exits_1(self, capsys, third_counts, tmp_path,
+                                  text, line, reason):
+        map_path = tmp_path / "map.tsv"
+        map_path.write_text(text)
+        code, out, err = run(capsys, "bound", "lump", "--counts", third_counts,
+                             "--map", str(map_path))
+        assert (code, out) == (1, "")
+        assert err == (f"latentw: error [E_VALIDATION]: map file line {line}: "
+                       f"{reason}\n")
+
 
 class TestSpaceBudget:
     # The outcome is checked against the 2**24 budget before the count
@@ -240,12 +277,11 @@ class TestClassWeight:
         _, _, quiet = run(capsys, "classweight", "--counts", intro_counts,
                           "--class", "product")
         assert quiet == ""
-        starved = partial(OptimizerOptions, max_evals_per_start=1)
-        monkeypatch.setattr(cli, "OptimizerOptions", starved)
+        monkeypatch.setattr(product, "_MAX_EVALS_PER_START", 1)
         code, out, err = run(capsys, "classweight", "--counts", intro_counts,
                              "--class", "product")
         res = class_weight(empirical_distribution(read_counts(intro_counts)),
-                           ProductClassSpec(kind="product"), starved())
+                           ProductClassSpec(kind="product"))
         assert code == 0
         assert not res.converged
         assert out == f"{min(res.lam, 1.0):.6f}\n"   # stdout: the bare number
@@ -397,13 +433,19 @@ class TestMeth:
         assert code == 1
         assert f"[E_PARSE]: {bad}: line 2: " in err
 
-    def test_threads_env_fallback(self, capsys, epireads, tmp_path,
-                                  monkeypatch):
-        flagged = tmp_path / "flag.tsv"
-        enved = tmp_path / "env.tsv"
-        run(capsys, "meth", "triplets", "--epireads", epireads, "--boot",
-            "100", "--seed", "3", "--threads", "4", "--out", str(flagged))
-        monkeypatch.setenv("LATENTW_THREADS", "4")
-        run(capsys, "meth", "triplets", "--epireads", epireads, "--boot",
-            "100", "--seed", "3", "--out", str(enved))
-        assert flagged.read_bytes() == enved.read_bytes()
+    def test_threads_default_and_below_one(self, capsys, epireads,
+                                           tmp_path):
+        # no flag means one thread per CPU; below 1 runs serially
+        args = cli.build_parser().parse_args(
+            ["meth", "triplets", "--epireads", epireads, "--out", "r.tsv"])
+        assert args.threads == (os.cpu_count() or 1)
+        outputs = []
+        for flag in ([], ["--threads", "1"], ["--threads", "0"],
+                     ["--threads", "-2"]):
+            path = tmp_path / f"r{len(outputs)}.tsv"
+            code, _, err = run(capsys, "meth", "triplets", "--epireads",
+                               epireads, "--boot", "100", "--seed", "3",
+                               *flag, "--out", str(path))
+            assert (code, err) == (0, "")
+            outputs.append(path.read_bytes())
+        assert outputs[1:] == outputs[:1] * 3

@@ -1,6 +1,8 @@
 import concurrent.futures
+import itertools
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,6 +313,28 @@ class TestAsymptoticVariance:
     def test_tied_argmin_rejected(self, space22):
         with pytest.raises(TiedArgminError):
             asymptotic_variance(Distribution.uniform(space22))
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_memory_is_bounded(self, tied):
+        # (36,3) has 8 436 orbits: a covariance over their argmin cells
+        # would be 8 436^2 float64 values (543 MiB)
+        space = SampleSpace(36, 3)
+        w = np.random.default_rng(36).dirichlet(np.ones(space.n_outcomes))
+        if tied:        # every cell of orbit {0,1,2} at its minimum
+            for perm in itertools.permutations("012"):
+                w[space.index_of("".join(perm))] = w[space.index_of("012")]
+        p = Distribution(space, w / w.sum())
+        tracemalloc.start()
+        try:
+            if tied:
+                with pytest.raises(TiedArgminError):
+                    asymptotic_variance(p)
+            else:
+                assert asymptotic_variance(p) > 0.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_matches_monte_carlo(self, unique_argmin_fixture):
         # oracle: simulated variance of sqrt(n)(lam_hat - lam) with the

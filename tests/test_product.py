@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentw import (CountVector, Distribution, OptimizerOptions,
-                     ProductClassSpec, SampleSpace, class_weight,
+from latentw import (CountVector, Distribution, ProductClassSpec,
+                     SampleSpace, class_weight,
                      empirical_distribution, exchangeable_weight,
                      singleton_weight)
 from latentw import product
@@ -159,11 +159,11 @@ class TestClassWeight:
             assert res.lam <= 1.0 + 1e-12
 
     def test_dimension_limit(self):
-        space = SampleSpace(3, 3)
-        with pytest.raises(DimensionTooLargeError):
+        # 17 parameters, one above the limit of 16
+        space = SampleSpace(2, 17)
+        with pytest.raises(DimensionTooLargeError, match="limit 16"):
             class_weight(Distribution.uniform(space),
-                         ProductClassSpec(kind="product"),
-                         OptimizerOptions(max_dim=3))
+                         ProductClassSpec(kind="product"))
 
     def test_space_budget(self, monkeypatch):
         monkeypatch.setattr(space_module, "DEFAULT_MAX_OUTCOMES", 16)
@@ -189,9 +189,10 @@ class TestClassWeight:
                              q0=Distribution.uniform(space22))
 
 
-def _assert_matches_scalar_oracle(p, kind, opts):
-    res = class_weight(p, ProductClassSpec(kind=kind), opts)
-    lam, q, margin, log, converged = class_weight_scalar_oracle(p, kind, opts)
+def _assert_matches_scalar_oracle(p, kind, grid_points=33):
+    res = class_weight(p, ProductClassSpec(kind=kind), grid_points)
+    lam, q, margin, log, converged = class_weight_scalar_oracle(
+        p, kind, grid_points)
     assert res.lam == lam
     assert np.array_equal(res.argmax_q.p, q)
     assert res.certificate_margin == margin
@@ -226,37 +227,34 @@ class TestBatchedSearchMatchesScalarOracle:
     def test_random_laws_grid9(self, k, d, kind):
         space = SampleSpace(k, d)
         for p in _oracle_laws(space, 100 * k + d):
-            _assert_matches_scalar_oracle(p, kind,
-                                          OptimizerOptions(grid_points=9))
+            _assert_matches_scalar_oracle(p, kind, grid_points=9)
 
     @pytest.mark.parametrize("kind", ["iid", "product"])
     @pytest.mark.parametrize("k,d", [(2, 2), (2, 3), (3, 2), (2, 4)])
     def test_random_law_default_grid(self, k, d, kind):
         # grid 33; at (2,4) the product grid shrinks to 15 points a side
         p = dirichlet_distributions(SampleSpace(k, d), 1, 10 * k + d, 5.0)[0]
-        _assert_matches_scalar_oracle(p, kind, OptimizerOptions())
+        _assert_matches_scalar_oracle(p, kind)
 
-    def test_budget_limited(self):
+    def test_budget_limited(self, monkeypatch):
+        monkeypatch.setattr(product, "_MAX_EVALS_PER_START", 50)
         p = dirichlet_distributions(SampleSpace(3, 2), 1, 61)[0]
-        res = _assert_matches_scalar_oracle(
-            p, "product", OptimizerOptions(grid_points=9,
-                                           max_evals_per_start=50))
+        res = _assert_matches_scalar_oracle(p, "product", grid_points=9)
         assert not res.converged
 
-    def test_budget_trips_at_the_same_iterate(self):
+    def test_budget_trips_at_the_same_iterate(self, monkeypatch):
         # every budget up to a few polls: a miscounted poll stops the
         # search one step early or late somewhere in this sweep
         p = dirichlet_distributions(SampleSpace(2, 3), 1, 65)[0]
         for budget in range(1, 61):
-            _assert_matches_scalar_oracle(
-                p, "product", OptimizerOptions(grid_points=5,
-                                               max_evals_per_start=budget))
+            monkeypatch.setattr(product, "_MAX_EVALS_PER_START", budget)
+            _assert_matches_scalar_oracle(p, "product", grid_points=5)
 
-    def test_grid_shrunk_by_budget(self):
+    def test_grid_shrunk_by_budget(self, monkeypatch):
         # 33^4 points exceed the budget; the grid drops to 4 points a side
+        monkeypatch.setattr(product, "_MAX_GRID_TOTAL", 500)
         p = dirichlet_distributions(SampleSpace(2, 4), 1, 62)[0]
-        res = _assert_matches_scalar_oracle(
-            p, "product", OptimizerOptions(max_grid_total=500))
+        res = _assert_matches_scalar_oracle(p, "product")
         assert all(t in (0.0, 1 / 3, 2 / 3, 1.0)
                    for start, _ in res.multistart_log for t in start)
 
@@ -265,8 +263,7 @@ class TestBatchedSearchMatchesScalarOracle:
         # 40 elements: 5 rows of 8 outcomes per chunk; 4: one row per chunk
         monkeypatch.setattr(product, "_CHUNK_ELEMENTS", chunk)
         for p in _oracle_laws(SampleSpace(2, 3), 63):
-            _assert_matches_scalar_oracle(p, "product",
-                                          OptimizerOptions(grid_points=9))
+            _assert_matches_scalar_oracle(p, "product", grid_points=9)
 
 
 def test_search_scores_in_batches(monkeypatch):
@@ -282,22 +279,21 @@ def test_search_scores_in_batches(monkeypatch):
         batches.append(len(thetas))
         return score(self, thetas)
 
-    def counting_grid_starts(objective, dim, opts):
+    def counting_grid_starts(objective, dim, grid_points):
         before = len(batches)
-        starts = grid_starts(objective, dim, opts)
+        starts = grid_starts(objective, dim, grid_points)
         grid_calls.append(len(batches) - before)
         return starts
 
     monkeypatch.setattr(product._Objective, "__call__", counting_score)
     monkeypatch.setattr(product, "_grid_starts", counting_grid_starts)
     p = dirichlet_distributions(SampleSpace(2, 5), 1, 64)[0]
-    opts = OptimizerOptions()
-    class_weight(p, ProductClassSpec(kind="product"), opts)
+    class_weight(p, ProductClassSpec(kind="product"))
     assert grid_calls == [1]
     assert batches[0] == 9**5
     n_starts, rounds = batches[1], batches[2:]
     n_dirs = len(product._poll_directions(5))
-    assert n_starts == opts.n_starts
+    assert n_starts == product._N_STARTS
     running = [b // n_dirs for b in rounds]
     assert [r * n_dirs for r in running] == rounds
     assert all(n_starts >= a >= b > 0 for a, b in zip(running, running[1:]))
@@ -305,10 +301,10 @@ def test_search_scores_in_batches(monkeypatch):
     # Each start searched alone polls as often as it does in lockstep, so
     # no finished start is scored again.
     objective = product._Objective(p.p, 2, 5)
-    starts = grid_starts(objective, 5, opts)
+    starts = grid_starts(objective, 5, 33)
     del batches[:]
     for start in starts:
-        product._compass_search(objective, start[None], opts)
+        product._compass_search(objective, start[None], 33)
     assert len(batches) - len(starts) > len(rounds)
     assert (n_starts + sum(rounds)
             == len(starts) + n_dirs * (len(batches) - len(starts)))
@@ -369,7 +365,8 @@ class TestTiles:
                                           ("product", 2, 10),
                                           ("iid", 2, 16)])
     def test_class_weight_memory_is_bounded(self, kind, k, d):
-        # one-pass scoring peaked at 36, 69 and 43 MiB on these
+        # one-pass scoring peaked at 36, 69 and 43 MiB on these, and a
+        # grid built from full meshgrid copies at 9.0 MiB on (2,10)
         p = _sparse_law(SampleSpace(k, d), 30 + d)
         tracemalloc.start()
         try:
@@ -377,7 +374,7 @@ class TestTiles:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < 7.5 * 2**20
 
     def test_class_weight_raises_no_warnings(self):
         # the divisions by zero are expected, and stay silent
@@ -386,25 +383,30 @@ class TestTiles:
             for space in (SampleSpace(2, 3), SampleSpace(3, 2)):
                 for p in _oracle_laws(space, 72):
                     for kind in ("iid", "product"):
-                        class_weight(p, ProductClassSpec(kind=kind),
-                                     OptimizerOptions(grid_points=9))
+                        class_weight(p, ProductClassSpec(kind=kind), 9)
 
 
 class TestOptimizerOptions:
-    @pytest.mark.parametrize("field,value", [
-        ("grid_points", 0), ("grid_points", -3), ("n_starts", 0),
-        ("max_grid_total", 0), ("max_evals_per_start", -1),
-        ("step_floor", 0.0), ("step_floor", -1e-7),
-        ("step_floor", float("nan"))])
-    def test_rejects_out_of_range(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            OptimizerOptions(**{field: value})
+    """``grid_points`` is the search's one setting; the limits are module
+    constants, patched here to their smallest values."""
 
-    def test_smallest_valid_options_run(self, intro_joint):
-        opts = OptimizerOptions(grid_points=1, n_starts=1, max_grid_total=1,
-                                max_evals_per_start=1, step_floor=5e-324)
-        res = class_weight(intro_joint, ProductClassSpec(kind="product"),
-                           opts)
+    @pytest.mark.parametrize("field,value", [
+        ("grid_points", 0), ("grid_points", -3)])
+    def test_rejects_out_of_range(self, intro_joint, field, value):
+        # every class checks the grid first, the singleton one included
+        for spec in (ProductClassSpec(kind="singleton", q0=intro_joint),
+                     ProductClassSpec(kind="iid"),
+                     ProductClassSpec(kind="product")):
+            with pytest.raises(ValueError,
+                               match=f"^{field} must be >= 1, got {value}$"):
+                class_weight(intro_joint, spec, value)
+
+    def test_smallest_valid_options_run(self, intro_joint, monkeypatch):
+        for name, value in [("_N_STARTS", 1), ("_MAX_GRID_TOTAL", 1),
+                            ("_MAX_EVALS_PER_START", 1),
+                            ("_STEP_FLOOR", 5e-324)]:
+            monkeypatch.setattr(product, name, value)
+        res = class_weight(intro_joint, ProductClassSpec(kind="product"), 1)
         assert len(res.multistart_log) == 1
         assert res.certificate_margin >= -1e-9
 
@@ -427,9 +429,8 @@ def _class_laws(draw):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(_class_laws())
 def test_class_weight_properties(p):
-    opts = OptimizerOptions(grid_points=9)
-    iid = class_weight(p, ProductClassSpec(kind="iid"), opts)
-    prod = class_weight(p, ProductClassSpec(kind="product"), opts)
+    iid = class_weight(p, ProductClassSpec(kind="iid"), 9)
+    prod = class_weight(p, ProductClassSpec(kind="product"), 9)
     for res in (iid, prod):
         assert res.certificate_margin >= -1e-9
         assert res.lam <= 1 + 1e-12

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from latentw import (CountVector, Distribution, SampleSpace,
                      build_orbit_index, empirical_distribution, read_counts,
                      write_counts)
+from latentw import space as space_module
 from latentw.space import _SYMBOL_CHARS, _parse_symbol, ratio
 from latentw.errors import (CountsFileError, EmptySampleError,
                             LatentwError, SpaceTooLargeError)
@@ -96,12 +97,13 @@ class TestOrbitIndex:
         index = build_orbit_index(SampleSpace(3, 3))
         assert list(index.reps) == sorted(index.reps)
 
-    def test_space_too_large(self):
+    def test_space_too_large(self, monkeypatch):
         with pytest.raises(SpaceTooLargeError):
             build_orbit_index(SampleSpace(2, 30))
-        # budget override works in both directions
+        # the budget is read when the index is built
+        monkeypatch.setattr(space_module, "DEFAULT_MAX_OUTCOMES", 16)
         with pytest.raises(SpaceTooLargeError):
-            build_orbit_index(SampleSpace(2, 5), max_outcomes=16)
+            build_orbit_index(SampleSpace(2, 5))
 
 
 class TestDistribution:
