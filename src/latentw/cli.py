@@ -15,6 +15,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -209,11 +210,9 @@ def _cmd_meth_triplets(args) -> int:
                                  threads=args.threads)
     meta_kv = {k: str(v) for k, v in _meta(args, seed=args.seed).items()}
     meth.write_report_tsv(report, args.out, meta=meta_kv)
-    if report.failures:
-        for f in report.failures:
-            sys.stderr.write(
-                f"latentw: warning: triplet {f.chrom}:{f.index} failed: "
-                f"{f.error}\n")
+    for f in report.failures:
+        sys.stderr.write(f"latentw: warning: triplet {f.chrom}:{f.index} "
+                         f"failed: {f.error}\n")
     return 0
 
 
@@ -280,23 +279,35 @@ def _read_symbol_map(path: str, k: int) -> dict[int, str]:
 
 
 def _read_covariate(path: str) -> dict[tuple[str, int], float]:
-    out: dict[tuple[str, int], float] = {}
+    """``(chrom, index) -> value`` rows of a covariate file, after the
+    header ``chrom<TAB>index<TAB>value`` on the first line that is not
+    blank or a comment: one row per key, each index a non-negative
+    integer and each value a finite number."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = None
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if header is None:
-                header = fields
-                if header != ["chrom", "index", "value"]:
-                    raise LatentwError(
-                        "covariate file header must be chrom<TAB>index<TAB>value")
-                continue
-            if len(fields) != 3:
-                raise LatentwError(f"covariate row has {len(fields)} fields")
-            out[(fields[0], int(fields[1]))] = float(fields[2])
+        rows = [(line_no, [f.strip() for f in line.split("\t")])
+                for line_no, line in enumerate(fh, start=1)
+                if line.strip() and not line.lstrip().startswith("#")]
+    if rows and rows[0][1] != ["chrom", "index", "value"]:
+        raise LatentwError(f"covariate file line {rows[0][0]}: header must "
+                           "be 'chrom<TAB>index<TAB>value'")
+    out: dict[tuple[str, int], float] = {}
+    for line_no, fields in rows[1:]:
+        at = f"covariate file line {line_no}"
+        if len(fields) != 3:
+            raise LatentwError(f"{at}: expected 3 fields, got {len(fields)}")
+        chrom, index, value = fields
+        if not (index.isascii() and index.isdigit()):
+            raise LatentwError(
+                f"{at}: index {index!r} is not a non-negative integer")
+        try:
+            x = float(value)
+        except ValueError:
+            x = math.nan
+        if not math.isfinite(x):
+            raise LatentwError(f"{at}: value {value!r} is not a finite number")
+        if (chrom, int(index)) in out:
+            raise LatentwError(f"{at}: duplicate row for {chrom}:{int(index)}")
+        out[(chrom, int(index))] = x
     return out
 
 

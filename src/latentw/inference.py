@@ -25,10 +25,11 @@ the seed that ``seed.spawn`` would give its ``i``-th child, without
 spawning from the caller's seed.  Each chunk is reduced to its resample
 weights as soon as it is drawn, so a worker holds about
 ``max(2**15, k**d)`` draw cells at a time (int64, with their
-orbit-ordered copy).  A single sample's chunks run on a thread pool of up
-to one worker per usable CPU, since numpy draws without the GIL; a
-stack's run in the calling thread.  The result is the same bits
-whatever the number of workers.
+orbit-ordered copy).  The chunks run on a thread pool of up to one
+worker per usable CPU, since numpy draws without the GIL, or fewer under
+``estimate``'s ``threads`` cap; ``estimate`` reduces a stack in groups
+of at most ``_GROUP_REPLICATES`` resample weights.  The result is the
+same bits whatever the number of workers or the size of the groups.
 """
 
 from __future__ import annotations
@@ -53,10 +54,14 @@ TIED_ARGMIN = "tied_argmin"
 EIGEN_FLOOR = -1e-12
 
 
-#: Draw cells (resamples x ``k**d`` outcomes) in one chunk of a bootstrap
-#: and in one block of the triplet report: the unit of work of their
-#: pools, and the bound on the memory one worker holds.
+#: Draw cells (resamples x ``k**d`` outcomes) in one chunk of a bootstrap:
+#: the unit of work of its pool, and the bound on the memory one worker
+#: holds.
 _BLOCK_CELLS = 2**15
+
+#: Resample weights (rows x ``n_boot``) of one group of a stack in
+#: :func:`estimate`: the bound on the replicate matrix it holds at once.
+_GROUP_REPLICATES = 2**18
 
 
 def _usable_cpus() -> int:
@@ -116,7 +121,7 @@ def resample_law(counts: np.ndarray, n_boot: int,
 
 
 def multinomial_weights(space: SampleSpace, n0: np.ndarray, p: np.ndarray,
-                        size: int, seeds: Sequence, workers: int = 1,
+                        size: int, seeds: Sequence, threads: int | None = None,
                         ) -> np.ndarray:
     """Exchangeable weights of ``size`` multinomial ``(n0[j], p[j])``
     samples for each row ``j``, drawn by the module's chunk plan.
@@ -124,7 +129,9 @@ def multinomial_weights(space: SampleSpace, n0: np.ndarray, p: np.ndarray,
     Returns the ``(len(p), size)`` weights.  Rows whose samples fit in
     one chunk are drawn from their seeds and reduced together, up to
     ``_BLOCK_CELLS`` cells at a time; other rows are reduced chunk by
-    chunk.  The chunks run on a pool of at most ``workers`` threads.
+    chunk.  The chunks run on a pool of at most ``threads`` workers (None:
+    one per usable CPU), and never more than the CPUs or the chunks; a
+    cap below 2 runs them in the calling thread.
     """
     per_chunk = max(1, _BLOCK_CELLS // space.n_outcomes)
     seeds = [_as_seed_sequence(s) for s in seeds]
@@ -151,7 +158,8 @@ def multinomial_weights(space: SampleSpace, n0: np.ndarray, p: np.ndarray,
         weights[rows, part] = exchangeable_weight_rows(space, counts,
                                                        total=n0[rows])
 
-    workers = min(workers, len(tasks))
+    cpus = _usable_cpus()
+    workers = min(cpus if threads is None else threads, cpus, len(tasks))
     if workers > 1:
         with concurrent.futures.ThreadPoolExecutor(workers) as pool:
             list(pool.map(draw, *zip(*tasks)))
@@ -159,11 +167,6 @@ def multinomial_weights(space: SampleSpace, n0: np.ndarray, p: np.ndarray,
         for task in tasks:
             draw(*task)
     return weights
-
-
-def bias_corrected(lam_hat, mean_rep):
-    """``clamp(2*lam_hat - mean(replicates), 0, 1)``, elementwise."""
-    return np.clip(2.0 * lam_hat - mean_rep, 0.0, 1.0)
 
 
 def empirical_regularity(c: CountVector) -> str:
@@ -183,7 +186,8 @@ def empirical_regularity(c: CountVector) -> str:
 
 
 def estimate(c: CountVector, n_boot: int = 1000,
-             resample_size: int | None = None, seed=0) -> WeightEstimate:
+             resample_size: int | None = None, seed=0,
+             threads: int | None = None) -> WeightEstimate:
     """Estimate the exchangeable weight of the source behind ``c``.
 
     Parameters
@@ -201,8 +205,13 @@ def estimate(c: CountVector, n_boot: int = 1000,
     seed : int or numpy SeedSequence
         All randomness flows from here; fixed seed gives a bit-identical
         result.  A stack takes a sequence of seeds, one per row.
+    threads : int, optional
+        Cap on the workers that draw the resamples (None: one per usable
+        CPU; below 2: the calling thread).  It never changes the result.
 
-    A stack gets no regime diagnosis: its ``regularity_flag`` is None.
+    A stack is drawn and reduced in groups of at most
+    ``_GROUP_REPLICATES`` resample weights, and gets no regime diagnosis:
+    its ``regularity_flag`` is None.
     """
     stack = c.counts.ndim == 2
     counts = c.counts if stack else c.counts[None, :]
@@ -210,21 +219,23 @@ def estimate(c: CountVector, n_boot: int = 1000,
     if len(seeds) != len(counts):
         raise ValueError("a stack of samples takes one seed per row")
     n0, p = resample_law(counts, n_boot, resample_size)
-    # A stack runs its chunks in the calling thread: the triplet report
-    # calls it from the threads of its own pool.
-    reps = multinomial_weights(c.space, n0, p, n_boot, seeds,
-                               1 if stack else _usable_cpus())
-    n = counts.sum(axis=1)
+    mean_rep, se = np.empty(len(p)), np.empty(len(p))
+    per_group = max(1, _GROUP_REPLICATES // n_boot)
+    for lo in range(0, len(p), per_group):
+        group = slice(lo, lo + per_group)
+        reps = multinomial_weights(c.space, n0[group], p[group], n_boot,
+                                   seeds[group], threads)
+        mean_rep[group] = reps.mean(axis=-1)
+        se[group] = reps.std(axis=-1, ddof=1)
     lam_hat = np.atleast_1d(exchangeable_weight(empirical_distribution(c)))
-    mean_rep, se = reps.mean(axis=-1), reps.std(axis=-1, ddof=1)
-    fields = (lam_hat, bias_corrected(lam_hat, mean_rep), se,
+    fields = (lam_hat, np.clip(2.0 * lam_hat - mean_rep, 0.0, 1.0), se,
               mean_rep - lam_hat)
     if stack:
-        return WeightEstimate(*fields, n=n, n_boot=n_boot, resample_size=n0,
+        return WeightEstimate(*fields, n=c.n, n_boot=n_boot, resample_size=n0,
                               seed=None, regularity_flag=None)
     return WeightEstimate(
         *(float(v[0]) for v in fields),
-        n=int(n[0]),
+        n=c.n,
         n_boot=n_boot,
         resample_size=int(n0[0]),
         seed=seed if isinstance(seed, int) else None,
@@ -241,8 +252,7 @@ def bootstrap_distribution(c: CountVector, n_boot: int = 1000,
     distribution estimator; with ``n0 = o(n)`` the subsample variant.
     """
     n0, p = resample_law(c.counts[None, :], n_boot, resample_size)
-    reps = multinomial_weights(c.space, n0, p, n_boot, [seed],
-                               _usable_cpus())[0]
+    reps = multinomial_weights(c.space, n0, p, n_boot, [seed])[0]
     lam_hat = exchangeable_weight(empirical_distribution(c))
     return np.sqrt(n0[0]) * (reps - lam_hat)
 
@@ -410,7 +420,7 @@ def sample_size_heuristic(space: SampleSpace, candidate_sizes: Sequence[int],
     rows = []
     for n, child in zip(sizes, children):
         lams = multinomial_weights(space, np.array([n]), t.p[None, :], reps,
-                                   [child], _usable_cpus())[0]
+                                   [child])[0]
         rows.append(BiasTableRow(n=n, mean_bias=float(lams.mean() - 1.0),
                                  sd=float(lams.std(ddof=1))))
     return rows

@@ -13,7 +13,6 @@ configuration counts, and the exchangeable component.
 
 from __future__ import annotations
 
-import concurrent.futures
 import itertools
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -24,7 +23,7 @@ from .errors import DegenerateGroupError, EpireadParseError
 # The report does not call decompose; the benchmark's tracer wraps it here.
 from .exchangeable import (decompose, exchangeable_component_rows,  # noqa: F401
                            tv_distance_to_exchangeable)
-from .inference import _BLOCK_CELLS, WeightEstimate, _usable_cpus, estimate
+from .inference import WeightEstimate, estimate
 from .space import CountVector, SampleSpace, empirical_distribution
 
 TRIPLET_SPACE = SampleSpace(k=2, d=3)
@@ -209,10 +208,6 @@ class TripletRecord:
     counts: tuple[int, ...]
     q: tuple[float, ...]
 
-    def fields(self) -> tuple:
-        return ((self.chrom, self.index, self.tv_dist, self.lam_corrected,
-                 self.lam_sd) + self.counts + self.q)
-
 
 @dataclass(frozen=True)
 class TripletFailure:
@@ -228,10 +223,11 @@ class TripletReport:
 
 
 def _triplet_row(c: CountVector, n_boot: int,
-                 seeds: Sequence[np.random.SeedSequence]) -> WeightEstimate:
-    """One task of the report's pool: :func:`estimate` of a stack of
-    triplets, each drawing its resamples from its own stream."""
-    return estimate(c, n_boot=n_boot, seed=seeds)
+                 seeds: Sequence[np.random.SeedSequence],
+                 threads: int | None) -> WeightEstimate:
+    """:func:`estimate` of the report's stack of triplets, each drawing its
+    resamples from its own stream, on at most ``threads`` workers."""
+    return estimate(c, n_boot=n_boot, seed=seeds, threads=threads)
 
 
 def triplet_report(triplets: Mapping[tuple[str, int], CountVector],
@@ -241,18 +237,17 @@ def triplet_report(triplets: Mapping[tuple[str, int], CountVector],
 
     Rows come out sorted by ``(chrom, index)``; each triplet gets its own
     RNG stream spawned from the master seed in that sorted order, so the
-    output is identical whatever the thread count.  A triplet whose
-    estimate fails is recorded as a failure entry instead of aborting the
-    batch.
+    output is identical whatever the thread count.  A triplet with no
+    observation is recorded as a failure entry instead of a row.
 
-    The sorted triplets are cut into blocks of at most ``_BLOCK_CELLS``
-    draw cells (triplets x resamples x 8 configurations), or of one
-    triplet when ``n_boot`` is above ``_BLOCK_CELLS / 8``.  A block is
-    one task of a pool of at most ``threads`` workers (fewer with fewer
-    CPUs or blocks): :func:`estimate` of the block as a stack, whose
-    per-triplet draws numpy makes without the GIL, and which starts no
-    pool of its own.  Meanwhile the calling thread computes the
-    exchangeable components and TV distances of all rows at once.
+    All other triplets are estimated as one stack, whose draws run on at
+    most ``threads`` workers (see :func:`estimate`); their exchangeable
+    components and TV distances are computed on the same stack.
+
+    Raises
+    ------
+    ValueError
+        If ``n_boot`` is below 2 and some triplet has an observation.
     """
     keys = sorted(triplets.keys())
     root = (seed if isinstance(seed, np.random.SeedSequence)
@@ -260,62 +255,28 @@ def triplet_report(triplets: Mapping[tuple[str, int], CountVector],
     children = root.spawn(len(keys))
     counts = np.array([triplets[key].counts for key in keys],
                       dtype=np.int64).reshape(len(keys), len(CONFIGS))
-    n = counts.sum(axis=1)
-    per_block = max(1, _BLOCK_CELLS // max(1, n_boot * len(CONFIGS)))
-    blocks = [slice(lo, lo + per_block)
-              for lo in range(0, len(keys), per_block)]
+    seen = counts.sum(axis=1) > 0
+    failures = tuple(
+        TripletFailure(chrom=chrom, index=index, error="EmptySampleError: "
+                       "cannot estimate from an empty sample")
+        for (chrom, index), kept in zip(keys, seen) if not kept)
+    if not seen.any():
+        return TripletReport(records=(), failures=failures)
 
-    def run(block: slice) -> list:
-        try:
-            return [(block, _triplet_row(
-                CountVector(TRIPLET_SPACE, counts[block]), n_boot,
-                children[block]))]
-        except Exception as exc:    # noqa: BLE001 - row-level isolation
-            rows = range(len(keys))[block]
-            if len(rows) > 1:       # a failing triplet fails by itself
-                return [r for i in rows for r in run(slice(i, i + 1))]
-            (chrom, index), = keys[block]
-            return [(block, TripletFailure(
-                chrom=chrom, index=index,
-                error=f"{type(exc).__name__}: {exc}"))]
-
-    lam, sd = np.zeros(len(keys)), np.zeros(len(keys))
-    tv, q = np.zeros(len(keys)), np.zeros(counts.shape)
-    ok = np.zeros(len(keys), dtype=bool)
-    failures = []
-    workers = min(threads, _usable_cpus(), len(blocks))
-    pool = (concurrent.futures.ThreadPoolExecutor(max_workers=workers)
-            if workers > 1 else None)
-    try:
-        results = pool.map(run, blocks) if pool else map(run, blocks)
-        # An empty triplet fails in its estimate and has no law.
-        seen = n > 0
-        if seen.any():
-            p_hat = empirical_distribution(CountVector(TRIPLET_SPACE,
-                                                       counts[seen]))
-            tv[seen], _ = tv_distance_to_exchangeable(p_hat)
-            _, q[seen], _ = exchangeable_component_rows(TRIPLET_SPACE,
-                                                        counts[seen])
-        for part in results:
-            for block, res in part:
-                if isinstance(res, TripletFailure):
-                    failures.append(res)
-                else:
-                    lam[block] = res.lambda_corrected
-                    sd[block] = res.se_boot
-                    ok[block] = True
-    finally:
-        if pool:
-            pool.shutdown()
-
-    rows = zip(keys, ok, tv.tolist(), lam.tolist(), sd.tolist(),
-               counts.tolist(), q.tolist())
+    stack = CountVector(TRIPLET_SPACE, counts[seen])
+    est = _triplet_row(stack, n_boot, list(itertools.compress(children, seen)),
+                       threads)
+    tv, _ = tv_distance_to_exchangeable(empirical_distribution(stack))
+    _, q, _ = exchangeable_component_rows(TRIPLET_SPACE, stack.counts)
+    rows = zip(itertools.compress(keys, seen), tv.tolist(),
+               est.lambda_corrected.tolist(), est.se_boot.tolist(),
+               stack.counts.tolist(), q.tolist())
     records = tuple(
         TripletRecord(chrom=key[0], index=key[1], tv_dist=t,
                       lam_corrected=lc, lam_sd=s, counts=tuple(c),
                       q=tuple(qs))
-        for key, kept, t, lc, s, c, qs in rows if kept)
-    return TripletReport(records=records, failures=tuple(failures))
+        for key, t, lc, s, c, qs in rows)
+    return TripletReport(records=records, failures=failures)
 
 
 def write_report_tsv(report: TripletReport, target: str | IO[str],

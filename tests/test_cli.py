@@ -10,6 +10,7 @@ import latentw
 from latentw import (ProductClassSpec, class_weight, cli,
                      empirical_distribution, product, read_counts)
 from latentw.cli import main
+from latentw.methylation import REPORT_COLUMNS
 
 
 @pytest.fixture
@@ -99,6 +100,13 @@ class TestImportBoundary:
         hits = [path.name for path in src.rglob("*.py")
                 if "linprog" in path.read_text()]
         assert hits == []
+
+    def test_one_thread_pool_in_package(self):
+        # the bootstrap's pool is the only one; callers pass a cap to it
+        src = Path(latentw.__file__).parent
+        hits = [path.name for path in src.rglob("*.py")
+                if "ThreadPoolExecutor" in path.read_text()]
+        assert hits == ["inference.py"]
 
 
 class TestDecompose:
@@ -407,6 +415,67 @@ class TestMeth:
         assert lines[0].startswith("group\tn\t")
         assert lines[1].split("\t")[0] == "all"
         assert lines[1].split("\t")[1] == "3"
+
+    @pytest.mark.parametrize("boot", ["1", "0", "-5"])
+    def test_boot_below_two_exits_1(self, capsys, epireads, tmp_path, boot):
+        # fails once, before any report is written
+        out = tmp_path / "r.tsv"
+        code, stdout, err = run(capsys, "meth", "triplets", "--epireads",
+                                epireads, "--boot", boot, "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err == "latentw: error [E_VALIDATION]: n_boot must be >= 2\n"
+        assert not out.exists()
+
+    def test_covariate_format(self, tmp_path):
+        # blank and whitespace-only lines are skipped: the second line
+        # used to be taken as the header
+        cov = tmp_path / "cov.tsv"
+        cov.write_text("# a comment\n \t \n\nchrom\tindex\tvalue\n"
+                       "chr1\t0\t1.5\n\n chr2 \t 7 \t -2e3 \n")
+        assert cli._read_covariate(str(cov)) == {("chr1", 0): 1.5,
+                                                 ("chr2", 7): -2000.0}
+
+    @pytest.mark.parametrize("text,line,reason", [
+        # a repeat used to override the first row
+        ("chrom\tindex\tvalue\nchr1\t0\t1\nchr1\t0\t5\n", 3,
+         "duplicate row for chr1:0"),
+        ("chrom\tindex\tvalue\nchr1\t0\t1\nchr1\t00\t5\n", 3,
+         "duplicate row for chr1:0"),
+        ("chrom\tindex\tvalue\nchr1\t0\n", 2, "expected 3 fields, got 2"),
+        ("chrom\tindex\tvalue\nchr1\t0\t1\t2\n", 2,
+         "expected 3 fields, got 4"),
+        ("chrom\tindex\tvalue\nchr1\tx\t1\n", 2,
+         "index 'x' is not a non-negative integer"),
+        ("chrom\tindex\tvalue\nchr1\t1.0\t1\n", 2,
+         "index '1.0' is not a non-negative integer"),
+        ("chrom\tindex\tvalue\nchr1\t-3\t1\n", 2,
+         "index '-3' is not a non-negative integer"),
+        ("chrom\tindex\tvalue\nchr1\t0\tabc\n", 2,
+         "value 'abc' is not a finite number"),
+        # one nan used to turn every statistic into nan, with exit 0
+        ("chrom\tindex\tvalue\nchr1\t0\tnan\n", 2,
+         "value 'nan' is not a finite number"),
+        ("chrom\tindex\tvalue\nchr1\t0\t-inf\n", 2,
+         "value '-inf' is not a finite number"),
+        ("chrom\tindex\tvalue\nchr1\t0\t1e400\n", 2,
+         "value '1e400' is not a finite number"),
+        ("# c\nchr1\t0\t1\n", 2,
+         "header must be 'chrom<TAB>index<TAB>value'"),
+    ])
+    def test_bad_covariate_exits_1(self, capsys, tmp_path, text, line,
+                                   reason):
+        report = tmp_path / "report.tsv"
+        report.write_text("\t".join(REPORT_COLUMNS) + "\n")
+        cov = tmp_path / "cov.tsv"
+        cov.write_text(text)
+        out = tmp_path / "corr.tsv"
+        code, stdout, err = run(capsys, "meth", "correlate", "--report",
+                                str(report), "--covariate", str(cov),
+                                "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err == (f"latentw: error [E_VALIDATION]: covariate file "
+                       f"line {line}: {reason}\n")
+        assert not out.exists()
 
     def test_parse_error_exits_1(self, capsys, tmp_path):
         bad = tmp_path / "bad.epiread"

@@ -152,8 +152,8 @@ class TestEstimateStack:
             assert stack.resample_size[i] == one.resample_size
 
     def test_multi_chunk_rows_equal_lone_estimates(self, monkeypatch):
-        # rows of 2 chunks each: the stack draws them in the calling
-        # thread, a lone estimate on a pool, with the same bits
+        # rows of 2 chunks each: the stack and the lone estimates draw
+        # them on a pool of two workers, with the same bits
         monkeypatch.setattr(inference_mod, "_usable_cpus", lambda: 2)
         counts = np.array([sample44(s).counts for s in (60, 61, 62)])
         seeds = np.random.SeedSequence(63).spawn(3)
@@ -275,20 +275,55 @@ class TestChunkedBootstrap:
         assert not worker.is_alive()
         assert results == [one_per_chunk] * 3
 
-    def test_pool_only_for_a_lone_sample(self, monkeypatch):
-        # a lone sample gets min(CPUs, chunks) workers; a stack, as the
-        # triplet report's pool threads pass it, starts no pool
+    def test_pool_capped_by_threads(self, monkeypatch):
+        # a sample or a stack gets min(threads, CPUs, chunks) workers,
+        # with threads=None meaning no cap of its own; below 2, no pool
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
                             Recorder)
         monkeypatch.setattr(Recorder, "made", [])
         monkeypatch.setattr(inference_mod, "_usable_cpus", lambda: 64)
         c = sample44(61)
+        stack = CountVector(SPACE44, np.stack([c.counts] * 2))
         estimate(c, n_boot=300, seed=1)                  # 3 chunks
         estimate(c, n_boot=128, seed=1)                  # 1 chunk
         bootstrap_distribution(c, n_boot=1000, seed=1)   # 8 chunks
-        estimate(CountVector(SPACE44, np.stack([c.counts] * 2)),
-                 n_boot=300, seed=[1, 2])
-        assert Recorder.made == [3, 8]
+        estimate(stack, n_boot=300, seed=[1, 2])         # 6 chunks
+        estimate(stack, n_boot=300, seed=[1, 2], threads=4)
+        estimate(stack, n_boot=300, seed=[1, 2], threads=1)
+        estimate(c, n_boot=300, seed=1, threads=-2)
+        assert Recorder.made == [3, 8, 6, 4]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("rows_per_group", [1, 3])
+    def test_group_size_does_not_change_bits(self, monkeypatch, threads,
+                                             rows_per_group):
+        rng = np.random.default_rng(64)
+        counts = rng.multinomial(300, rng.dirichlet(np.ones(8)), size=10)
+        c = CountVector(SampleSpace(2, 3), counts)
+        seeds = np.random.SeedSequence(65).spawn(10)
+        whole = estimate(c, n_boot=50, seed=seeds)
+        monkeypatch.setattr(inference_mod, "_GROUP_REPLICATES",
+                            rows_per_group * 50)
+        got = estimate(c, n_boot=50, seed=seeds, threads=threads)
+        for field in ("lambda_hat", "lambda_corrected", "se_boot",
+                      "bias_boot", "n", "resample_size"):
+            assert np.array_equal(getattr(got, field), getattr(whole, field))
+
+    def test_stack_memory_is_bounded(self):
+        # 4 000 triplets at n_boot=1000 would hold a 32 MB replicate
+        # matrix, and twice that in the temporaries of its sd, if the
+        # stack were not reduced in groups
+        rng = np.random.default_rng(66)
+        counts = rng.multinomial(200, np.full(8, 1 / 8), size=4000)
+        c = CountVector(SampleSpace(2, 3), counts)
+        seeds = np.random.SeedSequence(67).spawn(4000)
+        tracemalloc.start()
+        try:
+            estimate(c, n_boot=1000, seed=seeds, threads=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_seed_sequence_left_unspawned(self):
         # chunk seeds are built from the seed's entropy and spawn key;

@@ -271,32 +271,10 @@ class TestTripletReport:
         threaded = triplet_report(trip, n_boot=200, seed=5, threads=8)
         assert serial == threaded
 
-    def test_row_failure_recorded_not_raised(self, monkeypatch):
-        import latentw.methylation as meth_mod
-
-        trip = extract_triplets(records(*["chr1 0 CCC"] * 100,
-                                        *["chr2 0 TTT"] * 100))
-
-        real = meth_mod._triplet_row
-
-        def flaky(c, *args):
-            # the pool task gets a stack of triplets; TTT fails it, and
-            # must fail alone, without the CCC triplet of its block
-            if c.counts[:, 0].any():
-                raise RuntimeError("synthetic failure")
-            return real(c, *args)
-
-        monkeypatch.setattr(meth_mod, "_triplet_row", flaky)
-        report = triplet_report(trip, n_boot=50, seed=6)
-        assert len(report.records) == 1
-        assert len(report.failures) == 1
-        assert report.failures[0].chrom == "chr2"
-        assert "synthetic failure" in report.failures[0].error
-
     def test_rows_equal_single_triplet_functions(self, monkeypatch):
         # every field of every row equals estimate(), decompose() and
         # tv_distance_to_exchangeable() on that triplet bit for bit, with
-        # rows spread over several blocks and two threads; laws include
+        # rows spread over several chunks and two threads; laws include
         # zero weight, weight 1 and ties
         rng = np.random.default_rng(21)
         laws = [np.eye(8)[7], np.eye(8)[3], np.full(8, 1 / 8),
@@ -306,7 +284,7 @@ class TestTripletReport:
                     TRIPLET_SPACE, rng.multinomial(int(rng.integers(1, 900)),
                                                    law))
                 for i, law in enumerate(laws)}
-        monkeypatch.setattr(meth_mod, "_BLOCK_CELLS", 3 * 8 * 60)
+        monkeypatch.setattr(inference_mod, "_BLOCK_CELLS", 3 * 8 * 60)
         report = triplet_report(trip, n_boot=60, seed=31, threads=2)
         keys = sorted(trip)
         children = np.random.SeedSequence(31).spawn(len(keys))
@@ -331,15 +309,15 @@ class TestTripletReport:
                                children[i]) for i in (1, 2, 4, 5))
 
     def test_many_threads_on_few_cpus(self, monkeypatch):
-        # more workers than CPUs, one triplet per block and a short switch
+        # more workers than CPUs, one triplet per chunk and a short switch
         # interval: the rows must still come out as in a serial run
         rng = np.random.default_rng(5)
         trip = {("chr1", i): CountVector(
                     TRIPLET_SPACE, rng.multinomial(150, rng.dirichlet(
                         np.ones(8)))) for i in range(24)}
         serial = triplet_report(trip, n_boot=30, seed=8)
-        monkeypatch.setattr(meth_mod, "_BLOCK_CELLS", 1)
-        monkeypatch.setattr(meth_mod, "_usable_cpus", lambda: 12)
+        monkeypatch.setattr(inference_mod, "_BLOCK_CELLS", 8 * 30)
+        monkeypatch.setattr(inference_mod, "_usable_cpus", lambda: 12)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -356,14 +334,14 @@ class TestTripletReport:
                     TRIPLET_SPACE, rng.multinomial(200, rng.dirichlet(
                         np.ones(8)))) for i in range(10)}
         whole = triplet_report(trip, n_boot=40, seed=2)
-        monkeypatch.setattr(meth_mod, "_BLOCK_CELLS", per_block * 8 * 40)
+        monkeypatch.setattr(inference_mod, "_BLOCK_CELLS", per_block * 8 * 40)
         for threads in (1, 2):
             assert triplet_report(trip, n_boot=40, seed=2,
                                   threads=threads) == whole
 
     def test_pool_is_capped(self, monkeypatch):
         # threads=10**6 must not become 10**6 OS threads: the pool gets at
-        # most one worker per CPU and per block.  The recording executor
+        # most one worker per CPU and per chunk.  The recording executor
         # starts no thread.
         import concurrent.futures
 
@@ -373,23 +351,27 @@ class TestTripletReport:
             def __init__(self, max_workers):
                 made.append(max_workers)
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def __enter__(self):
+                return self
 
-            def shutdown(self):
-                pass
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *items):
+                return map(fn, *items)
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
                             Recorder)
         trip = {("chr1", i): CountVector(TRIPLET_SPACE, [10] * 8)
                 for i in range(12)}
-        monkeypatch.setattr(meth_mod, "_BLOCK_CELLS", 2 * 8 * 20)  # 6 blocks
+        # 2 triplets per chunk: 6 chunks
+        monkeypatch.setattr(inference_mod, "_BLOCK_CELLS", 2 * 8 * 20)
         serial = triplet_report(trip, n_boot=20, seed=1, threads=1)
         assert made == []
-        monkeypatch.setattr(meth_mod, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(inference_mod, "_usable_cpus", lambda: 4)
         assert triplet_report(trip, n_boot=20, seed=1,
                               threads=10**6) == serial
-        monkeypatch.setattr(meth_mod, "_usable_cpus", lambda: 64)
+        monkeypatch.setattr(inference_mod, "_usable_cpus", lambda: 64)
         assert triplet_report(trip, n_boot=20, seed=1,
                               threads=10**6) == serial
         assert made == [4, 6]
@@ -397,29 +379,28 @@ class TestTripletReport:
     def test_usable_cpus(self, monkeypatch):
         # the affinity mask counts, not the CPUs of the host; without an
         # affinity call the CPU count, and 1 when that is unknown.  The
-        # report and estimate share the one definition.
-        assert meth_mod._usable_cpus is inference_mod._usable_cpus
-        assert meth_mod._BLOCK_CELLS is inference_mod._BLOCK_CELLS
+        # report keeps no plan or pool of its own.
+        assert not hasattr(meth_mod, "_usable_cpus")
+        assert not hasattr(meth_mod, "_BLOCK_CELLS")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5},
                             raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        assert meth_mod._usable_cpus() == 2
+        assert inference_mod._usable_cpus() == 2
         monkeypatch.delattr(os, "sched_getaffinity")
-        assert meth_mod._usable_cpus() == 64
+        assert inference_mod._usable_cpus() == 64
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert meth_mod._usable_cpus() == 1
+        assert inference_mod._usable_cpus() == 1
 
     def test_empty_mapping(self):
         report = triplet_report({}, n_boot=20, seed=1, threads=2)
         assert report.records == () and report.failures == ()
 
     def test_every_draw_failing(self):
+        # a bad n_boot fails the report once, not each triplet
         trip = extract_triplets(records(*["chr1 0 CCC"] * 100,
                                         *["chr2 0 TTT"] * 100))
-        report = triplet_report(trip, n_boot=1, seed=6, threads=2)
-        assert report.records == ()
-        assert [f.error for f in report.failures] == \
-            ["ValueError: n_boot must be >= 2"] * 2
+        with pytest.raises(ValueError, match="^n_boot must be >= 2$"):
+            triplet_report(trip, n_boot=1, seed=6, threads=2)
 
     def test_row_invariants_random_batch(self):
         # every emitted row: counts at/above threshold, tv and corrected
