@@ -202,6 +202,8 @@ def _cmd_simulate_size(args) -> int:
 
 def _cmd_meth_triplets(args) -> int:
     paths = [p for p in args.epireads.split(",") if p]
+    if not paths:
+        raise _UsageError("--epireads names no file")
     records = itertools.chain.from_iterable(
         meth.parse_epiread_file(path) for path in paths)
     triplets = meth.extract_triplets(records,

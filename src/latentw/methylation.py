@@ -3,17 +3,24 @@
 Epiread lines are whitespace-separated ``chrom  start_cpg  states`` where
 ``start_cpg`` is the ordinal index of the first CpG covered by the read
 and ``states`` is a string over {C, T, N}: C = methylated, T =
-unmethylated, N = ambiguous.  Every window of three consecutive CpG
-ordinals fully covered by a read with no N in those three positions
-contributes one observation of a binary triplet configuration (C -> 1,
-T -> 0).  Triplets jointly covered by at least ``min_coverage`` such
-observations get a 21-field report row: exchangeability estimates,
-configuration counts, and the exchangeable component.
+unmethylated, N = ambiguous.  Lines are parsed a block at a time: each
+block's field counts, starts and states are checked in bulk, and a block
+that fails is checked line by line, so an error names its line.  Records
+stream from the parser into the extraction, which keeps only the columns
+of a bounded chunk of reads, never a list of records.
+
+Every window of three consecutive CpG ordinals fully covered by a read
+with no N in those three positions contributes one observation of a
+binary triplet configuration (C -> 1, T -> 0).  Triplets jointly covered
+by at least ``min_coverage`` such observations get a 21-field report
+row: exchangeability estimates, configuration counts, and the
+exchangeable component.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -34,6 +41,15 @@ REPORT_COLUMNS = (
     + tuple(f"n_{c}" for c in CONFIGS)
     + tuple(f"q_{c}" for c in CONFIGS)
 )
+
+#: Lines of an epiread stream checked in one bulk pass of
+#: :func:`parse_epireads`.
+_BLOCK_LINES = 2**14
+
+#: ``_IS_SPACE[c]`` says whether ``str.split()`` splits on code point
+#: ``c``.  U+3000 is the largest such code point, so the last entry
+#: (False) stands for every code point above the table.
+_IS_SPACE = np.array([chr(c).isspace() for c in range(0x3002)])
 
 #: Reads taken into one numpy pass of :func:`extract_triplets`; bounds the
 #: memory of the pass whatever the input size.
@@ -64,38 +80,97 @@ class EpireadRecord(NamedTuple):
 def parse_epireads(stream: Iterable[str]) -> Iterator[EpireadRecord]:
     """Yield validated epiread records from a line iterator.
 
-    Blank lines are skipped; anything else malformed raises
+    Lines are read ``_BLOCK_LINES`` at a time and each block is checked
+    in bulk; a block that fails a check is checked again line by line,
+    so its records up to the first bad line are yielded and that line
+    raises.  Fields are separated by the characters ``str.split()``
+    splits on, and blank lines are skipped.  A malformed line, or one
+    that is not UTF-8 text (a lone surrogate, as a file's undecodable
+    bytes become under the ``surrogateescape`` error handler), raises
     :class:`EpireadParseError` carrying the 1-based line number.
     """
-    for line_no, raw in enumerate(stream, start=1):
-        fields = raw.split()
-        if not fields:
-            continue
-        if len(fields) != 3:
-            raise EpireadParseError(line_no,
-                                    f"expected 3 fields, got {len(fields)}")
-        chrom, start_s, states = fields
-        try:
-            start = int(start_s)
-        except ValueError:
-            raise EpireadParseError(line_no,
-                                    f"start index {start_s!r} is not an integer")
-        if start < 0:
-            raise EpireadParseError(line_no, f"negative start index {start}")
-        if start + len(states) - 1 > MAX_CPG_INDEX:
-            raise EpireadParseError(
-                line_no, f"read at start index {start} runs past the largest "
-                         f"supported CpG index {MAX_CPG_INDEX}")
-        bad = states.translate(_DROP_STATES)
-        if bad:
-            raise EpireadParseError(line_no, "states contain invalid "
-                                    f"characters {sorted(set(bad))}")
-        yield EpireadRecord(chrom, start, states)
+    lines = iter(stream)
+    line_no = 1
+    while block := list(itertools.islice(lines, _BLOCK_LINES)):
+        records = _block_records(block)
+        if records is None:
+            records = filter(None, map(_check_line, itertools.count(line_no),
+                                       block))
+        yield from records
+        line_no += len(block)
+
+
+def _block_records(block: list[str]) -> Iterator[EpireadRecord] | None:
+    """Records of a block of lines, or None if some line of it is bad.
+
+    The lines are joined with a newline after each, so each line owns
+    the code points from its start to the end of its newline: its field
+    count is the number of non-space code points there that follow a
+    space (or start the block).
+    """
+    text = "\n".join(block) + "\n"
+    try:
+        points = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+    except UnicodeEncodeError:                  # a lone surrogate
+        return None
+    space = np.take(_IS_SPACE, points, mode="clip")
+    first = ~space
+    first[1:] &= space[:-1]
+    span = np.fromiter(map(len, block), dtype=np.int64, count=len(block)) + 1
+    fields = np.add.reduceat(first, np.cumsum(span) - span, dtype=np.int64)
+    if np.any((fields != 3) & (fields != 0)):
+        return None
+    tokens = text.split()
+    chroms, states = tokens[0::3], tokens[2::3]
+    try:
+        starts = list(map(int, tokens[1::3]))
+        start = np.array(starts, dtype=np.int64)
+    except (ValueError, OverflowError):
+        return None
+    length = np.fromiter(map(len, states), dtype=np.int64, count=len(states))
+    if (np.any((start < 0) | (start > MAX_CPG_INDEX + 1 - length))
+            or "".join(states).translate(_DROP_STATES)):
+        return None
+    return map(tuple.__new__, itertools.repeat(EpireadRecord),
+               zip(chroms, starts, states))
+
+
+def _check_line(line_no: int, raw: str) -> EpireadRecord | None:
+    """The record of one line, or None for a blank line; raises
+    :class:`EpireadParseError` naming the first thing wrong with it."""
+    try:
+        raw.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeError as exc:
+        raise EpireadParseError(line_no, str(exc)) from None
+    fields = raw.split()
+    if not fields:
+        return None
+    if len(fields) != 3:
+        raise EpireadParseError(line_no,
+                                f"expected 3 fields, got {len(fields)}")
+    chrom, start_s, states = fields
+    try:
+        start = int(start_s)
+    except ValueError:
+        raise EpireadParseError(line_no,
+                                f"start index {start_s!r} is not an integer")
+    if start < 0:
+        raise EpireadParseError(line_no, f"negative start index {start}")
+    if start + len(states) - 1 > MAX_CPG_INDEX:
+        raise EpireadParseError(
+            line_no, f"read at start index {start} runs past the largest "
+                     f"supported CpG index {MAX_CPG_INDEX}")
+    bad = states.translate(_DROP_STATES)
+    if bad:
+        raise EpireadParseError(line_no, "states contain invalid "
+                                f"characters {sorted(set(bad))}")
+    return EpireadRecord(chrom, start, states)
 
 
 def parse_epiread_file(path: str) -> Iterator[EpireadRecord]:
-    """Records of one epiread file; a parse error names the file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Records of one epiread file; a parse error names the file.  Bytes
+    that are not UTF-8 fail as a parse error of their line."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         try:
             yield from parse_epireads(fh)
         except EpireadParseError as exc:
@@ -114,9 +189,11 @@ def extract_triplets(records: Iterable[EpireadRecord],
     windows of a long read all count.  Only triplets with total coverage
     at or above the threshold are returned.
 
-    Reads are consumed ``_CHUNK_READS`` at a time: each chunk is reduced
-    in numpy to unique window keys with counts, and the parts are merged
-    into one table of counts per covered triplet at the end.
+    Reads are consumed ``_CHUNK_READS`` at a time, and each record is
+    taken apart as it arrives: its chromosome id, start and states go
+    into the chunk's columns, so no list of records is held.  Each chunk
+    is reduced in numpy to unique window keys with counts, and the parts
+    are merged into one table of counts per covered triplet at the end.
 
     Raises
     ------
@@ -126,10 +203,22 @@ def extract_triplets(records: Iterable[EpireadRecord],
         are more than ``2**24`` chromosome names.
     """
     chrom_ids: dict[str, int] = {}
+    chrom_id = chrom_ids.setdefault
     key_parts, count_parts = [], []
-    it = iter(records)
-    while chunk := list(itertools.islice(it, _CHUNK_READS)):
-        keys, counts = np.unique(_window_keys(chunk, chrom_ids),
+    reads = iter(records)
+    while True:
+        ids, starts, states = array("q"), [], []
+        add_id, add_start, add_states = (ids.append, starts.append,
+                                         states.append)
+        for chrom, start, read_states in itertools.islice(reads, _CHUNK_READS):
+            add_id(chrom_id(chrom, len(chrom_ids)))
+            add_start(start)
+            add_states(read_states)
+        if not starts:
+            break
+        if len(chrom_ids) > 2**_CHROM_BITS:
+            raise ValueError(f"more than {2**_CHROM_BITS} chromosome names")
+        keys, counts = np.unique(_window_keys(ids, starts, states),
                                  return_counts=True)
         key_parts.append(keys)
         count_parts.append(counts)
@@ -152,24 +241,16 @@ def extract_triplets(records: Iterable[EpireadRecord],
     }
 
 
-def _window_keys(chunk: Sequence[EpireadRecord],
-                 chrom_ids: dict[str, int]) -> np.ndarray:
+def _window_keys(ids: array, starts: list[int],
+                 states: list[str]) -> np.ndarray:
     """Packed ``(chrom id, first CpG, config)`` keys of the valid windows
-    of a chunk of reads; new chromosome names are added to ``chrom_ids``.
+    of a chunk of reads, given as the columns of their chromosome ids
+    (``array('q')``), starts and states.
 
     The states are joined with an ``N`` after every read, so a window
     that spans two reads holds an ``N`` and is dropped with the windows
     that hold an ambiguous state.
     """
-    chroms = [rec.chrom for rec in chunk]
-    starts = [rec.start_cpg for rec in chunk]
-    states = [rec.states for rec in chunk]
-    for name in dict.fromkeys(chroms):        # in order of first appearance
-        chrom_ids.setdefault(name, len(chrom_ids))
-    ids = np.fromiter(map(chrom_ids.__getitem__, chroms), dtype=np.int64,
-                      count=len(chroms))
-    if len(chrom_ids) > 2**_CHROM_BITS:
-        raise ValueError(f"more than {2**_CHROM_BITS} chromosome names")
     if min(starts) < 0 or max(starts) > MAX_CPG_INDEX:
         raise ValueError(f"start index outside the CpG index range "
                          f"[0, {MAX_CPG_INDEX}]")
@@ -188,7 +269,8 @@ def _window_keys(chunk: Sequence[EpireadRecord],
     # key of the window at joined offset i of read r:
     # (id << 39) + ((start[r] + i - first[r]) << 3) + config
     first = np.cumsum(span) - span
-    base = (ids << (_POS_BITS + 3)) + ((start - first) << 3)
+    base = ((np.frombuffer(ids, dtype=np.int64) << (_POS_BITS + 3))
+            + ((start - first) << 3))
     return (np.repeat(base, span)[valid] + (valid << 3)
             + config[valid].astype(np.int64))
 
@@ -304,13 +386,22 @@ def _fmt(v: float) -> str:
 
 
 def read_report_tsv(source: str | IO[str]) -> list[dict]:
-    """Read back a report TSV as a list of column dicts (numbers parsed)."""
+    """Read back a report TSV as a list of column dicts (numbers parsed).
+
+    Raises
+    ------
+    ValueError
+        If the header is not the 21 report columns, or a row, named as
+        ``report line N``, has another field count or a count or index
+        that is not an integer or another number field that is not a
+        number.
+    """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
             return read_report_tsv(fh)
     rows = []
     header: list[str] | None = None
-    for raw in source:
+    for line_no, raw in enumerate(source, start=1):
         line = raw.rstrip("\n")
         if not line or line.startswith("#"):
             continue
@@ -320,9 +411,19 @@ def read_report_tsv(source: str | IO[str]) -> list[dict]:
             if tuple(header) != REPORT_COLUMNS:
                 raise ValueError(f"unexpected report header {header}")
             continue
-        row: dict = {"chrom": fields[0], "index": int(fields[1])}
-        for name, val in zip(header[2:], fields[2:]):
-            row[name] = int(val) if name.startswith("n_") else float(val)
+        at = f"report line {line_no}"
+        if len(fields) != len(REPORT_COLUMNS):
+            raise ValueError(f"{at}: expected {len(REPORT_COLUMNS)} fields, "
+                             f"got {len(fields)}")
+        row: dict = {"chrom": fields[0]}
+        for name, val in zip(REPORT_COLUMNS[1:], fields[1:]):
+            exact = name == "index" or name.startswith("n_")
+            try:
+                row[name] = int(val) if exact else float(val)
+            except ValueError:
+                raise ValueError(f"{at}: {name} {val!r} is not "
+                                 f"{'an integer' if exact else 'a number'}"
+                                 ) from None
         rows.append(row)
     return rows
 

@@ -2,9 +2,9 @@
 
 Everything here recomputes quantities from first principles (itertools
 enumeration, per-outcome permutation minima, ``Fraction`` arithmetic,
-simplex grids, a generic LP solver, a per-window loop over reads) without
-touching the package's orbit index, TV projection, optimizer or
-window-counting code paths.
+simplex grids, a generic LP solver, a per-window loop over reads, a
+per-line epiread parser) without touching the package's orbit index, TV
+projection, optimizer, block parser or window-counting code paths.
 """
 
 import itertools
@@ -360,6 +360,49 @@ def class_weight_scalar_oracle(p, kind: str, grid_points: int) -> tuple:
     margin = float(np.min(pf - best_val * q_vec))
     return (float(best_val), q_vec, margin,
             tuple((start, val) for start, val, _ in log), converged)
+
+
+def parse_epireads_oracle(lines, max_cpg_index: int
+                          ) -> tuple[list[tuple[str, int, str]],
+                                     tuple[int, str] | None]:
+    """Line-by-line epiread parser: the ``(chrom, start, states)`` records
+    of the lines before the first bad line, and that line's
+    ``(line_number, reason)``, or None when every line is good.
+
+    A line is bad when it is not UTF-8 text (its undecodable bytes held
+    as ``surrogateescape`` surrogates, or another lone surrogate), has
+    other than 0 or 3 ``str.split()`` fields, a start that ``int()``
+    rejects or that is negative, a last CpG above ``max_cpg_index``, or
+    a state outside C/T/N; the first of these checks that fails names
+    the reason.
+    """
+    out = []
+    for line_no, raw in enumerate(lines, start=1):
+        try:
+            raw.encode("utf-8", "surrogateescape").decode("utf-8")
+        except UnicodeError as exc:
+            return out, (line_no, str(exc))
+        fields = raw.split()
+        if not fields:
+            continue
+        if len(fields) != 3:
+            return out, (line_no, f"expected 3 fields, got {len(fields)}")
+        chrom, start_s, states = fields
+        try:
+            start = int(start_s)
+        except ValueError:
+            return out, (line_no, f"start index {start_s!r} is not an integer")
+        if start < 0:
+            return out, (line_no, f"negative start index {start}")
+        if start + len(states) - 1 > max_cpg_index:
+            return out, (line_no, f"read at start index {start} runs past "
+                                  f"the largest supported CpG index "
+                                  f"{max_cpg_index}")
+        bad = sorted(set(states) - set("CTN"))
+        if bad:
+            return out, (line_no, f"states contain invalid characters {bad}")
+        out.append((chrom, start, states))
+    return out, None
 
 
 def extract_triplets_oracle(records, coverage_threshold: int

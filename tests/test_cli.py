@@ -502,6 +502,52 @@ class TestMeth:
         assert code == 1
         assert f"[E_PARSE]: {bad}: line 2: " in err
 
+    def test_non_utf8_epireads_exits_1(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.epiread"
+        bad.write_bytes(b"chr1 0 CCC\nchr\xff 1 CCC\n")
+        out = tmp_path / "r.tsv"
+        code, stdout, err = run(capsys, "meth", "triplets", "--epireads",
+                                str(bad), "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err == (f"latentw: error [E_PARSE]: {bad}: line 2: 'utf-8' "
+                       "codec can't decode byte 0xff in position 3: invalid "
+                       "start byte\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("paths", [",", "", ",,"])
+    def test_empty_epireads_list_exits_1(self, capsys, tmp_path, paths):
+        out = tmp_path / "r.tsv"
+        code, stdout, err = run(capsys, "meth", "triplets", "--epireads",
+                                paths, "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err == "latentw: error [E_USAGE]: --epireads names no file\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("row, reason", [
+        ("chr1\t0\t0.1", "expected 21 fields, got 3"),
+        ("chr1\t0\t0.1\tx" + "\t1" * 17, "lambda_corrected 'x' is not a "
+                                         "number"),
+        ("chr1\t0\t0.1\t0.5\t0.1\t2.5" + "\t1" * 15,
+         "n_000 '2.5' is not an integer"),
+        ("chr1\tfirst" + "\t1" * 19, "index 'first' is not an integer"),
+    ])
+    def test_bad_report_row_exits_1(self, capsys, tmp_path, row, reason):
+        report = tmp_path / "report.tsv"
+        good = "\t".join(["chr1", "5"] + ["0.5"] * 3 + ["1"] * 8
+                         + ["0.125"] * 8)
+        report.write_text("# seed=0\n" + "\t".join(REPORT_COLUMNS) + "\n"
+                          + good + "\n" + row + "\n")
+        cov = tmp_path / "cov.tsv"
+        cov.write_text("chrom\tindex\tvalue\nchr1\t0\t1\n")
+        out = tmp_path / "corr.tsv"
+        code, stdout, err = run(capsys, "meth", "correlate", "--report",
+                                str(report), "--covariate", str(cov),
+                                "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err == (f"latentw: error [E_VALIDATION]: report line 4: "
+                       f"{reason}\n")
+        assert not out.exists()
+
     def test_threads_default_and_below_one(self, capsys, epireads,
                                            tmp_path):
         # no flag means one thread per CPU; below 1 runs serially

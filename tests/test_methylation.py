@@ -18,7 +18,8 @@ from latentw.errors import DegenerateGroupError, EpireadParseError
 from latentw.methylation import (MAX_CPG_INDEX, REPORT_COLUMNS, TRIPLET_SPACE,
                                  EpireadRecord, parse_epiread_file,
                                  read_report_tsv)
-from oracle_utils import extract_triplets_oracle, triplet_row_oracle
+from oracle_utils import (extract_triplets_oracle, parse_epireads_oracle,
+                          triplet_row_oracle)
 
 
 def records(*lines):
@@ -77,6 +78,128 @@ class TestParseEpireads:
         assert err.value.line_number == 2
         assert err.value.path == str(path)
         assert str(err.value).startswith(f"{path}: line 2: ")
+
+
+def _parse_until_error(lines):
+    """Records of ``parse_epireads`` up to its error, and that error's
+    ``(line_number, reason)`` or None."""
+    got = []
+    try:
+        for rec in parse_epireads(lines):
+            assert type(rec) is EpireadRecord and type(rec.start_cpg) is int
+            got.append(tuple(rec))
+    except EpireadParseError as exc:
+        return got, (exc.line_number, exc.reason)
+    return got, None
+
+
+_SEPARATORS = st.sampled_from([" ", "\t", "\x1c", "\x85", "\xa0", "\u3000",
+                               " \t\u3000"])
+_GOOD_CHROMS = st.sampled_from(["chr1", "chrX", "染色体2", "chrÅ", "c\x00"])
+_GOOD_STARTS = st.one_of(st.integers(0, 40).map(str),
+                         st.sampled_from(["+5", "1_0", "٣", "007",
+                                          str(MAX_CPG_INDEX - 3)]))
+_GOOD_STATES = st.text("CTN", min_size=1, max_size=6)
+_BAD_STARTS = st.one_of(
+    st.integers(-10**30, -1).map(str),
+    st.sampled_from(["x", "1.5", "1__0", "٣x"]),
+    st.integers(MAX_CPG_INDEX - 5, MAX_CPG_INDEX + 5).map(str),
+    st.integers(2**63 - 8, 2**63 + 8).map(str),     # where int64 ends
+    st.sampled_from([str(10**30), str(-10**30)]))
+_BAD_STATES = st.sampled_from(["CAT", "c", "CÇC", "-", "T.C"])
+_good_fields = st.tuples(_GOOD_CHROMS, _GOOD_STARTS, _GOOD_STATES)
+_bad_fields = st.one_of(
+    st.tuples(st.just("chr\udcff"), _GOOD_STARTS, _GOOD_STATES),
+    st.tuples(_GOOD_CHROMS, _BAD_STARTS, _GOOD_STATES),
+    st.tuples(_GOOD_CHROMS, _GOOD_STARTS, _BAD_STATES),
+    # several faults at once: the first check that fails names the reason
+    st.tuples(st.sampled_from(["chr1", "chr\udcff"]), _BAD_STARTS,
+              _BAD_STATES),
+    st.lists(st.sampled_from(["chr1", "3", "CC"]), max_size=5).map(tuple))
+
+
+@st.composite
+def _epiread_line(draw, fields):
+    sep = draw(_SEPARATORS)
+    body = sep.join(draw(fields))
+    lead = draw(st.sampled_from(["", " ", "\t"]))
+    return lead + body + draw(st.sampled_from(["", "\n", "\r\n", " \n"]))
+
+
+_good_lines = st.lists(
+    st.one_of(_epiread_line(_good_fields), _epiread_line(_good_fields),
+              st.sampled_from(["", "\n", "  \t\n", "\u3000", "\r\n"])),
+    max_size=8)
+# good lines, then up to two bad ones, then good lines
+_epiread_lines = st.builds(
+    lambda head, bad, tail: head + bad + tail, _good_lines,
+    st.lists(_epiread_line(_bad_fields), max_size=2), _good_lines)
+
+
+class TestBlockParser:
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(_epiread_lines)
+    def test_matches_line_by_line_reference(self, lines):
+        expected = parse_epireads_oracle(lines, MAX_CPG_INDEX)
+        for block in (1, 2, 3, meth_mod._BLOCK_LINES):
+            with mock.patch.object(meth_mod, "_BLOCK_LINES", block), \
+                    mock.patch.object(meth_mod, "_check_line",
+                                      wraps=meth_mod._check_line) as rescan:
+                assert _parse_until_error(lines) == expected
+            # only a block that holds a bad line is checked line by line
+            assert rescan.called == (expected[1] is not None)
+
+    @pytest.mark.parametrize("lines, bad_line", [
+        (["c 1 CC", "c 2 C C", "1 C"], 2),
+        (["c 1", "C c 2 C", "c 3 CC"], 1),
+        (["c 1 C C", "c 2", "c 3 CC"], 1),
+        (["c 1 CC", "", "c 2 C C T", "c"], 3),
+    ])
+    def test_fields_do_not_pool_across_lines(self, lines, bad_line):
+        # a multiple of three fields in all, split unevenly over lines
+        expected = parse_epireads_oracle(lines, MAX_CPG_INDEX)
+        assert expected[1][0] == bad_line
+        assert _parse_until_error(lines) == expected
+
+    @pytest.mark.parametrize("start", [2**63 - 6, 2**63 - 1, 2**63])
+    def test_read_ending_past_int64(self, start):
+        # start + length - 1 does not fit an int64 even where start does
+        lines = ["chr1 0 CCC", f"chr1 {start} CCCCCC"]
+        assert _parse_until_error(lines) == parse_epireads_oracle(
+            lines, MAX_CPG_INDEX) == ([("chr1", 0, "CCC")], (2, (
+                f"read at start index {start} runs past the largest "
+                f"supported CpG index {MAX_CPG_INDEX}")))
+
+    def test_space_table_is_what_split_splits_on(self):
+        table = meth_mod._IS_SPACE
+        code_points = np.arange(sys.maxunicode + 1)
+        expected = [chr(c).isspace() for c in range(sys.maxunicode + 1)]
+        assert np.array_equal(np.take(table, code_points, mode="clip"),
+                              expected)
+
+    def test_bad_line_in_second_block(self, tmp_path):
+        n = meth_mod._BLOCK_LINES
+        lines = [f"chr1 {i % 50} CTCN" for i in range(n + 4)]
+        lines[n + 2] = "chr1 7 CCX"
+        path = tmp_path / "reads.epiread"
+        path.write_text("\n".join(lines) + "\n")
+        got = []
+        with pytest.raises(EpireadParseError) as err:
+            got.extend(parse_epiread_file(str(path)))
+        assert (err.value.path, err.value.line_number) == (str(path), n + 3)
+        assert err.value.reason == "states contain invalid characters ['X']"
+        # the records of the lines before it come first, in both blocks
+        assert got == [EpireadRecord("chr1", i % 50, "CTCN")
+                       for i in range(n + 2)]
+
+    def test_non_utf8_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "reads.epiread"
+        path.write_bytes(b"chr1 0 CCC\r\nchr1 \xff CCC\n")
+        with pytest.raises(EpireadParseError) as err:
+            list(parse_epiread_file(str(path)))
+        assert str(err.value) == (
+            f"{path}: line 2: 'utf-8' codec can't decode byte 0xff in "
+            "position 5: invalid start byte")
 
 
 class TestExtractTriplets:
