@@ -24,10 +24,11 @@ from ``SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (i,))``,
 the seed that ``seed.spawn`` would give its ``i``-th child, without
 spawning from the caller's seed.  Each chunk is reduced to its resample
 weights as soon as it is drawn, so a worker holds about
-``max(2**15, k**d)`` draw cells at a time (int64, with their
-orbit-ordered copy).  The chunks run on a thread pool of up to one
+``max(2**15, k**d)`` draw cells at a time (int64, with their stacked
+and orbit-ordered copies).  The chunks run on a thread pool of up to one
 worker per usable CPU, since numpy draws without the GIL, or fewer under
-``estimate``'s ``threads`` cap; ``estimate`` reduces a stack in groups
+``estimate``'s ``threads`` cap or when the workers' chunks would pass
+``_POOL_BYTES`` (1 GiB) together; ``estimate`` reduces a stack in groups
 of at most ``_GROUP_REPLICATES`` resample weights.  The result is the
 same bits whatever the number of workers or the size of the groups.
 """
@@ -58,6 +59,12 @@ EIGEN_FLOOR = -1e-12
 #: the unit of work of its pool, and the bound on the memory one worker
 #: holds.
 _BLOCK_CELLS = 2**15
+
+#: Bytes the tasks of one bootstrap pool may hold at once.  A task holds
+#: its draws, their stacked copy and their orbit-ordered copy, up to
+#: ``3 * 8 * max(_BLOCK_CELLS, k**d)`` bytes, so a large ``k**d`` gets
+#: fewer workers than there are CPUs.
+_POOL_BYTES = 2**30
 
 #: Resample weights (rows x ``n_boot``) of one group of a stack in
 #: :func:`estimate`: the bound on the replicate matrix it holds at once.
@@ -130,8 +137,9 @@ def multinomial_weights(space: SampleSpace, n0: np.ndarray, p: np.ndarray,
     one chunk are drawn from their seeds and reduced together, up to
     ``_BLOCK_CELLS`` cells at a time; other rows are reduced chunk by
     chunk.  The chunks run on a pool of at most ``threads`` workers (None:
-    one per usable CPU), and never more than the CPUs or the chunks; a
-    cap below 2 runs them in the calling thread.
+    one per usable CPU), and never more than the CPUs, the chunks or the
+    tasks that fit in ``_POOL_BYTES``; a cap below 2 runs them in the
+    calling thread.
     """
     per_chunk = max(1, _BLOCK_CELLS // space.n_outcomes)
     seeds = [_as_seed_sequence(s) for s in seeds]
@@ -159,7 +167,9 @@ def multinomial_weights(space: SampleSpace, n0: np.ndarray, p: np.ndarray,
                                                        total=n0[rows])
 
     cpus = _usable_cpus()
-    workers = min(cpus if threads is None else threads, cpus, len(tasks))
+    fit = _POOL_BYTES // (3 * 8 * max(_BLOCK_CELLS, space.n_outcomes))
+    workers = min(cpus if threads is None else threads, cpus, len(tasks),
+                  max(1, fit))
     if workers > 1:
         with concurrent.futures.ThreadPoolExecutor(workers) as pool:
             list(pool.map(draw, *zip(*tasks)))

@@ -192,8 +192,9 @@ def extract_triplets(records: Iterable[EpireadRecord],
     Reads are consumed ``_CHUNK_READS`` at a time, and each record is
     taken apart as it arrives: its chromosome id, start and states go
     into the chunk's columns, so no list of records is held.  Each chunk
-    is reduced in numpy to unique window keys with counts, and the parts
-    are merged into one table of counts per covered triplet at the end.
+    is reduced in numpy to sorted unique window keys with counts, and at
+    the end one stable sort merges the parts into one table of counts
+    per covered triplet.
 
     Raises
     ------
@@ -225,11 +226,17 @@ def extract_triplets(records: Iterable[EpireadRecord],
     if not key_parts:
         return {}
 
+    # The parts are sorted runs, which a stable sort merges; a triplet's
+    # keys then sit together, and its row starts where ``keys >> 3`` does.
     keys = np.concatenate(key_parts)
-    triplets, row = np.unique(keys >> 3, return_inverse=True)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:] >> 3, keys[:-1] >> 3, out=first[1:])
+    triplets = keys[first] >> 3
     table = np.zeros((len(triplets), 8), dtype=np.int64)
-    np.add.at(table.reshape(-1), row * 8 + (keys & 7),
-              np.concatenate(count_parts))
+    np.add.at(table.reshape(-1), (np.cumsum(first) - 1) * 8 + (keys & 7),
+              np.concatenate(count_parts)[order])
     keep = table.sum(axis=1) >= coverage_threshold
 
     names = list(chrom_ids)

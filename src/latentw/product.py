@@ -8,13 +8,14 @@ power) and the product class (independent, possibly different marginals)
 the supremum is found numerically: a coarse grid over the marginal
 parameters seeds a handful of derivative-free compass-search refinements,
 and the winner is certified by checking ``P >= lam*Q`` pointwise.  The
-objective is scored in batches: the whole grid in one call, and the
-searches run in lockstep, every direction of every running start's
-compass poll scored together in one call per round.  A call works
-through tiles of at most ``_CHUNK_ELEMENTS`` (2^16) parameter rows x
-outcomes, so its memory is bounded whatever the grid or ``k^d``.  The
-grid resolution is the search's one setting; its other limits are
-module constants.
+objective is scored in batches: the grid one tile of at most
+``_CHUNK_ELEMENTS`` (2^16) parameter values per call, keeping only the
+best starts so far, and the searches in lockstep, every direction of
+every running start's compass poll scored together in one call per
+round.  A call works through tiles of at most ``_CHUNK_ELEMENTS``
+parameter rows x outcomes, so the memory is bounded whatever the grid
+or ``k^d``.  The grid resolution is the search's one setting; its other
+limits are module constants.
 """
 
 from __future__ import annotations
@@ -147,10 +148,11 @@ def class_weight(p: Distribution, spec: ProductClassSpec,
     )
 
 
-#: Cap on the elements of one ``rows x outcomes`` tile of a scoring pass:
-#: 2^16 float64 values (512 KiB) stay in cache.  Tiles split the outcomes
-#: as well as the rows, so neither a large grid nor a large outcome space
-#: makes a larger temporary.
+#: Cap on the elements of one ``rows x outcomes`` tile of a scoring pass,
+#: and on the parameter values of one tile of the grid: 2^16 float64
+#: values (512 KiB) stay in cache.  Tiles split the outcomes as well as
+#: the rows, so neither a large grid nor a large outcome space makes a
+#: larger temporary.
 _CHUNK_ELEMENTS = 2**16
 
 
@@ -238,20 +240,43 @@ class _Objective:
 
 
 def _grid_starts(objective, dim, grid_points):
-    """Score a deterministic grid in one batch and keep the best starting
+    """Score a deterministic grid tile by tile and keep the best starting
     points, ordered by value, then lexicographically by parameters (the
-    order of the ``ij`` grid rows, which a stable sort keeps)."""
+    order of the ``ij`` grid rows, which stable sorts keep).
+
+    A tile is the sub-grid of the last ``free`` parameters under one
+    setting of the leading ones, ``free`` as large as keeps a tile within
+    ``_CHUNK_ELEMENTS`` parameter values.  Tiles come in grid order, and
+    each one's best points are merged into the running best, which come
+    first among ties; so the whole grid is never held.
+    """
     per_param = grid_points
     # Shrink the per-parameter resolution until the full grid fits the
     # evaluation budget (high-dimensional products explode otherwise).
     while per_param > 2 and per_param**dim > _MAX_GRID_TOTAL:
         per_param -= 1
     axis = np.linspace(0.0, 1.0, per_param)
-    # Broadcast views, so the stack is the grid's only copy.
-    grid = np.stack(np.meshgrid(*[axis] * dim, indexing="ij", copy=False),
-                    axis=-1).reshape(-1, dim)
-    values = objective(grid)
-    return grid[np.argsort(-values, kind="stable")[:_N_STARTS]]
+    free = dim
+    while free and per_param**free * dim > _CHUNK_ELEMENTS:
+        free -= 1
+    lead = dim - free
+    # The trailing sub-grid is written once, column j + lead varying along
+    # axis j of the tile seen as a cube; each tile then rewrites only the
+    # leading columns.
+    tile = np.empty((per_param**free, dim))
+    cube = tile.reshape((per_param,) * free + (dim,))
+    for j in range(free):
+        cube[..., lead + j] = axis.reshape((-1,) + (1,) * (free - 1 - j))
+    best, best_values = np.empty((0, dim)), np.empty(0)
+    for setting in itertools.product(axis, repeat=lead):
+        tile[:, :lead] = setting
+        values = objective(tile)
+        top = np.argsort(-values, kind="stable")[:_N_STARTS]
+        best = np.concatenate([best, tile[top]])
+        best_values = np.concatenate([best_values, values[top]])
+        keep = np.argsort(-best_values, kind="stable")[:_N_STARTS]
+        best, best_values = best[keep], best_values[keep]
+    return best
 
 
 def _poll_directions(dim: int) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 Everything here recomputes quantities from first principles (itertools
 enumeration, per-outcome permutation minima, ``Fraction`` arithmetic,
-simplex grids, a generic LP solver, a per-window loop over reads, a
-per-line epiread parser) without touching the package's orbit index, TV
-projection, optimizer, block parser or window-counting code paths.
+simplex grids, a whole-grid start ranking, a generic LP solver, a
+per-window loop over reads, a per-line epiread parser) without touching
+the package's orbit index, TV projection, optimizer, grid tiles, block
+parser or window-counting code paths.
 """
 
 import itertools
@@ -254,6 +255,21 @@ def supmin_grid_oracle(p: np.ndarray, kind: str, k: int, d: int,
     else:
         raise ValueError("oracle supports iid (any d) or product with d=2")
     return best
+
+
+def grid_starts_oracle(objective, dim: int, grid_points: int) -> np.ndarray:
+    """The best grid starts of the class search, ranked over the whole
+    grid at once: the full ``ij`` grid is built, scored in one objective
+    call and ranked by one stable sort on the negated values.
+    """
+    per_param = grid_points
+    while per_param > 2 and per_param**dim > product._MAX_GRID_TOTAL:
+        per_param -= 1
+    axis = np.linspace(0.0, 1.0, per_param)
+    grid = np.stack(np.meshgrid(*[axis] * dim, indexing="ij", copy=False),
+                    axis=-1).reshape(-1, dim)
+    values = objective(grid)
+    return grid[np.argsort(-values, kind="stable")[:product._N_STARTS]]
 
 
 def class_weight_scalar_oracle(p, kind: str, grid_points: int) -> tuple:

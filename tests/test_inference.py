@@ -293,6 +293,27 @@ class TestChunkedBootstrap:
         estimate(c, n_boot=300, seed=1, threads=-2)
         assert Recorder.made == [3, 8, 6, 4]
 
+    def test_pool_capped_by_memory(self, monkeypatch):
+        # a task of 256 outcomes holds up to 3 int64 copies of 2^15 cells:
+        # a pool budget of two and a half tasks gets 2 workers, below one
+        # task still 1, and the bits are those of one thread
+        c = sample44(62)
+        stack = CountVector(SPACE44, np.stack([c.counts] * 2))
+        one = estimate(stack, n_boot=300, seed=[1, 2], threads=1)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            Recorder)
+        monkeypatch.setattr(Recorder, "made", [])
+        monkeypatch.setattr(inference_mod, "_usable_cpus", lambda: 64)
+        task = 3 * 8 * inference_mod._BLOCK_CELLS
+        for budget in (5 * task // 2, task - 1):
+            monkeypatch.setattr(inference_mod, "_POOL_BYTES", budget)
+            got = estimate(stack, n_boot=300, seed=[1, 2])
+            for field in ("lambda_hat", "lambda_corrected", "se_boot",
+                          "bias_boot"):
+                assert np.array_equal(getattr(got, field),
+                                      getattr(one, field))
+        assert Recorder.made == [2]
+
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("rows_per_group", [1, 3])
     def test_group_size_does_not_change_bits(self, monkeypatch, threads,

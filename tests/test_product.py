@@ -16,7 +16,8 @@ from latentw import space as space_module
 from latentw.errors import DimensionTooLargeError, SpaceTooLargeError
 
 from conftest import dirichlet_distributions
-from oracle_utils import class_weight_scalar_oracle, supmin_grid_oracle
+from oracle_utils import (class_weight_scalar_oracle, grid_starts_oracle,
+                          supmin_grid_oracle)
 
 
 def bernoulli_product(space, qs):
@@ -267,9 +268,9 @@ class TestBatchedSearchMatchesScalarOracle:
 
 
 def test_search_scores_in_batches(monkeypatch):
-    """The grid is one batch, the starts one more, and each later round
-    one batch of every running start's full poll; a per-point loop would
-    make 59 049 grid calls at (2,5)."""
+    """The grid is one batch per tile of 9^4 points, the starts one more,
+    and each later round one batch of every running start's full poll; a
+    per-point loop would make 59 049 grid calls at (2,5)."""
     batches = []
     grid_calls = []
     score = product._Objective.__call__
@@ -289,9 +290,9 @@ def test_search_scores_in_batches(monkeypatch):
     monkeypatch.setattr(product, "_grid_starts", counting_grid_starts)
     p = dirichlet_distributions(SampleSpace(2, 5), 1, 64)[0]
     class_weight(p, ProductClassSpec(kind="product"))
-    assert grid_calls == [1]
-    assert batches[0] == 9**5
-    n_starts, rounds = batches[1], batches[2:]
+    assert grid_calls == [9]
+    assert batches[:9] == [9**4] * 9
+    n_starts, rounds = batches[9], batches[10:]
     n_dirs = len(product._poll_directions(5))
     assert n_starts == product._N_STARTS
     running = [b // n_dirs for b in rounds]
@@ -308,6 +309,53 @@ def test_search_scores_in_batches(monkeypatch):
     assert len(batches) - len(starts) > len(rounds)
     assert (n_starts + sum(rounds)
             == len(starts) + n_dirs * (len(batches) - len(starts)))
+
+
+def _grid_laws(space, seed):
+    """A Dirichlet(1) law, the uniform law and a point mass."""
+    rng = np.random.default_rng(seed)
+    n = space.n_outcomes
+    return [rng.dirichlet(np.ones(n)), np.full(n, 1 / n),
+            np.eye(n)[rng.integers(n)]]
+
+
+class TestGridTiles:
+    """The grid scored tile by tile keeps the starts of the whole grid."""
+
+    @pytest.mark.parametrize("kind", ["iid", "product"])
+    @pytest.mark.parametrize("k,d", [(2, 3), (3, 2), (2, 4), (2, 5),
+                                     (2, 10), (4, 4), (3, 3)])
+    def test_starts_match_whole_grid(self, k, d, kind):
+        dim = k - 1 if kind == "iid" else d * (k - 1)
+        for p in _grid_laws(SampleSpace(k, d), 40 * k + d):
+            objective = product._Objective(p, k, d)
+            for grid_points in (1, 2, 9, 33):
+                assert np.array_equal(
+                    product._grid_starts(objective, dim, grid_points),
+                    grid_starts_oracle(objective, dim, grid_points))
+
+    @pytest.mark.parametrize("chunk", [40, 4, 1])
+    def test_small_tiles_match_whole_grid(self, monkeypatch, chunk):
+        # 40 values: tiles of 9 points at grid 9 (2,3); 4 and 1: tiles of
+        # one point, the whole grid set by the leading parameters
+        monkeypatch.setattr(product, "_CHUNK_ELEMENTS", chunk)
+        for p in _grid_laws(SampleSpace(2, 3), 41):
+            objective = product._Objective(p, 2, 3)
+            for grid_points in (1, 2, 9):
+                assert np.array_equal(
+                    product._grid_starts(objective, 3, grid_points),
+                    grid_starts_oracle(objective, 3, grid_points))
+
+    def test_grid_memory_is_bounded(self):
+        # the whole grid, its values and their argsort peaked at 6.3 MiB
+        p = _sparse_law(SampleSpace(2, 10), 40)
+        tracemalloc.start()
+        try:
+            class_weight(p, ProductClassSpec(kind="product"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
 
 def _one_pass_reference(p, k, d, thetas):
