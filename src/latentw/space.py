@@ -175,11 +175,14 @@ class OrbitIndex:
         hi = self.starts[z + 1] if z + 1 < self.n_classes else len(self.order)
         return self.order[lo:hi]
 
-    def class_minima_rows(self, rows: np.ndarray) -> np.ndarray:
+    def class_minima_rows(self, rows: np.ndarray,
+                          ordered: bool = False) -> np.ndarray:
         """Per-class minima along the last axis of a ``(..., n_outcomes)``
-        array (of ints, Python ints or floats)."""
-        return np.minimum.reduceat(np.take(rows, self.order, axis=-1),
-                                   self.starts, axis=-1)
+        array (of ints, Python ints or floats); ``ordered`` when that axis
+        lists the outcomes in ``order`` already."""
+        if not ordered:
+            rows = np.take(rows, self.order, axis=-1)
+        return np.minimum.reduceat(rows, self.starts, axis=-1)
 
 
 def build_orbit_index(space: SampleSpace) -> OrbitIndex:
@@ -373,6 +376,10 @@ class CountVector:
         arr = np.asarray(counts)
         if arr.ndim not in (1, 2) or arr.shape[-1] != space.n_outcomes:
             raise ValueError("count vector has wrong length")
+        # NaN passes the sign and sum checks, and inf fails the sum check
+        # under the wrong name; checked first, neither reaches the cast.
+        if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+            raise ValueError("counts must be finite")
         if arr.min(initial=0) < 0:
             raise ValueError("negative count")
         # A float sum of non-negative integers reaches 2**53 exactly when

@@ -3,9 +3,10 @@
 Everything here recomputes quantities from first principles (itertools
 enumeration, per-outcome permutation minima, ``Fraction`` arithmetic,
 simplex grids, a whole-grid start ranking, a generic LP solver, a
-per-window loop over reads, a per-line epiread parser) without touching
-the package's orbit index, TV projection, optimizer, grid tiles, block
-parser or window-counting code paths.
+per-window loop over reads, a per-line epiread parser, an alias table
+swept in a loop) without touching the package's orbit index, TV
+projection, optimizer, grid tiles, block parser, window-counting or
+bootstrap-draw code paths.
 """
 
 import itertools
@@ -475,12 +476,17 @@ def chunked_replicates_oracle(p: np.ndarray, n0: int, n_boot: int, k: int,
 
     Chunks hold ``max(1, 2**15 // k**d)`` resamples.  One chunk draws
     from ``seed_seq`` itself; with several, chunk ``i`` draws from the
-    seed with ``(i,)`` appended to its spawn key.  Each resample's weight
-    is ``sum_z |z| * (min count in orbit z) / n0``, with the minima taken
-    member by member over the enumerated orbits.
+    seed with ``(i,)`` appended to its spawn key.  A space of at least
+    512 outcomes with ``3 * sqrt(n0) <= k**d`` draws each chunk by
+    :func:`poisson_chunk_oracle` over the outcomes in orbit order; any
+    other draws it with one ``Generator.multinomial`` call.  Each
+    resample's weight is ``sum_z |z| * (min count in orbit z) / n0``, with
+    the minima taken member by member over the enumerated orbits.
     """
     orbits = [[_lex_index(m, k) for m in members]
-              for members in brute_orbits(k, d).values()]
+              for _, members in sorted(brute_orbits(k, d).items())]
+    order = [x for members in orbits for x in members]
+    poisson = k**d >= 512 and 3 * math.sqrt(n0) <= k**d
     per_chunk = max(1, 2**15 // k**d)
     n_chunks = -(-n_boot // per_chunk)
     weights = []
@@ -488,9 +494,77 @@ def chunked_replicates_oracle(p: np.ndarray, n0: int, n_boot: int, k: int,
         seed = seed_seq if n_chunks == 1 else np.random.SeedSequence(
             seed_seq.entropy, spawn_key=tuple(seed_seq.spawn_key) + (i,))
         size = min(per_chunk, n_boot - i * per_chunk)
-        draws = np.random.default_rng(seed).multinomial(n0, p, size=size)
-        for row in draws.tolist():
+        rng = np.random.default_rng(seed)
+        if poisson:
+            draws = []
+            for ordered in poisson_chunk_oracle(rng, n0, p[order], size):
+                row = [0] * k**d
+                for x, count in zip(order, ordered):
+                    row[x] = count
+                draws.append(row)
+        else:
+            draws = rng.multinomial(n0, p, size=size).tolist()
+        for row in draws:
             mass = sum(len(members) * min(row[x] for x in members)
                        for members in orbits)
             weights.append(mass / n0)
     return weights
+
+
+def poisson_chunk_oracle(rng: np.random.Generator, n0: int, law: np.ndarray,
+                         size: int) -> list[list[int]]:
+    """``size`` multinomial ``(n0, law)`` draws by Poisson cells completed
+    to ``n0``, with the alias table built and read in plain loops.
+
+    Each row is Poisson at rate ``max(0, n0 - 3 sqrt(n0)) * law`` (numpy's
+    sampler, one row per call), drawn again while its total passes
+    ``n0``.  Then the rows take their ``n0 - total`` completion draws in
+    turn from ``rng.random``: ``x = u * K`` picks column ``int(x)``, kept
+    when ``x - int(x) < prob`` and replaced by its alias otherwise.  The
+    table is the sweep of the light cells (``K * law < 1``) in index
+    order, each filled by the first heavy cell whose running excess
+    passes the running deficit before it; a heavy cell's column keeps
+    what it did not give, with the next heavy cell as its alias; the
+    largest cell counts as heavy, and the last heavy cell is its own
+    alias.
+    """
+    n_out = len(law)
+    q = (law * (n_out / law.sum())).tolist()
+    top = max(range(n_out), key=q.__getitem__)
+    heavy = [i for i in range(n_out) if q[i] >= 1.0 or i == top]
+    light = [i for i in range(n_out) if not (q[i] >= 1.0 or i == top)]
+    deficit, excess = [0.0], []
+    for i in light:
+        deficit.append(deficit[-1] + (1.0 - q[i]))
+    for i in heavy:
+        excess.append((excess[-1] if excess else 0.0) + (q[i] - 1.0))
+    prob, alias = list(q), list(range(n_out))
+    h = 0
+    for m, i in enumerate(light):
+        while h < len(heavy) and excess[h] <= deficit[m]:
+            h += 1
+        alias[i] = heavy[min(h, len(heavy) - 1)]
+    m = 0
+    for h, i in enumerate(heavy):
+        while m < len(light) and deficit[m] < excess[h]:
+            m += 1
+        prob[i] = min(max(1.0 - (deficit[m] - excess[h]), 0.0), 1.0)
+        if h + 1 < len(heavy):
+            alias[i] = heavy[h + 1]
+
+    lam = max(0.0, n0 - 3.0 * math.sqrt(n0))
+    rate = np.array([lam * x for x in law.tolist()])
+    rows = [rng.poisson(rate).tolist() for _ in range(size)]
+    redo = [r for r in range(size) if sum(rows[r]) > n0]
+    while redo:
+        for r in redo:
+            rows[r] = rng.poisson(rate).tolist()
+        redo = [r for r in redo if sum(rows[r]) > n0]
+    short = [n0 - sum(row) for row in rows]
+    uniforms = iter(rng.random(sum(short)).tolist())
+    for row, missing in zip(rows, short):
+        for _ in range(missing):
+            x = next(uniforms) * n_out
+            col = int(x)
+            row[col if x - col < prob[col] else alias[col]] += 1
+    return rows

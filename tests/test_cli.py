@@ -12,6 +12,8 @@ from latentw import (ProductClassSpec, class_weight, cli,
 from latentw.cli import main
 from latentw.methylation import REPORT_COLUMNS
 
+from child_env import child_env
+
 
 @pytest.fixture
 def third_counts(tmp_path):
@@ -80,7 +82,7 @@ class TestVersion:
 
     def test_module_invocation(self):
         proc = subprocess.run([sys.executable, "-m", "latentw", "--version"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0
         assert proc.stdout.startswith("latentw ")
 
@@ -91,7 +93,7 @@ class TestImportBoundary:
         code = ("import sys, latentw.cli; "
                 "print('scipy.optimize' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
@@ -200,7 +202,7 @@ class TestSpaceBudget:
         return subprocess.run(
             [sys.executable, "-m", "latentw", *argv], capture_output=True,
             text=True, preexec_fn=limit_memory, timeout=120,
-            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+            env=child_env(OPENBLAS_NUM_THREADS="1"))
 
     @pytest.mark.parametrize("outcome", ["01" * 20, "Z" + "0" * 12],
                              ids=["binary-d40", "base36-d13"])

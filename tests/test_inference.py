@@ -22,6 +22,8 @@ from oracle_utils import brute_weight_vector, chunked_replicates_oracle
 
 #: 256 cells: a chunk of the bootstrap holds 128 resamples.
 SPACE44 = SampleSpace(4, 4)
+#: 729 cells: Poisson resamples while ``3*sqrt(n0) <= 729``, chunks of 44.
+SPACE36 = SampleSpace(3, 6)
 
 
 def sample44(seed, n=900):
@@ -353,6 +355,179 @@ class TestChunkedBootstrap:
         first = estimate(sample44(62), n_boot=300, seed=seed)
         assert seed.n_children_spawned == 0
         assert estimate(sample44(62), n_boot=300, seed=seed) == first
+
+
+class TestPoissonPlan:
+    # Spaces of at least 512 outcomes with 3*sqrt(n0) <= k**d draw their
+    # resamples as Poisson cells completed to n0; the oracle redoes the
+    # plan and the alias table in plain loops, so the bits must agree.
+    @pytest.mark.parametrize("resample_size", [None, 1, 59049, 59050],
+                             ids=["n", "n0=1", "last-poisson",
+                                  "first-multinomial"])
+    def test_estimate_matches_oracle(self, resample_size):
+        rng = np.random.default_rng(70)
+        c = CountVector(SPACE36,
+                        rng.multinomial(2000, rng.dirichlet(np.ones(729))))
+        est = estimate(c, n_boot=100, resample_size=resample_size, seed=71)
+        reps = chunked_replicates_oracle(c.counts / c.n,
+                                         resample_size or c.n, 100, 3, 6,
+                                         np.random.SeedSequence(71))
+        assert abs(est.lambda_hat + est.bias_boot - np.mean(reps)) < 1e-12
+        assert abs(est.se_boot - np.std(reps, ddof=1)) < 1e-12
+
+    def test_bootstrap_distribution_matches_oracle(self):
+        # 1024 cells (chunks of 32), a sparse sample with zero cells
+        space = SampleSpace(2, 10)
+        rng = np.random.default_rng(72)
+        counts = rng.multinomial(5000, rng.dirichlet(np.full(1024, 0.3)))
+        c = CountVector(space, counts)
+        got = bootstrap_distribution(c, n_boot=70, seed=73)
+        reps = chunked_replicates_oracle(c.counts / c.n, c.n, 70, 2, 10,
+                                         np.random.SeedSequence(73))
+        lam_hat = exchangeable_weight(empirical_distribution(c))
+        assert np.allclose(got, np.sqrt(c.n) * (np.array(reps) - lam_hat),
+                           rtol=0, atol=1e-12)
+
+    def test_sample_size_heuristic_matches_oracle(self):
+        # the worst-case source has zero first and last cells
+        space = SampleSpace(2, 9)
+        rows = sample_size_heuristic(space, [1, 50, 3000], reps=60, seed=74)
+        p = worst_case_source(space).p
+        for row, n, child in zip(rows, (1, 50, 3000),
+                                 np.random.SeedSequence(74).spawn(3)):
+            reps = chunked_replicates_oracle(p, n, 60, 2, 9, child)
+            assert row.mean_bias == np.mean(reps) - 1.0
+            assert abs(row.sd - np.std(reps, ddof=1)) < 1e-12
+
+    def test_rule(self):
+        takes = inference_mod._takes_poisson
+        assert takes(512, 1) and takes(729, 59049) and takes(4096, 204800)
+        assert not takes(729, 59050) and not takes(511, 1000)
+        # triplets (8 cells) keep Generator.multinomial at any coverage
+        assert not any(takes(8, n) for n in (1, 10, 100, 10**6))
+
+    def test_pool_width_does_not_change_bits(self, monkeypatch):
+        space = SampleSpace(4, 6)
+        rng = np.random.default_rng(75)
+        c = CountVector(space,
+                        rng.multinomial(50000, rng.dirichlet(np.ones(4096))))
+        assert inference_mod._takes_poisson(4096, c.n)
+        out = []
+        for cpus in (1, 2, 16):
+            monkeypatch.setattr(inference_mod, "_usable_cpus", lambda: cpus)
+            out.append((estimate(c, n_boot=40, seed=76),
+                        bootstrap_distribution(c, n_boot=40, seed=76)))
+        for est, boot in out[1:]:
+            assert est == out[0][0]
+            assert np.array_equal(boot, out[0][1])
+
+
+def seen_resamples(monkeypatch, space, n0, p, size, seed):
+    """The resamples that ``multinomial_weights`` reduces, in the natural
+    outcome order, captured from its call of the weight reduction."""
+    seen = []
+    reduce_rows = inference_mod.exchangeable_weight_rows
+
+    def spy(space, rows, total, ordered):
+        seen.append(rows.reshape(-1, space.n_outcomes).copy())
+        return reduce_rows(space, rows, total=total, ordered=ordered)
+
+    monkeypatch.setattr(inference_mod, "exchangeable_weight_rows", spy)
+    inference_mod.multinomial_weights(space, np.array([n0]), p[None, :],
+                                      size, [seed], threads=1)
+    ordered = np.concatenate(seen)
+    rows = np.empty_like(ordered)
+    rows[:, space.orbit_index().order] = ordered
+    return rows
+
+
+def law_with_zeros(space, seed):
+    """A law on ``space`` whose first, middle and last cells are 0 and
+    whose other cells are within a factor 3 of each other."""
+    p = np.random.default_rng(seed).uniform(1.0, 3.0, space.n_outcomes)
+    p[[0, space.n_outcomes // 2, -1]] = 0.0
+    return p / p.sum()
+
+
+class TestAliasTable:
+    @staticmethod
+    def implied(prob, alias):
+        # each column is 1/K: prob of its own cell, the rest of its alias
+        mass = prob.copy()
+        np.add.at(mass, alias, 1.0 - prob)
+        return mass / len(prob)
+
+    @pytest.mark.parametrize("p", [
+        [0.125, 0.375, 0.125, 0.375], [0.0, 0.5, 0.0, 0.5],
+        [0.25, 0.25, 0.0, 0.5], [0.5, 0.25, 0.25, 0.0], [0.0, 0.0, 0.0, 1.0],
+        [0.25] * 4, [0.0625] * 4 + [0.125] * 2 + [0.0, 0.5]],
+        ids=["ties", "zero-first", "zero-middle", "zero-last",
+             "point-mass-last", "uniform", "dyadic-8"])
+    def test_dyadic_laws_exact(self, p):
+        # K*p and every running sum are exact, so deficits meet excesses
+        # exactly and the table must give back p exactly
+        p = np.array(p)
+        prob, alias = inference_mod._alias_table(p)
+        assert np.array_equal(self.implied(prob, alias), p)
+        assert (prob[p == 0] == 0).all() and (p[alias[prob < 1]] > 0).all()
+
+    def test_random_laws(self):
+        rng = np.random.default_rng(90)
+        for n_out in (1, 2, 3, 512, 729, 4096):
+            for alpha in (0.05, 1.0, 30.0):
+                p = rng.dirichlet(np.full(n_out, alpha))
+                p[rng.random(n_out) < 0.3] = 0.0
+                p = p / p.sum() if p.sum() else np.eye(n_out)[-1]
+                prob, alias = inference_mod._alias_table(p)
+                assert ((prob >= 0) & (prob <= 1)).all()
+                assert np.abs(self.implied(prob, alias) - p).max() < 1e-12
+                assert (prob[p == 0] == 0).all()
+                assert (p[alias[prob < 1]] > 0).all()
+
+
+class TestDrawPaths:
+    # Both draw paths give multinomial (n0, p) resamples: every resample
+    # sums to n0 exactly, and a zero cell is never drawn.
+    @pytest.mark.parametrize("k,d,n0", [
+        (2, 9, 1), (2, 9, 700), (2, 9, 29127),      # Poisson
+        (2, 9, 29128), (2, 3, 1), (2, 3, 500),      # multinomial
+    ])
+    def test_sums_and_zero_cells(self, monkeypatch, k, d, n0):
+        space = SampleSpace(k, d)
+        assert inference_mod._takes_poisson(space.n_outcomes, n0) == (
+            space.n_outcomes >= 512 and n0 <= 29127)
+        laws = [law_with_zeros(space, 80), worst_case_source(space).p,
+                np.eye(space.n_outcomes)[space.n_outcomes // 3]]
+        for i, p in enumerate(laws):
+            rows = seen_resamples(monkeypatch, space, n0, p, 200, 81 + i)
+            assert rows.shape == (200, space.n_outcomes)
+            assert (rows.sum(axis=1) == n0).all()
+            assert (rows[:, p == 0] == 0).all()
+
+    def test_worst_case_source_never_draws_constants(self, monkeypatch):
+        space = SampleSpace(2, 10)
+        p = worst_case_source(space).p
+        rows = seen_resamples(monkeypatch, space, 5000, p, 300, 82)
+        assert (rows[:, [0, 1023]] == 0).all()
+
+    @pytest.mark.parametrize("k,d,n0", [(2, 9, 5000), (2, 9, 40000),
+                                        (2, 3, 50)],
+                             ids=["poisson", "multinomial-512", "triplet"])
+    def test_moments(self, monkeypatch, k, d, n0):
+        # cell means within 5 standard errors of n0*p, and every
+        # covariance within 6 of n0*(diag p - p p^T); the standard errors
+        # are those of the Gaussian limit, over 4000 resamples
+        space = SampleSpace(k, d)
+        p = law_with_zeros(space, 83)
+        rows = seen_resamples(monkeypatch, space, n0, p, 4000, 84)
+        live = p > 0
+        x, q = rows[:, live].astype(float), p[live]
+        mean_se = np.sqrt(n0 * q * (1 - q) / len(x))
+        assert (np.abs(x.mean(axis=0) - n0 * q) < 5 * mean_se).all()
+        cov = n0 * (np.diag(q) - np.outer(q, q))
+        var = np.diag(cov)
+        cov_se = np.sqrt((np.outer(var, var) + cov**2) / len(x))
+        assert (np.abs(np.cov(x, rowvar=False) - cov) < 6 * cov_se).all()
 
 
 class TestAsymptoticVariance:

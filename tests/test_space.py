@@ -1,6 +1,7 @@
 import io
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -186,6 +187,17 @@ class TestStacks:
         assert CountVector(space22, [2**53 - 1, 0, 0, 0]).n == 2**53 - 1
         for counts in ([2**53, 0, 0, 0], [10**20, 0, 0, 0], [2**62] * 3 + [0]):
             with pytest.raises(ValueError, match="2\\*\\*53"):
+                CountVector(space22, counts)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("stack", [False, True], ids=["row", "stack"])
+    def test_non_finite_counts_rejected(self, space22, bad, stack):
+        # one ValueError, raised before numpy's cast could warn
+        counts = [[1.0, 1, 1, 1], [bad, 1, 1, 1]] if stack else [bad, 1, 1, 1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="counts must be finite"):
                 CountVector(space22, counts)
 
     def test_count_stack_sizes_per_row(self, space22):
