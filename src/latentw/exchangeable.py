@@ -57,7 +57,7 @@ def exchangeable_weight(p: Distribution):
 
 
 def exchangeable_weight_rows(space: SampleSpace, rows: np.ndarray,
-                             total=1, ordered: bool = False) -> np.ndarray:
+                             total=1) -> np.ndarray:
     """Exchangeable weights of many vectors at once.
 
     ``rows`` is ``(..., n_rows, k**d)`` and the result ``(..., n_rows)``,
@@ -65,10 +65,9 @@ def exchangeable_weight_rows(space: SampleSpace, rows: np.ndarray,
     ``total`` is given per ``(n_rows, k**d)`` slice (broadcast over
     ``...``).  Counts divide once, after the orbit minima: each weight is
     the correctly rounded ``W / total``, whatever the rows around it.
-    ``ordered`` rows list their outcomes in the orbit index's ``order``.
     """
     index = space.orbit_index()
-    mass = index.class_minima_rows(np.asarray(rows), ordered) @ index.sizes
+    mass = index.class_minima_rows(np.asarray(rows)) @ index.sizes
     return np.minimum(ratio(mass, np.expand_dims(total, -1)), 1.0)
 
 

@@ -14,51 +14,65 @@ regular case) the limit is normal with a closed-form variance; with ties
 the limit is a weighted sum of minima of correlated Gaussians, which we
 sample by Monte Carlo instead of evaluating in closed form.
 
-Every bootstrap here follows one draw plan.  A sample's ``n_boot``
+Every bootstrap here follows one draw plan.  A sample draws its resamples
+by one of two paths, chosen by ``k**d`` and the resample size ``n0``
+alone.  Spaces of at least ``_POISSON_MIN_OUTCOMES = 512`` outcomes with
+``3*sqrt(n0) <= k**d`` take the Poisson path; every other sample, and so
+every methylation triplet (8 outcomes) at any coverage, keeps one
+``Generator.multinomial`` call a chunk over all ``k**d`` outcomes, which
+draws each cell as a conditional binomial.
+
+The weight needs only each resample's orbit minima, and a cell of
+probability 0 stays 0 in every resample.  So an orbit holding a zero cell
+has minimum 0 in every resample, and the Poisson path draws a lumped law
+instead: the ``L`` cells of the live orbits (orbit minimum of ``p`` above
+0), in orbit order, then one rest cell holding the summed mass of every
+other cell.  Lumping cells of a multinomial gives a multinomial, so the live
+cells keep their exact joint law, and the dead orbits add 0 to every
+weight.  A sample with no live orbit draws nothing: its weights are 0.
+The Poisson path draws the ``L + 1`` lumped cells as independent Poisson
+cells at rate ``lam * law`` with ``lam = max(0, n0 - 3*sqrt(n0))``, draws
+a resample again while its total ``M`` exceeds ``n0`` (about 0.13% of
+them), and completes it with ``n0 - M`` draws from the law through a
+Walker alias table, built once per sample.  Given ``M``, the Poisson
+cells are multinomial ``(M, law)``, and the event ``M <= n0`` depends on
+``M`` alone; so the completed resample is exactly multinomial
+``(n0, law)``.  A zero cell (the rest cell when every dead orbit's cells
+are 0) has rate 0, probability 0 in its own column and is no column's
+alias, so it is never drawn.
+
+A sample's draw cells are the cells it draws per resample: ``k**d`` on
+the multinomial path, ``L + 1`` on the Poisson path.  Its ``n_boot``
 resamples are cut into chunks of at most ``_BLOCK_CELLS = 2**15`` draw
-cells (resamples x ``k**d`` outcomes, at least one resample per chunk).
-A sample that fits in one chunk draws from its seed in one go, and
-consecutive such samples of a stack share a chunk of at most ``2**15``
-cells.  Otherwise chunk ``i`` draws from
-``SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (i,))``, the seed
-that ``seed.spawn`` would give its ``i``-th child, without spawning from
-the caller's seed.
+cells (at least one resample per chunk), planned from that sample alone,
+so a row of a stack gets the same bits as by itself.  A sample that fits
+in one chunk draws from its seed in one go, and consecutive such samples
+of a stack share a task of at most ``2**15`` draw cells, whose
+multinomial draws are reduced together.  Otherwise chunk ``i`` draws
+from ``SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (i,))``,
+the seed that ``seed.spawn`` would give its ``i``-th child, without
+spawning from the caller's seed.
 
-A chunk draws its resamples by one of two paths, chosen per sample by
-``k**d`` and the resample size ``n0`` alone.  Spaces of at least
-``_POISSON_MIN_OUTCOMES = 512`` outcomes with ``3*sqrt(n0) <= k**d``
-take the Poisson path, where it took 12-37% less time (one thread,
-Dirichlet laws, ``k**d`` from 512 to 2**17 and ``n0`` from ``k**d/100``
-to ``50 k**d``); every other sample, and so every methylation triplet
-(8 outcomes) at any coverage, keeps one ``Generator.multinomial`` call,
-which draws each cell as a conditional binomial.  The Poisson path draws
-independent Poisson cells at rate ``lam * p`` with
-``lam = max(0, n0 - 3*sqrt(n0))``, draws a resample again while its
-total ``M`` exceeds ``n0`` (about 0.13% of them), and completes it with
-``n0 - M`` draws from ``p`` through a Walker alias table, built once per
-sample.  Given ``M``, the Poisson cells are multinomial ``(M, p)``, and
-the event ``M <= n0`` depends on ``M`` alone; so the completed resample
-is exactly multinomial ``(n0, p)``.  A zero cell has rate 0, probability
-0 in its own column and is no column's alias, so it is never drawn.
-
-Each chunk is reduced to its resample weights as soon as it is drawn,
-with its cells in orbit order: the Poisson path draws them in that order,
-the multinomial path copies them into it.  So a worker holds about
+Each chunk is reduced to its resample weights as soon as it is drawn:
+the Poisson path by ``sum |z| * min`` over its live orbits, divided once
+by ``n0``; the multinomial path by ``exchangeable_weight_rows``, which
+copies the cells into orbit order.  So a worker holds about
 ``max(2**15, k**d)`` draw cells at a time (int64: the draws, and their
-stacked or orbit-ordered copy; the Poisson path makes its completion
-draws in pieces of an eighth of the chunk's cells instead).  Each sample
-on the Poisson path also keeps its rates in orbit order and its alias
-table, 24 bytes an outcome.  The chunks run on a thread pool of up to
-one worker per usable CPU, since numpy draws without the GIL, or fewer
-under ``estimate``'s ``threads`` cap or when the workers' chunks would
-pass ``_POOL_BYTES`` (1 GiB) together; ``estimate`` reduces a stack in
-groups of at most ``_GROUP_REPLICATES`` resample weights.  The result is
-the same bits whatever the number of workers or the size of the groups.
+stacked and orbit-ordered copies; the Poisson path makes its completion
+draws in pieces of ``_PIECE_DRAWS = 2**13`` instead).  Each sample on the
+Poisson path also keeps its rates and its alias table, 24 bytes a drawn
+cell.  The chunks run on a thread pool of up to one worker per usable
+CPU, since numpy draws without the GIL, or fewer under ``estimate``'s
+``threads`` cap or when the workers' chunks would pass ``_POOL_BYTES``
+(1 GiB) together; ``estimate`` reduces a stack in groups of at most
+``_GROUP_REPLICATES`` resample weights.  The result is the same bits
+whatever the number of workers or the size of the groups.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import numbers
 import os
 from dataclasses import dataclass
 from typing import Sequence
@@ -69,7 +83,7 @@ from .errors import EmptySampleError, TiedArgminError
 from .exchangeable import (argmin_sets, exchangeable_weight,
                            exchangeable_weight_rows)
 from .space import (MAX_COUNT, CountVector, Distribution, SampleSpace,
-                    empirical_distribution)
+                    empirical_distribution, ratio)
 
 UNIQUE_ARGMIN = "unique_argmin"
 TIED_ARGMIN = "tied_argmin"
@@ -78,14 +92,14 @@ TIED_ARGMIN = "tied_argmin"
 EIGEN_FLOOR = -1e-12
 
 
-#: Draw cells (resamples x ``k**d`` outcomes) in one chunk of a bootstrap:
-#: the unit of work of its pool, and the bound on the memory one worker
-#: holds.
+#: Draw cells (resamples x the cells a resample draws) in one chunk of a
+#: bootstrap: the unit of work of its pool, and the bound on the memory
+#: one worker holds.
 _BLOCK_CELLS = 2**15
 
 #: Bytes the tasks of one bootstrap pool may hold at once.  A task holds
-#: its draws and their stacked or orbit-ordered copy, or a Poisson chunk's
-#: draws and completion pieces: within
+#: its draws and their stacked and orbit-ordered copies, or a Poisson
+#: chunk's draws and completion pieces: within
 #: ``3 * 8 * max(_BLOCK_CELLS, k**d)`` bytes, so a large ``k**d`` gets
 #: fewer workers than there are CPUs.
 _POOL_BYTES = 2**30
@@ -99,9 +113,8 @@ _SHORTFALL_SDS = 3.0
 #: ``_SHORTFALL_SDS * sqrt(n0) <= k**d``).
 _POISSON_MIN_OUTCOMES = 512
 
-#: The completion draws of a chunk are made in pieces of at most
-#: ``cells // _PIECE_FRACTION``.
-_PIECE_FRACTION = 8
+#: The completion draws of a chunk are made in pieces of at most this many.
+_PIECE_DRAWS = _BLOCK_CELLS // 4
 
 #: Resample weights (rows x ``n_boot``) of one group of a stack in
 #: :func:`estimate`: the bound on the replicate matrix it holds at once.
@@ -156,6 +169,8 @@ def resample_law(counts: np.ndarray, n_boot: int,
         raise EmptySampleError("cannot estimate from an empty sample")
     if n_boot < 2:
         raise ValueError("n_boot must be >= 2")
+    if resample_size is not None and resample_size % 1 != 0:
+        raise ValueError("resample_size must be an integer")
     if resample_size is not None and resample_size >= MAX_COUNT:
         raise ValueError("resample_size must be below 2**53")
     n0 = n if resample_size is None else np.full(len(n), int(resample_size))
@@ -205,7 +220,7 @@ def _poisson_multinomial(rng: np.random.Generator, n0: int, rate: np.ndarray,
     """``size`` multinomial ``(n0, p)`` draws: Poisson cells at
     ``rate = lam * p``, a row above ``n0`` drawn again, then each row
     completed to ``n0`` by draws from the alias ``table`` of ``p``, in
-    pieces of at most ``1/_PIECE_FRACTION`` of the chunk's cells."""
+    pieces of at most ``_PIECE_DRAWS``."""
     k = len(rate)
     counts = rng.poisson(rate, size=(size, k))
     totals = counts.sum(axis=1)
@@ -218,11 +233,9 @@ def _poisson_multinomial(rng: np.random.Generator, n0: int, rate: np.ndarray,
     # takes draws starts[r]..ends[r]-1.
     ends = np.cumsum(n0 - totals)
     starts = ends - (n0 - totals)
-    flat = counts.reshape(-1)
     prob, alias = table
-    piece = max(1, counts.size // _PIECE_FRACTION)
-    for lo in range(0, int(ends[-1]), piece):
-        hi = min(lo + piece, int(ends[-1]))
+    for lo in range(0, int(ends[-1]), _PIECE_DRAWS):
+        hi = min(lo + _PIECE_DRAWS, int(ends[-1]))
         first = np.searchsorted(ends, lo, side="right")
         last = np.searchsorted(starts, hi, side="left")
         u = rng.random(hi - lo)
@@ -230,11 +243,49 @@ def _poisson_multinomial(rng: np.random.Generator, n0: int, rate: np.ndarray,
         cell = u.astype(np.intp)
         u -= cell
         np.copyto(cell, alias[cell], where=u >= prob[cell])
-        cell += np.repeat(np.arange(first, last) * k,
+        cell += np.repeat(np.arange(last - first) * k,
                           np.minimum(ends[first:last], hi)
                           - np.maximum(starts[first:last], lo))
-        np.add.at(flat, cell, 1)
+        counts[first:last] += np.bincount(
+            cell, minlength=(last - first) * k).reshape(-1, k)
     return counts
+
+
+@dataclass(frozen=True)
+class _LumpedLaw:
+    """A sample's drawn law on the Poisson path: the cells of its live
+    orbits in orbit order, then one rest cell (see the module docstring)."""
+
+    rate: np.ndarray                    # lam * law, one entry a drawn cell
+    table: tuple[np.ndarray, np.ndarray]   # alias table of the law
+    starts: np.ndarray                  # live orbits' offsets in the law
+    sizes: np.ndarray                   # live orbits' sizes |z|
+
+    def weights(self, rng: np.random.Generator, n0: int,
+                size: int) -> np.ndarray:
+        """Weights of ``size`` resamples: ``sum |z| * min / n0`` over the
+        live orbits, divided once."""
+        draws = _poisson_multinomial(rng, n0, self.rate, self.table, size)
+        mins = np.minimum.reduceat(draws[:, :-1], self.starts, axis=1)
+        return ratio(mins @ self.sizes, n0)
+
+
+def _lumped_law(space: SampleSpace, p: np.ndarray, n0: int,
+                ) -> _LumpedLaw | None:
+    """The Poisson path's law of ``p`` at resample size ``n0``: its live
+    orbits (orbit minimum above 0) and a rest cell holding the sum of every
+    other cell in orbit order; None when no orbit is live."""
+    index = space.orbit_index()
+    grouped = p[index.order]
+    live = np.minimum.reduceat(grouped, index.starts) > 0
+    if not live.any():
+        return None
+    in_live = np.repeat(live, index.sizes)
+    law = np.append(grouped[in_live], grouped[~in_live].sum())
+    sizes = index.sizes[live]
+    lam = max(0.0, n0 - _SHORTFALL_SDS * np.sqrt(n0))
+    return _LumpedLaw(rate=lam * law, table=_alias_table(law),
+                      starts=np.cumsum(sizes) - sizes, sizes=sizes)
 
 
 def multinomial_weights(space: SampleSpace, n0: np.ndarray, p: np.ndarray,
@@ -242,53 +293,61 @@ def multinomial_weights(space: SampleSpace, n0: np.ndarray, p: np.ndarray,
                         ) -> np.ndarray:
     """Exchangeable weights of ``size`` multinomial ``(n0[j], p[j])``
     samples for each row ``j``, drawn by the module's chunk plan, on the
-    Poisson path where ``_takes_poisson`` picks it.
+    lumped Poisson path where ``_takes_poisson`` picks it.
 
-    Returns the ``(len(p), size)`` weights.  Rows whose samples fit in
-    one chunk are drawn from their seeds and reduced together, up to
-    ``_BLOCK_CELLS`` cells at a time; other rows are reduced chunk by
-    chunk.  The chunks run on a pool of at most ``threads`` workers (None:
-    one per usable CPU), and never more than the CPUs, the chunks or the
-    tasks that fit in ``_POOL_BYTES``; a cap below 2 runs them in the
-    calling thread.
+    Returns the ``(len(p), size)`` weights.  Each row is cut into chunks
+    by its own draw cells.  A row that fits in one chunk is drawn from its
+    seed, and such rows share a task of up to ``_BLOCK_CELLS`` draw cells,
+    where the multinomial ones are reduced together; other rows are drawn
+    and reduced chunk by chunk.  A Poisson-path row with no live orbit
+    draws nothing: its weights are 0.  The tasks run on a pool of at most
+    ``threads`` workers (None: one per usable CPU), and never more than
+    the CPUs, the tasks or the tasks that fit in ``_POOL_BYTES``; a cap
+    below 2 runs them in the calling thread.
     """
-    per_chunk = max(1, _BLOCK_CELLS // space.n_outcomes)
     seeds = [_as_seed_sequence(s) for s in seeds]
-    if size <= per_chunk:
-        per_task = per_chunk // size
-        tasks = [(slice(lo, lo + per_task), slice(0, size),
-                  seeds[lo:lo + per_task])
-                 for lo in range(0, len(p), per_task)]
-    else:
-        parts = [slice(lo, min(lo + per_chunk, size))
-                 for lo in range(0, size, per_chunk)]
-        tasks = [(slice(j, j + 1), part, [np.random.SeedSequence(
-                     s.entropy, pool_size=s.pool_size,
-                     spawn_key=s.spawn_key + (i,))])
-                 for j, s in enumerate(seeds) for i, part in enumerate(parts)]
-    weights = np.empty((len(p), size))
-
-    order = space.orbit_index().order
-    tables, rates = {}, {}
-    for j in range(len(p)):
+    weights = np.zeros((len(p), size))
+    lumped, tasks, shared, shared_cells = {}, [], [], 0
+    for j, seed in enumerate(seeds):
+        cells = space.n_outcomes
         if _takes_poisson(space.n_outcomes, n0[j]):
-            law = p[j][order]
-            tables[j] = _alias_table(law)
-            rates[j] = max(0.0, n0[j] - _SHORTFALL_SDS * np.sqrt(n0[j])) * law
+            lumped[j] = _lumped_law(space, p[j], n0[j])
+            if lumped[j] is None:
+                continue
+            cells = len(lumped[j].rate)
+        per_chunk = max(1, _BLOCK_CELLS // cells)
+        if size > per_chunk:
+            tasks += [[(j, slice(lo, min(lo + per_chunk, size)),
+                        np.random.SeedSequence(
+                            seed.entropy, pool_size=seed.pool_size,
+                            spawn_key=seed.spawn_key + (i,)))]
+                      for i, lo in enumerate(range(0, size, per_chunk))]
+            continue
+        if shared and shared_cells + size * cells > _BLOCK_CELLS:
+            tasks.append(shared)
+            shared, shared_cells = [], 0
+        shared.append((j, slice(0, size), seed))
+        shared_cells += size * cells
+    if shared:
+        tasks.append(shared)
 
-    def ordered_draws(j: int, seed, size: int) -> np.ndarray:
-        rng = np.random.default_rng(seed)
-        if j in tables:
-            return _poisson_multinomial(rng, n0[j], rates[j], tables[j], size)
-        return rng.multinomial(n0[j], p[j], size=size)[:, order]
-
-    def draw(rows: slice, part: slice, row_seeds: list) -> None:
-        counts = [ordered_draws(j, s, part.stop - part.start)
-                  for j, s in zip(range(len(p))[rows], row_seeds)]
-        # A single row's draws are reduced in place, without a stacked copy.
-        counts = np.stack(counts) if len(counts) > 1 else counts[0][None]
-        weights[rows, part] = exchangeable_weight_rows(
-            space, counts, total=n0[rows], ordered=True)
+    def draw(task: list) -> None:
+        rows, stacked = [], []
+        for j, part, seed in task:
+            rng = np.random.default_rng(seed)
+            if j in lumped:
+                weights[j, part] = lumped[j].weights(
+                    rng, n0[j], part.stop - part.start)
+            else:
+                rows.append(j)
+                stacked.append(rng.multinomial(
+                    n0[j], p[j], size=part.stop - part.start))
+        if rows:
+            # A single row's draws are reduced in place, without a stacked
+            # copy.
+            counts = np.stack(stacked) if len(rows) > 1 else stacked[0][None]
+            weights[rows, task[0][1]] = exchangeable_weight_rows(
+                space, counts, total=n0[rows])
 
     cpus = _usable_cpus()
     fit = _POOL_BYTES // (3 * 8 * max(_BLOCK_CELLS, space.n_outcomes))
@@ -296,10 +355,10 @@ def multinomial_weights(space: SampleSpace, n0: np.ndarray, p: np.ndarray,
                   max(1, fit))
     if workers > 1:
         with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-            list(pool.map(draw, *zip(*tasks)))
+            list(pool.map(draw, tasks))
     else:
         for task in tasks:
-            draw(*task)
+            draw(task)
     return weights
 
 
@@ -332,21 +391,23 @@ def estimate(c: CountVector, n_boot: int = 1000,
     n_boot : int
         Number of bootstrap resamples (>= 2).
     resample_size : int, optional
-        Resample size ``n0``, from 1 to below ``2**53``; defaults to
-        ``n`` (the full bootstrap).
+        Resample size ``n0``, an integer from 1 to below ``2**53`` (a
+        float must be integral); defaults to ``n`` (the full bootstrap).
         ``ceil(2*sqrt(n))`` gives the subsample variant, consistent even
         in the tied-argmin regime.
-    seed : int or numpy SeedSequence
+    seed : int, numpy integer or numpy SeedSequence
         All randomness flows from here; fixed seed gives a bit-identical
-        result.  A stack takes a sequence of seeds, one per row.
+        result, and an integer seed is reported as a Python ``int``.  A
+        stack takes a sequence of seeds, one per row.
     threads : int, optional
         Cap on the workers that draw the resamples (None: one per usable
         CPU; below 2: the calling thread).  It never changes the result.
 
     The resamples are drawn by the module's plan: one
     ``Generator.multinomial`` call per chunk, or, on spaces of at least
-    512 outcomes with ``3*sqrt(n0) <= k**d``, Poisson cells completed to
-    ``n0``, which is the same multinomial law.  A stack is drawn and
+    512 outcomes with ``3*sqrt(n0) <= k**d``, Poisson cells of the live
+    orbits and one rest cell completed to ``n0``, which give the weights
+    of the same multinomial law.  A stack is drawn and
     reduced in groups of at most ``_GROUP_REPLICATES`` resample weights,
     and gets no regime diagnosis: its ``regularity_flag`` is None.
     """
@@ -375,7 +436,7 @@ def estimate(c: CountVector, n_boot: int = 1000,
         n=c.n,
         n_boot=n_boot,
         resample_size=int(n0[0]),
-        seed=seed if isinstance(seed, int) else None,
+        seed=int(seed) if isinstance(seed, numbers.Integral) else None,
         regularity_flag=empirical_regularity(c),
     )
 

@@ -175,14 +175,11 @@ class OrbitIndex:
         hi = self.starts[z + 1] if z + 1 < self.n_classes else len(self.order)
         return self.order[lo:hi]
 
-    def class_minima_rows(self, rows: np.ndarray,
-                          ordered: bool = False) -> np.ndarray:
+    def class_minima_rows(self, rows: np.ndarray) -> np.ndarray:
         """Per-class minima along the last axis of a ``(..., n_outcomes)``
-        array (of ints, Python ints or floats); ``ordered`` when that axis
-        lists the outcomes in ``order`` already."""
-        if not ordered:
-            rows = np.take(rows, self.order, axis=-1)
-        return np.minimum.reduceat(rows, self.starts, axis=-1)
+        array (of ints, Python ints or floats)."""
+        return np.minimum.reduceat(np.take(rows, self.order, axis=-1),
+                                   self.starts, axis=-1)
 
 
 def build_orbit_index(space: SampleSpace) -> OrbitIndex:

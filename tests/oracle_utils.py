@@ -469,25 +469,62 @@ def triplet_row_oracle(key, c, n_boot: int, seed_seq):
                          counts=tuple(c.counts.tolist()), q=q)
 
 
+def _orbit_indices(k: int, d: int) -> list[list[int]]:
+    """The orbits' outcome indices, orbits by sorted representative."""
+    return [[_lex_index(m, k) for m in members]
+            for _, members in sorted(brute_orbits(k, d).items())]
+
+
+def lumped_law_oracle(p: np.ndarray, k: int, d: int,
+                      ) -> tuple[list[list[int]], np.ndarray | None]:
+    """The Poisson path's lumped law of ``p``: the live orbits (every
+    member's ``p`` above 0) as outcome-index lists, and the law of their
+    cells orbit by orbit, then of one rest cell with the numpy sum of
+    every other cell's ``p`` in orbit order; ``([], None)`` with no live
+    orbit."""
+    live, rest = [], []
+    for members in _orbit_indices(k, d):
+        if all(p[x] > 0 for x in members):
+            live.append(members)
+        else:
+            rest += [p[x] for x in members]
+    if not live:
+        return [], None
+    return live, np.array([p[x] for members in live for x in members]
+                          + [float(np.sum(np.array(rest, dtype=float)))])
+
+
 def chunked_replicates_oracle(p: np.ndarray, n0: int, n_boot: int, k: int,
                               d: int, seed_seq) -> list[float]:
     """Weights of ``n_boot`` multinomial ``(n0, p)`` resamples drawn by the
     documented chunk plan, one chunk at a time in a plain loop.
 
-    Chunks hold ``max(1, 2**15 // k**d)`` resamples.  One chunk draws
+    A space of at least 512 outcomes with ``3 * sqrt(n0) <= k**d`` takes
+    the Poisson path.  It draws the lumped law: the cells of the live
+    orbits (every member's ``p`` above 0), orbit by orbit in the order of
+    :func:`brute_orbits` sorted by representative, then one rest cell
+    with the numpy sum of every other cell's ``p`` in that order.  Its
+    draw cells are those ``L + 1`` cells; with no live orbit every weight
+    is 0 and nothing is drawn.  Any other space draws all ``k**d`` cells
+    with one ``Generator.multinomial`` call a chunk.
+
+    Chunks hold ``max(1, 2**15 // cells)`` resamples.  One chunk draws
     from ``seed_seq`` itself; with several, chunk ``i`` draws from the
-    seed with ``(i,)`` appended to its spawn key.  A space of at least
-    512 outcomes with ``3 * sqrt(n0) <= k**d`` draws each chunk by
-    :func:`poisson_chunk_oracle` over the outcomes in orbit order; any
-    other draws it with one ``Generator.multinomial`` call.  Each
-    resample's weight is ``sum_z |z| * (min count in orbit z) / n0``, with
-    the minima taken member by member over the enumerated orbits.
+    seed with ``(i,)`` appended to its spawn key.  Each resample's weight
+    is ``sum_z |z| * (min count in orbit z) / n0``, with the minima taken
+    member by member over the enumerated orbits (the dead orbits of the
+    Poisson path give 0).
     """
-    orbits = [[_lex_index(m, k) for m in members]
-              for _, members in sorted(brute_orbits(k, d).items())]
-    order = [x for members in orbits for x in members]
+    orbits = _orbit_indices(k, d)
     poisson = k**d >= 512 and 3 * math.sqrt(n0) <= k**d
-    per_chunk = max(1, 2**15 // k**d)
+    if poisson:
+        live, law = lumped_law_oracle(p, k, d)
+        if not live:
+            return [0.0] * n_boot
+        cells = len(law)
+    else:
+        cells = k**d
+    per_chunk = max(1, 2**15 // cells)
     n_chunks = -(-n_boot // per_chunk)
     weights = []
     for i in range(n_chunks):
@@ -495,18 +532,17 @@ def chunked_replicates_oracle(p: np.ndarray, n0: int, n_boot: int, k: int,
             seed_seq.entropy, spawn_key=tuple(seed_seq.spawn_key) + (i,))
         size = min(per_chunk, n_boot - i * per_chunk)
         rng = np.random.default_rng(seed)
-        if poisson:
-            draws = []
-            for ordered in poisson_chunk_oracle(rng, n0, p[order], size):
-                row = [0] * k**d
-                for x, count in zip(order, ordered):
-                    row[x] = count
-                draws.append(row)
-        else:
-            draws = rng.multinomial(n0, p, size=size).tolist()
-        for row in draws:
-            mass = sum(len(members) * min(row[x] for x in members)
-                       for members in orbits)
+        if not poisson:
+            for row in rng.multinomial(n0, p, size=size).tolist():
+                mass = sum(len(members) * min(row[x] for x in members)
+                           for members in orbits)
+                weights.append(mass / n0)
+            continue
+        for row in poisson_chunk_oracle(rng, n0, law, size):
+            mass, at = 0, 0
+            for members in live:
+                mass += len(members) * min(row[at:at + len(members)])
+                at += len(members)
             weights.append(mass / n0)
     return weights
 

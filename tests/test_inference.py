@@ -18,7 +18,8 @@ from latentw import (CountVector, Distribution, SampleSpace,
 from latentw.errors import EmptySampleError, TiedArgminError
 from latentw.exchangeable import exchangeable_weight_rows
 from latentw.inference import TIED_ARGMIN, UNIQUE_ARGMIN
-from oracle_utils import brute_weight_vector, chunked_replicates_oracle
+from oracle_utils import (brute_weight_vector, chunked_replicates_oracle,
+                          lumped_law_oracle)
 
 #: 256 cells: a chunk of the bootstrap holds 128 resamples.
 SPACE44 = SampleSpace(4, 4)
@@ -69,6 +70,13 @@ class TestEstimate:
         assert a == b
         c2 = estimate(c, n_boot=300, seed=100)
         assert c2.se_boot != a.se_boot
+
+    @pytest.mark.parametrize("seed", [np.int64(5), np.uint32(5)])
+    def test_numpy_integer_seed_is_kept(self, space23, seed):
+        c = CountVector(space23, [30, 5, 9, 14, 2, 11, 7, 22])
+        est = estimate(c, n_boot=50, seed=seed)
+        assert type(est.seed) is int and est.seed == 5
+        assert est == estimate(c, n_boot=50, seed=5)
 
     def test_corrected_is_clamped(self, space22):
         c = CountVector(space22, [97, 1, 1, 1])
@@ -423,22 +431,34 @@ class TestPoissonPlan:
 
 
 def seen_resamples(monkeypatch, space, n0, p, size, seed):
-    """The resamples that ``multinomial_weights`` reduces, in the natural
-    outcome order, captured from its call of the weight reduction."""
+    """The resamples that ``multinomial_weights`` draws, and the law they
+    are drawn from: on the Poisson path the lumped law, live cells then
+    the rest cell (its draws captured from ``_poisson_multinomial``), on
+    the multinomial path ``p`` in the natural outcome order (captured from
+    the weight reduction).  ``(None, None)`` when nothing is drawn."""
     seen = []
+    draw = inference_mod._poisson_multinomial
     reduce_rows = inference_mod.exchangeable_weight_rows
 
-    def spy(space, rows, total, ordered):
-        seen.append(rows.reshape(-1, space.n_outcomes).copy())
-        return reduce_rows(space, rows, total=total, ordered=ordered)
+    def spy_draw(*args):
+        seen.append(draw(*args).copy())
+        return seen[-1]
 
-    monkeypatch.setattr(inference_mod, "exchangeable_weight_rows", spy)
+    def spy_reduce(space, rows, total):
+        seen.append(rows.reshape(-1, space.n_outcomes).copy())
+        return reduce_rows(space, rows, total=total)
+
+    monkeypatch.setattr(inference_mod, "_poisson_multinomial", spy_draw)
+    monkeypatch.setattr(inference_mod, "exchangeable_weight_rows",
+                        spy_reduce)
     inference_mod.multinomial_weights(space, np.array([n0]), p[None, :],
                                       size, [seed], threads=1)
-    ordered = np.concatenate(seen)
-    rows = np.empty_like(ordered)
-    rows[:, space.orbit_index().order] = ordered
-    return rows
+    if not seen:
+        return None, None
+    law = p
+    if inference_mod._takes_poisson(space.n_outcomes, n0):
+        law = lumped_law_oracle(p, space.k, space.d)[1]
+    return np.concatenate(seen), law
 
 
 def law_with_zeros(space, seed):
@@ -486,48 +506,130 @@ class TestAliasTable:
 
 
 class TestDrawPaths:
-    # Both draw paths give multinomial (n0, p) resamples: every resample
-    # sums to n0 exactly, and a zero cell is never drawn.
+    # Both draw paths give multinomial resamples of their drawn law: every
+    # resample sums to n0 exactly, and a zero cell is never drawn.  The
+    # Poisson path draws the lumped law (live cells, then the rest cell).
     @pytest.mark.parametrize("k,d,n0", [
         (2, 9, 1), (2, 9, 700), (2, 9, 29127),      # Poisson
         (2, 9, 29128), (2, 3, 1), (2, 3, 500),      # multinomial
     ])
     def test_sums_and_zero_cells(self, monkeypatch, k, d, n0):
         space = SampleSpace(k, d)
-        assert inference_mod._takes_poisson(space.n_outcomes, n0) == (
-            space.n_outcomes >= 512 and n0 <= 29127)
+        poisson = inference_mod._takes_poisson(space.n_outcomes, n0)
+        assert poisson == (space.n_outcomes >= 512 and n0 <= 29127)
         laws = [law_with_zeros(space, 80), worst_case_source(space).p,
                 np.eye(space.n_outcomes)[space.n_outcomes // 3]]
         for i, p in enumerate(laws):
-            rows = seen_resamples(monkeypatch, space, n0, p, 200, 81 + i)
-            assert rows.shape == (200, space.n_outcomes)
+            rows, law = seen_resamples(monkeypatch, space, n0, p, 200, 81 + i)
+            if poisson and i == 2:
+                # the point mass's orbit holds zero cells: no live orbit
+                assert rows is None
+                continue
+            assert rows.shape == (200, len(law))
             assert (rows.sum(axis=1) == n0).all()
-            assert (rows[:, p == 0] == 0).all()
+            assert (rows[:, law == 0] == 0).all()
 
     def test_worst_case_source_never_draws_constants(self, monkeypatch):
+        # the constant outcomes are the only zero cells: they fill the
+        # rest cell, of mass 0, and every other cell is live
         space = SampleSpace(2, 10)
         p = worst_case_source(space).p
-        rows = seen_resamples(monkeypatch, space, 5000, p, 300, 82)
-        assert (rows[:, [0, 1023]] == 0).all()
+        rows, law = seen_resamples(monkeypatch, space, 5000, p, 300, 82)
+        assert law[-1] == 0.0 and len(law) == 1024 - 2 + 1
+        assert (rows[:, -1] == 0).all()
 
     @pytest.mark.parametrize("k,d,n0", [(2, 9, 5000), (2, 9, 40000),
                                         (2, 3, 50)],
                              ids=["poisson", "multinomial-512", "triplet"])
     def test_moments(self, monkeypatch, k, d, n0):
-        # cell means within 5 standard errors of n0*p, and every
-        # covariance within 6 of n0*(diag p - p p^T); the standard errors
-        # are those of the Gaussian limit, over 4000 resamples
+        # cell means within 5 standard errors of n0*law, and every
+        # covariance within 6 of n0*(diag law - law law^T); the standard
+        # errors are those of the Gaussian limit, over 4000 resamples
         space = SampleSpace(k, d)
-        p = law_with_zeros(space, 83)
-        rows = seen_resamples(monkeypatch, space, n0, p, 4000, 84)
-        live = p > 0
-        x, q = rows[:, live].astype(float), p[live]
+        rows, law = seen_resamples(monkeypatch, space, n0,
+                                   law_with_zeros(space, 83), 4000, 84)
+        live = law > 0
+        x, q = rows[:, live].astype(float), law[live]
         mean_se = np.sqrt(n0 * q * (1 - q) / len(x))
         assert (np.abs(x.mean(axis=0) - n0 * q) < 5 * mean_se).all()
         cov = n0 * (np.diag(q) - np.outer(q, q))
         var = np.diag(cov)
         cov_se = np.sqrt((np.outer(var, var) + cov**2) / len(x))
         assert (np.abs(np.cov(x, rowvar=False) - cov) < 6 * cov_se).all()
+
+
+class TestLumpedPlan:
+    # The Poisson path draws only the live orbits' cells and a rest cell;
+    # each row's chunks and seeds depend on that row alone.
+    def test_no_live_orbit_draws_nothing(self, monkeypatch):
+        # every orbit holds a zero cell: the weights are exactly 0
+        space = SampleSpace(2, 9)
+        index = space.orbit_index()
+        counts = np.random.default_rng(85).integers(1, 20, 512)
+        counts[[index.members(z)[0] for z in range(index.n_classes)]] = 0
+        c = CountVector(space, counts)
+        assert inference_mod._takes_poisson(512, c.n)
+
+        def fail(*args):
+            raise AssertionError("drew a resample")
+
+        monkeypatch.setattr(inference_mod, "_poisson_multinomial", fail)
+        est = estimate(c, n_boot=300, seed=86)
+        assert est.lambda_hat == 0.0 and est.bias_boot == 0.0
+        assert est.se_boot == 0.0 and est.lambda_corrected == 0.0
+        boot = bootstrap_distribution(c, n_boot=300, seed=86)
+        assert not boot.any()
+
+    def test_zero_mass_rest_never_drawn(self, monkeypatch):
+        # zero out one whole orbit and nothing else: it is the only dead
+        # orbit, so the rest cell has mass 0 and must stay empty
+        space = SampleSpace(3, 6)
+        p = np.random.default_rng(87).uniform(1.0, 2.0, 729)
+        p[space.orbit_index().members(5)] = 0.0
+        p /= p.sum()
+        rows, law = seen_resamples(monkeypatch, space, 20000, p, 500, 88)
+        assert law[-1] == 0.0
+        assert len(law) == 729 - len(space.orbit_index().members(5)) + 1
+        assert (rows[:, -1] == 0).all() and (rows.sum(axis=1) == 20000).all()
+
+    @pytest.mark.parametrize("n", [3000, 400000], ids=["poisson",
+                                                       "multinomial"])
+    def test_row_bits_do_not_depend_on_neighbours(self, n):
+        # each row of a stack draws the same bits as alone, beside rows
+        # whose live cells, and so chunk plans, differ from its own
+        space = SampleSpace(3, 6)
+        rng = np.random.default_rng(89)
+        laws = [rng.dirichlet(np.full(729, a)) for a in (1.0, 5.0, 30.0)]
+        counts = np.array([rng.multinomial(n, q) for q in laws])
+        assert inference_mod._takes_poisson(729, n) == (n == 3000)
+        if n == 3000:
+            cells = {len(lumped_law_oracle(row / n, 3, 6)[1])
+                     for row in counts}
+            assert len(cells) == 3
+        seeds = np.random.SeedSequence(90).spawn(3)
+        stack = estimate(CountVector(space, counts), n_boot=200, seed=seeds)
+        for i in range(3):
+            one = estimate(CountVector(space, counts[i]), n_boot=200,
+                           seed=seeds[i])
+            assert stack.se_boot[i] == one.se_boot
+            assert stack.bias_boot[i] == one.bias_boot
+
+    def test_sparse_k4d6_pool_width_does_not_change_bits(self, monkeypatch):
+        space = SampleSpace(4, 6)
+        rng = np.random.default_rng(91)
+        c = CountVector(space, rng.multinomial(
+            60000, rng.dirichlet(np.ones(4096))))
+        assert inference_mod._takes_poisson(4096, c.n)
+        # 142 drawn cells: chunks of 230 resamples
+        assert len(lumped_law_oracle(c.counts / c.n, 4, 6)[1]) == 142
+        out = []
+        for cpus in (1, 2, 16):
+            monkeypatch.setattr(inference_mod, "_usable_cpus", lambda: cpus)
+            out.append((estimate(c, n_boot=1000, seed=92),
+                        bootstrap_distribution(c, n_boot=1000, seed=92)))
+        for est, boot in out[1:]:
+            assert est == out[0][0]
+            assert np.array_equal(boot, out[0][1])
 
 
 class TestAsymptoticVariance:
@@ -654,6 +756,25 @@ class TestBootstrapDistribution:
             estimate(c, n_boot=2, resample_size=size, seed=1)
         with pytest.raises(ValueError, match="below 2\\*\\*53"):
             bootstrap_distribution(c, n_boot=2, resample_size=size, seed=1)
+
+    @pytest.mark.parametrize("size", [2.7, 0.5, float("nan"),
+                                      float("inf")])
+    def test_fractional_resample_size_raises(self, space22, size):
+        # not truncated to an integer n0 in silence
+        c = CountVector(space22, [5, 5, 5, 5])
+        with pytest.raises(ValueError, match="integer"):
+            estimate(c, n_boot=2, resample_size=size, seed=1)
+        with pytest.raises(ValueError, match="integer"):
+            bootstrap_distribution(c, n_boot=2, resample_size=size, seed=1)
+
+    def test_integral_float_resample_size_is_that_integer(self, space22):
+        c = CountVector(space22, [40, 10, 20, 30])
+        est = estimate(c, n_boot=50, resample_size=2.0, seed=1)
+        assert est == estimate(c, n_boot=50, resample_size=2, seed=1)
+        assert type(est.resample_size) is int and est.resample_size == 2
+        assert np.array_equal(
+            bootstrap_distribution(c, n_boot=50, resample_size=2.0, seed=1),
+            bootstrap_distribution(c, n_boot=50, resample_size=2, seed=1))
 
     def test_largest_resample_size_runs(self, space22):
         c = CountVector(space22, [5, 5, 5, 5])
