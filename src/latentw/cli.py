@@ -6,7 +6,17 @@ Every structured output (JSON or TSV file) embeds the package version,
 the seed, and a hash of the result-affecting configuration; thread count
 is deliberately excluded from the hash because results do not depend on
 it; ``--threads`` defaults to the CPU count.  All randomness flows from
-``--seed`` (default 0, never the clock).
+``--seed`` (default 0, never the clock; a negative seed is a usage
+error).
+
+A call builds the parser of the subcommand it names and of no other, as
+most of a short call's time would otherwise go to building them all;
+the help text, the usage errors and the parsed arguments are those of
+the full parser, which a call naming no subcommand builds.  JSON
+outputs are written by :func:`_json_text`: the bytes of
+``json.dumps(payload, indent=2)``, with each top-level flat list, such
+as a law's probabilities, rendered by the C encoder, which ``indent``
+turns off.
 """
 
 from __future__ import annotations
@@ -51,6 +61,31 @@ def _meta(args, seed=None) -> dict:
             "config_hash": _config_hash(args)}
 
 
+#: The types :func:`_json_text` gives the C encoder when a list holds only
+#: them.
+_SCALARS = {str, int, float, bool, type(None)}
+
+
+def _json_text(payload: dict) -> str:
+    """``json.dumps(payload, indent=2) + "\\n"`` of a dict with string keys.
+
+    ``indent`` turns the C encoder off, so each top-level list of
+    scalars, such as a law's probabilities, is rendered by the C encoder
+    with separators that put each item on its own indented line; every
+    other value goes through ``json.dumps(value, indent=2)``, indented
+    one level further.
+    """
+    items = []
+    for key, value in payload.items():
+        if type(value) is list and value and set(map(type, value)) <= _SCALARS:
+            body = json.dumps(value, separators=(",\n    ", ": "))[1:-1]
+            text = f"[\n    {body}\n  ]"
+        else:
+            text = json.dumps(value, indent=2).replace("\n", "\n  ")
+        items.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}\n" if items else "{}\n"
+
+
 def _emit(text: str, out: str | None):
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -69,7 +104,7 @@ def _scalar_output(value, args, extra: dict | None = None, seed=None) -> str:
         if isinstance(value, Fraction):
             payload["exact"] = str(value)
         payload.update(extra or {})
-        return json.dumps(payload, indent=2) + "\n"
+        return _json_text(payload)
     if isinstance(value, Fraction):
         return f"{value}\n"
     return f"{float(value):.6f}\n"
@@ -105,7 +140,7 @@ def _cmd_decompose(args) -> int:
     }
     if args.exact:
         payload["lambda_exact"] = str(dec.lam)
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(_json_text(payload), args.out)
     return 0
 
 
@@ -153,7 +188,7 @@ def _cmd_classweight(args) -> int:
             "converged": res.converged,
             "n_starts": len(res.multistart_log),
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(_json_text(payload), args.out)
     else:
         _emit(f"{min(res.lam, 1.0):.6f}\n", args.out)
         if not res.converged:
@@ -181,7 +216,7 @@ def _cmd_estimate(args) -> int:
         "seed": est.seed,
         "regularity_flag": est.regularity_flag,
     })
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(_json_text(payload), args.out)
     return 0
 
 
@@ -315,12 +350,26 @@ def _read_covariate(path: str) -> dict[tuple[str, int], float]:
 
 # -------------------------------------------------------------- parser ----
 
-def build_parser() -> _Parser:
+#: The subcommands, in help order.
+_SUBCOMMANDS = ("weight", "decompose", "bound", "tv", "classweight",
+                "estimate", "simulate", "meth")
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser of every subcommand, or, given the name of one, of that
+    one alone (with its nested subcommands), which parses, helps and
+    fails on its command lines as the full parser does."""
     parser = _Parser(prog="latentw",
                      description="Latent-weight analysis of categorical data")
     parser.add_argument("--version", action="version",
                         version=f"latentw {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    every = command not in _SUBCOMMANDS
+
+    def add_command(name, **kwargs):
+        """The parser of subcommand ``name``, or None if it is left out."""
+        return sub.add_parser(name, **kwargs) if every or name == command \
+            else None
 
     def add_counts(p, exact=True):
         p.add_argument("--counts", required=True, help="counts TSV file")
@@ -333,91 +382,98 @@ def build_parser() -> _Parser:
                        help="structured JSON output")
         p.add_argument("--out", default=None, help="write output to file")
 
-    p = sub.add_parser("weight", help="exchangeable weight of the counts")
-    add_counts(p)
-    p.set_defaults(func=_cmd_weight)
+    if p := add_command("weight", help="exchangeable weight of the counts"):
+        add_counts(p)
+        p.set_defaults(func=_cmd_weight)
 
-    p = sub.add_parser("decompose",
-                       help="exchangeable component + residual as JSON")
-    add_counts(p)
-    p.set_defaults(func=_cmd_decompose)
+    if p := add_command("decompose",
+                        help="exchangeable component + residual as JSON"):
+        add_counts(p)
+        p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("bound", help="upper bounds on the exchangeable weight")
-    bsub = p.add_subparsers(dest="bound_kind", required=True)
-    bm = bsub.add_parser("marginal", help="weight of a marginal")
-    add_counts(bm)
-    bm.add_argument("--indices", required=True,
-                    help="1-based coordinate list, e.g. 1,2")
-    bm.set_defaults(func=_cmd_bound)
-    bl = bsub.add_parser("lump", help="weight after symbol lumping")
-    add_counts(bl)
-    bl.add_argument("--map", required=True, help="symbol map TSV (from, to)")
-    bl.set_defaults(func=_cmd_bound)
+    if p := add_command("bound",
+                        help="upper bounds on the exchangeable weight"):
+        bsub = p.add_subparsers(dest="bound_kind", required=True)
+        bm = bsub.add_parser("marginal", help="weight of a marginal")
+        add_counts(bm)
+        bm.add_argument("--indices", required=True,
+                        help="1-based coordinate list, e.g. 1,2")
+        bm.set_defaults(func=_cmd_bound)
+        bl = bsub.add_parser("lump", help="weight after symbol lumping")
+        add_counts(bl)
+        bl.add_argument("--map", required=True,
+                        help="symbol map TSV (from, to)")
+        bl.set_defaults(func=_cmd_bound)
 
-    p = sub.add_parser("tv", help="TV distance to the exchangeable class")
-    add_counts(p, exact=False)
-    p.set_defaults(func=_cmd_tv)
+    if p := add_command("tv", help="TV distance to the exchangeable class"):
+        add_counts(p, exact=False)
+        p.set_defaults(func=_cmd_tv)
 
-    p = sub.add_parser("classweight",
-                       help="latent weight w.r.t. a product-form class")
-    add_counts(p, exact=False)
-    p.add_argument("--class", dest="cls", required=True,
-                   choices=["singleton", "iid", "product"])
-    p.add_argument("--q0", default=None,
-                   help="counts TSV defining the singleton model")
-    p.add_argument("--grid", type=int, default=33)
-    p.set_defaults(func=_cmd_classweight)
+    if p := add_command("classweight",
+                        help="latent weight w.r.t. a product-form class"):
+        add_counts(p, exact=False)
+        p.add_argument("--class", dest="cls", required=True,
+                       choices=["singleton", "iid", "product"])
+        p.add_argument("--q0", default=None,
+                       help="counts TSV defining the singleton model")
+        p.add_argument("--grid", type=int, default=33)
+        p.set_defaults(func=_cmd_classweight)
 
-    p = sub.add_parser("estimate", help="bootstrap-corrected weight estimate")
-    p.add_argument("--counts", required=True)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--boot", type=int, default=1000)
-    p.add_argument("--subsample", action="store_true",
-                   help="use the 2*sqrt(n) subsample bootstrap")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_estimate)
+    if p := add_command("estimate",
+                        help="bootstrap-corrected weight estimate"):
+        p.add_argument("--counts", required=True)
+        p.add_argument("--k", type=int, default=None)
+        p.add_argument("--boot", type=int, default=1000)
+        p.add_argument("--subsample", action="store_true",
+                       help="use the 2*sqrt(n) subsample bootstrap")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", default=None)
+        p.set_defaults(func=_cmd_estimate)
 
-    p = sub.add_parser("simulate", help="simulation helpers")
-    ssub = p.add_subparsers(dest="simulate_kind", required=True)
-    sz = ssub.add_parser("size", help="sample-size table from the worst-case "
-                                      "test source")
-    sz.add_argument("--k", type=int, required=True)
-    sz.add_argument("--d", type=int, required=True)
-    sz.add_argument("--sizes", required=True, help="e.g. 100,1000,10000")
-    sz.add_argument("--reps", type=int, required=True)
-    sz.add_argument("--seed", type=int, default=0)
-    sz.add_argument("--out", default=None)
-    sz.set_defaults(func=_cmd_simulate_size)
+    if p := add_command("simulate", help="simulation helpers"):
+        ssub = p.add_subparsers(dest="simulate_kind", required=True)
+        sz = ssub.add_parser("size", help="sample-size table from the "
+                                          "worst-case test source")
+        sz.add_argument("--k", type=int, required=True)
+        sz.add_argument("--d", type=int, required=True)
+        sz.add_argument("--sizes", required=True, help="e.g. 100,1000,10000")
+        sz.add_argument("--reps", type=int, required=True)
+        sz.add_argument("--seed", type=int, default=0)
+        sz.add_argument("--out", default=None)
+        sz.set_defaults(func=_cmd_simulate_size)
 
-    p = sub.add_parser("meth", help="methylation triplet pipeline")
-    msub = p.add_subparsers(dest="meth_kind", required=True)
-    mt = msub.add_parser("triplets", help="per-triplet 21-column report")
-    mt.add_argument("--epireads", required=True,
-                    help="epiread file(s), comma separated")
-    mt.add_argument("--min-coverage", type=int, default=100)
-    mt.add_argument("--boot", type=int, default=1000)
-    mt.add_argument("--seed", type=int, default=0)
-    mt.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-    mt.add_argument("--out", required=True)
-    mt.set_defaults(func=_cmd_meth_triplets)
-    mc = msub.add_parser("correlate",
-                         help="correlate report weights with a covariate")
-    mc.add_argument("--report", required=True)
-    mc.add_argument("--covariate", required=True,
-                    help="TSV: chrom, index, value")
-    mc.add_argument("--group-by", choices=["chrom", "dataset"],
-                    default="chrom")
-    mc.add_argument("--out", default=None)
-    mc.set_defaults(func=_cmd_meth_correlate)
+    if p := add_command("meth", help="methylation triplet pipeline"):
+        msub = p.add_subparsers(dest="meth_kind", required=True)
+        mt = msub.add_parser("triplets", help="per-triplet 21-column report")
+        mt.add_argument("--epireads", required=True,
+                        help="epiread file(s), comma separated")
+        mt.add_argument("--min-coverage", type=int, default=100)
+        mt.add_argument("--boot", type=int, default=1000)
+        mt.add_argument("--seed", type=int, default=0)
+        mt.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+        mt.add_argument("--out", required=True)
+        mt.set_defaults(func=_cmd_meth_triplets)
+        mc = msub.add_parser("correlate",
+                             help="correlate report weights with a covariate")
+        mc.add_argument("--report", required=True)
+        mc.add_argument("--covariate", required=True,
+                        help="TSV: chrom, index, value")
+        mc.add_argument("--group-by", choices=["chrom", "dataset"],
+                        default="chrom")
+        mc.add_argument("--out", default=None)
+        mc.set_defaults(func=_cmd_meth_correlate)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "seed", 0) < 0:
+            raise _UsageError("argument --seed: must be a non-negative "
+                              f"integer, got {args.seed}")
         return args.func(args)
     except SystemExit as exc:      # --version and friends
         return int(exc.code or 0)

@@ -31,7 +31,8 @@ from .errors import DegenerateGroupError, EpireadParseError
 from .exchangeable import (decompose, exchangeable_component_rows,  # noqa: F401
                            tv_distance_to_exchangeable)
 from .inference import WeightEstimate, estimate
-from .space import CountVector, SampleSpace, empirical_distribution
+from .space import (_IS_SPACE, CountVector, SampleSpace,
+                    empirical_distribution)
 
 TRIPLET_SPACE = SampleSpace(k=2, d=3)
 CONFIGS = tuple(TRIPLET_SPACE.outcome_str(i) for i in range(8))  # 000..111
@@ -45,11 +46,6 @@ REPORT_COLUMNS = (
 #: Lines of an epiread stream checked in one bulk pass of
 #: :func:`parse_epireads`.
 _BLOCK_LINES = 2**14
-
-#: ``_IS_SPACE[c]`` says whether ``str.split()`` splits on code point
-#: ``c``.  U+3000 is the largest such code point, so the last entry
-#: (False) stands for every code point above the table.
-_IS_SPACE = np.array([chr(c).isspace() for c in range(0x3002)])
 
 #: Reads taken into one numpy pass of :func:`extract_triplets`; bounds the
 #: memory of the pass whatever the input size.

@@ -18,6 +18,7 @@ Fractions back, any other law the correctly rounded floats.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -139,9 +140,16 @@ def _parse_symbol(c: str) -> int:
     return v
 
 
+#: ``_IS_SPACE[c]`` says whether ``str.split()`` and ``str.strip()`` take
+#: code point ``c`` for white space.  U+3000 is the largest such code
+#: point, so the last entry (False) stands for every code point above the
+#: table.
+_IS_SPACE = np.array([chr(c).isspace() for c in range(0x3002)])
+
+
 #: The symbol of each code point below 128, -1 for none; index 128 stands
 #: for every code point above.
-_ASCII_SYMBOLS = np.full(129, -1, dtype=np.int64)
+_ASCII_SYMBOLS = np.full(129, -1, dtype=np.int8)
 _ASCII_SYMBOLS[[ord(c) for c in _SYMBOL_CHARS + _SYMBOL_CHARS.lower()]] = (
     np.arange(72) % 36)
 
@@ -432,67 +440,61 @@ def empirical_distribution(c: CountVector, exact: bool = False) -> Distribution:
 # default to count 0; listing an outcome twice is an error.
 # ---------------------------------------------------------------------------
 
+#: Lines of a counts file checked in one bulk pass of :func:`read_counts`.
+_BLOCK_LINES = 2**14
+
+
 def read_counts(source: str | IO[str], k: int | None = None) -> CountVector:
     """Read a counts TSV file into a :class:`CountVector`.
 
     ``k`` overrides alphabet-size inference (by default the smallest
     alphabet containing every symbol seen, and at least 2).
+
+    Blank lines and lines whose first non-space character is ``#`` are
+    skipped, and the first other line is the header.  A row has two
+    tab-separated fields, each stripped of surrounding white space: the
+    outcome, and its count in ASCII decimal digits.  The running total
+    of the counts stays below ``2**53``.  A file is read as UTF-8.
+
+    Lines are read ``_BLOCK_LINES`` at a time, and each block is checked
+    in bulk; only the code points of its outcomes, their lengths and its
+    counts are kept.  A block that fails a check is checked again line
+    by line, so the :class:`CountsFileError` names the first bad line,
+    such as one that is not UTF-8 text.  The checks on the whole table
+    (outcome lengths, symbols, ``k``, the outcome budget, duplicates)
+    run once, at the end.
     """
     if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
+        with open(source, "r", encoding="utf-8",
+                  errors="surrogateescape") as fh:
             return read_counts(fh, k=k)
-    outcomes: list[str] = []
-    values: list[int] = []
-    header: list[str] | None = None
-    total = 0
-    for line_no, raw in enumerate(source, start=1):
-        line = raw.rstrip("\n").rstrip("\r")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        fields = line.split("\t")
-        if header is None:
-            header = [f.strip() for f in fields]
-            if header != ["outcome", "count"]:
-                raise CountsFileError(
-                    f"line {line_no}: header must be 'outcome<TAB>count', "
-                    f"got {header}")
-            continue
-        if len(fields) != 2:
-            raise CountsFileError(f"line {line_no}: expected 2 fields, "
-                                  f"got {len(fields)}")
-        outcome, count_s = fields[0].strip(), fields[1].strip()
-        try:
-            count = int(count_s)
-        except ValueError:
-            raise CountsFileError(
-                f"line {line_no}: count {count_s!r} is not an integer")
-        if count < 0:
-            raise CountsFileError(f"line {line_no}: negative count {count}")
-        total += count
-        if total >= MAX_COUNT:
-            raise CountsFileError(f"line {line_no}: count {count} brings "
-                                  "the total to 2**53 or more")
-        outcomes.append(outcome)
-        values.append(count)
-    if header is None or not outcomes:
+    lines = iter(source)
+    header, total, line_no, parts = False, 0, 1, []
+    while block := list(itertools.islice(lines, _BLOCK_LINES)):
+        header, *part = (_block_rows(block, header, total)
+                         or _line_rows(block, line_no, header, total))
+        parts.append(part)
+        total += int(part[2].sum())
+        line_no += len(block)
+    if not any(part[2].size for part in parts):
         raise CountsFileError("counts file has no data rows")
+    codes, lengths, values = map(np.concatenate, zip(*parts))
+    del parts                           # free the blocks' arrays
 
-    lengths = {len(o) for o in outcomes}
-    if len(lengths) != 1:
-        raise CountsFileError(f"inconsistent outcome lengths {sorted(lengths)}")
-    d = lengths.pop()
+    if lengths.min() != lengths.max():
+        raise CountsFileError(
+            f"inconsistent outcome lengths {np.unique(lengths).tolist()}")
+    d = int(lengths[0])
     # Symbols as _parse_symbol reads them: ASCII through the table, others
     # (such as 'ı', which upper-cases to I) one by one.
-    text = "".join(outcomes)
-    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"),
-                          dtype=np.uint32)
-    symbols = _ASCII_SYMBOLS[np.minimum(codes, 128)]
+    symbols = np.take(_ASCII_SYMBOLS, codes, mode="clip")
     for i in np.flatnonzero(codes >= 128):
-        symbols[i] = _SYMBOL_CHARS.find(text[i].upper())
+        symbols[i] = _SYMBOL_CHARS.find(chr(codes[i]).upper())
     bad = np.flatnonzero(symbols < 0)
     if bad.size:
-        raise CountsFileError(f"invalid symbol character {text[bad[0]]!r}")
-    symbols = symbols.reshape(len(outcomes), d)
+        raise CountsFileError(
+            f"invalid symbol character {chr(codes[bad[0]])!r}")
+    symbols = symbols.reshape(values.size, d)
     inferred_k = max(int(symbols.max(initial=-1)) + 1, 2)
     if k is None:
         k = inferred_k
@@ -502,16 +504,135 @@ def read_counts(source: str | IO[str], k: int | None = None) -> CountVector:
     space = SampleSpace(k=k, d=d)
 
     counts = np.zeros(space.check_budget(), dtype=np.int64)
-    idx = symbols @ (k ** np.arange(d - 1, -1, -1, dtype=np.int64))
+    idx = np.zeros(values.size, dtype=np.int64)
+    for column in symbols.T:
+        idx *= k
+        idx += column
     # A stable sort puts each repeat after the row it repeats; the first
     # repeat in file order is the earliest of those.
     order = np.argsort(idx, kind="stable")
     repeats = order[1:][idx[order[1:]] == idx[order[:-1]]]
     if repeats.size:
-        raise CountsFileError(
-            f"duplicate outcome row {outcomes[repeats.min()]!r}")
+        outcome = "".join(map(chr, codes.reshape(-1, d)[repeats.min()]))
+        raise CountsFileError(f"duplicate outcome row {outcome!r}")
     counts[idx] = values
     return CountVector(space, counts)
+
+
+def _block_rows(block: list[str], header: bool, total: int):
+    """:func:`_line_rows` of a block of lines, or None if a line of it
+    fails a check here; :func:`_line_rows` then reads the block and
+    names the bad line.
+
+    The block is taken as one array of code points.  A line is a row
+    unless it is blank or its first non-space code point is ``#``.  Every
+    row holds exactly one tab, and each of its two fields runs from its
+    first to its last non-space code point: the outcome's are kept, and
+    the count's must be ASCII digits.
+    """
+    text = "".join(block)
+    try:
+        points = np.frombuffer((text if text.endswith("\n") else text + "\n")
+                               .encode("utf-32-le"), dtype=np.uint32)
+    except UnicodeEncodeError:                  # a lone surrogate
+        return None
+    end = np.flatnonzero(points == ord("\n"))
+    if end.size != len(block):                  # a line not ended by "\n"
+        return None
+    start = np.concatenate(([0], end[:-1] + 1))
+    # The non-space code points, then a stop past the text: each field's
+    # first is the first at or after its start, and its last the one
+    # before its end.
+    ink = np.append(np.flatnonzero(~np.take(_IS_SPACE, points, mode="clip")),
+                    points.size)
+    lead = ink[np.searchsorted(ink, start)]
+    row = (lead < end) & (np.take(points, lead, mode="clip") != ord("#"))
+    if not header and row.any():
+        first = np.flatnonzero(row)[0]
+        if [f.strip() for f in block[first].split("\t")] != ["outcome",
+                                                             "count"]:
+            return None
+        header, row[first] = True, False
+    tab = np.flatnonzero(points == ord("\t"))
+    first_tab = np.searchsorted(tab, start[row])
+    if np.any(np.searchsorted(tab, end[row]) - first_tab != 1):
+        return None
+    tab, lead, end = tab[first_tab], lead[row], end[row]
+    cut = np.searchsorted(ink, tab)
+    lengths = np.where(lead < tab, ink[cut - 1] + 1 - lead, 0)
+    count_start = ink[cut]
+    count_len = ink[np.searchsorted(ink, end) - 1] + 1 - count_start
+    # A blank count, or one of more than 18 digits, which might pass the
+    # int64 range, is left to the line-by-line check.
+    if np.any((count_start > end) | (count_len > 18)):
+        return None
+    digit_at, offsets = _ranges(count_start, count_len)
+    digits = points[digit_at].astype(np.int64) - ord("0")
+    if np.any((digits < 0) | (digits > 9)):
+        return None
+    place = np.repeat(count_start + count_len - 1, count_len) - digit_at
+    values = (np.add.reduceat(digits * 10**place, offsets) if digits.size
+              else digits)
+    if total + values.sum(dtype=np.float64) >= MAX_COUNT:
+        return None
+    return header, points[_ranges(lead, lengths)[0]], lengths, values
+
+
+def _ranges(first: np.ndarray, lengths: np.ndarray):
+    """The indices ``first[i] .. first[i] + lengths[i] - 1``, range after
+    range, and the offset of each range among them."""
+    offsets = np.cumsum(lengths) - lengths
+    return (np.arange(lengths.sum()) + np.repeat(first - offsets, lengths),
+            offsets)
+
+
+def _line_rows(block: list[str], line_no: int, header: bool, total: int):
+    """The rows of a block of lines, checked one line at a time, as
+    ``(header, outcome code points, outcome lengths, counts)``.
+
+    ``line_no`` is the number of the block's first line, ``header`` says
+    whether the header has been read (before the block, and then after
+    it), and ``total`` is the sum of the counts before the block.  A bad
+    line raises :class:`CountsFileError` naming it.
+    """
+    outcomes, counts = [], []
+    for line_no, raw in enumerate(block, start=line_no):
+        try:
+            raw.encode("utf-8", "surrogateescape").decode("utf-8")
+        except UnicodeError as exc:
+            raise CountsFileError(f"line {line_no}: {exc}") from None
+        line = raw.rstrip("\n").rstrip("\r")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        fields = [f.strip() for f in line.split("\t")]
+        if not header:
+            if fields != ["outcome", "count"]:
+                raise CountsFileError(
+                    f"line {line_no}: header must be 'outcome<TAB>count', "
+                    f"got {fields}")
+            header = True
+            continue
+        if len(fields) != 2:
+            raise CountsFileError(f"line {line_no}: expected 2 fields, "
+                                  f"got {len(fields)}")
+        outcome, count_s = fields
+        digits = count_s[1:] if count_s.startswith("-") else count_s
+        if not (digits.isascii() and digits.isdigit()):
+            raise CountsFileError(
+                f"line {line_no}: count {count_s!r} is not an integer")
+        count = int(count_s)
+        if count < 0:
+            raise CountsFileError(f"line {line_no}: negative count {count}")
+        total += count
+        if total >= MAX_COUNT:
+            raise CountsFileError(f"line {line_no}: count {count} brings "
+                                  "the total to 2**53 or more")
+        outcomes.append(outcome)
+        counts.append(count)
+    return (header, np.frombuffer("".join(outcomes).encode("utf-32-le"),
+                                  dtype=np.uint32),
+            np.array(list(map(len, outcomes)), dtype=np.int64),
+            np.array(counts, dtype=np.int64))
 
 
 def write_counts(c: CountVector, target: str | IO[str]) -> None:

@@ -268,6 +268,37 @@ class TestCountBound:
         assert out == f"{2**52}/{2**53 - 1}\n"
 
 
+class TestCountsEncoding:
+    # Undecodable bytes fail as a counts-file error of their line, not
+    # with the decoder's offset into its 8 KiB chunk.
+    @pytest.mark.parametrize("flag", ["--counts", "--q0"])
+    def test_bad_byte_on_line_3(self, capsys, tmp_path, intro_counts, flag):
+        bad = tmp_path / "latin1.tsv"
+        bad.write_bytes(b"outcome\tcount\n0\t4\n1\xff\t2\n")
+        argv = (["weight", "--counts", str(bad)] if flag == "--counts" else
+                ["classweight", "--counts", intro_counts, "--class",
+                 "singleton", "--q0", str(bad)])
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == ("latentw: error [E_COUNTS_FILE]: line 3: 'utf-8' codec "
+                       "can't decode byte 0xff in position 1: invalid start "
+                       "byte\n")
+
+    def test_bad_byte_past_8_kib(self, capsys, tmp_path):
+        rows = "".join(f"{i:012b}\t{i}\n" for i in range(1500))
+        data = ("outcome\tcount\n" + rows).encode()
+        assert data[20000:20001] != b"\n"
+        line = data[:20000].count(b"\n") + 1
+        column = 20000 - (data.rfind(b"\n", 0, 20000) + 1)
+        bad = tmp_path / "far.tsv"
+        bad.write_bytes(data[:20000] + b"\xff" + data[20001:])
+        code, out, err = run(capsys, "tv", "--counts", str(bad), "--json")
+        assert (code, out) == (1, "")
+        assert err == (f"latentw: error [E_COUNTS_FILE]: line {line}: 'utf-8' "
+                       f"codec can't decode byte 0xff in position {column}: "
+                       "invalid start byte\n")
+
+
 class TestTv:
     def test_value(self, capsys, third_counts):
         code, out, _ = run(capsys, "tv", "--counts", third_counts)
@@ -566,3 +597,101 @@ class TestMeth:
             assert (code, err) == (0, "")
             outputs.append(path.read_bytes())
         assert outputs[1:] == outputs[:1] * 3
+
+
+class TestSeed:
+    # A negative seed is a usage error, found before any input is read:
+    # the input files here do not exist.
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--counts", "none.tsv"],
+        ["simulate", "size", "--k", "2", "--d", "3", "--sizes", "10",
+         "--reps", "2"],
+        ["meth", "triplets", "--epireads", "none.epiread"],
+    ], ids=["estimate", "simulate-size", "meth-triplets"])
+    def test_negative_seed_exits_1(self, capsys, tmp_path, argv):
+        out = tmp_path / "out.txt"
+        code, stdout, err = run(capsys, *argv, "--seed", "-1", "--out",
+                                str(out))
+        assert (code, stdout) == (1, "")
+        assert err == ("latentw: error [E_USAGE]: argument --seed: must be a "
+                       "non-negative integer, got -1\n")
+        assert not out.exists()
+
+
+#: One valid command line per subcommand, nested ones included.
+VALID_ARGV = [
+    ["weight", "--counts", "c.tsv", "--exact", "--json"],
+    ["decompose", "--counts", "c.tsv", "--k", "3", "--out", "o.json"],
+    ["bound", "marginal", "--counts", "c.tsv", "--indices", "1,2"],
+    ["bound", "lump", "--counts", "c.tsv", "--map", "m.tsv", "--exact"],
+    ["tv", "--counts", "c.tsv", "--json"],
+    ["classweight", "--counts", "c.tsv", "--class", "iid", "--grid", "9"],
+    ["estimate", "--counts", "c.tsv", "--boot", "50", "--subsample",
+     "--seed", "4"],
+    ["simulate", "size", "--k", "2", "--d", "3", "--sizes", "10",
+     "--reps", "2"],
+    ["meth", "triplets", "--epireads", "r.epiread", "--threads", "2",
+     "--out", "r.tsv"],
+    ["meth", "correlate", "--report", "r.tsv", "--covariate", "v.tsv",
+     "--group-by", "dataset"],
+]
+
+
+class TestParser:
+    # main() builds only the named subcommand's parser, which must parse,
+    # help and fail as the parser of every subcommand does.
+    def test_every_subcommand_is_named(self, capsys):
+        code, out, _ = run(capsys, "--help")
+        assert "{" + ",".join(cli._SUBCOMMANDS) + "}" in out
+
+    @pytest.mark.parametrize("argv", VALID_ARGV, ids=lambda a: a[0])
+    def test_namespace_matches_full_parser(self, argv):
+        one = cli.build_parser(argv[0]).parse_args(argv)
+        assert vars(one) == vars(cli.build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("prefix", [
+        [], ["weight"], ["decompose"], ["bound"], ["bound", "marginal"],
+        ["bound", "lump"], ["tv"], ["classweight"], ["estimate"],
+        ["simulate"], ["simulate", "size"], ["meth"], ["meth", "triplets"],
+        ["meth", "correlate"],
+    ], ids=lambda p: " ".join(p) or "top")
+    def test_help_matches_full_parser(self, capsys, prefix):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args([*prefix, "--help"])
+        full = capsys.readouterr().out
+        assert full.startswith(f"usage: {' '.join(['latentw', *prefix])}")
+        assert run(capsys, *prefix, "--help") == (0, full, "")
+
+    @pytest.mark.parametrize("argv", [
+        [], ["nope"], ["--bogus"], ["weight"], ["weight", "--version"],
+        ["weight", "--counts"], ["weight", "--counts", "c.tsv", "extra"],
+        ["tv", "--counts", "c.tsv", "--exact"],
+        ["classweight", "--counts", "c.tsv", "--class", "bad"],
+        ["estimate", "--counts", "c.tsv", "--seed", "x"],
+        ["bound"], ["bound", "foo"], ["bound", "lump", "--counts", "c.tsv"],
+        ["simulate", "size", "--k", "x"], ["meth"], ["meth", "triplets"],
+        ["meth", "correlate", "--report", "r", "--covariate", "v",
+         "--group-by", "z"],
+    ])
+    def test_usage_errors_match_full_parser(self, capsys, argv):
+        with pytest.raises(cli._UsageError) as exc:
+            cli.build_parser().parse_args(argv)
+        assert run(capsys, *argv) == (
+            1, "", f"latentw: error [E_USAGE]: {exc.value}\n")
+
+
+class TestJsonText:
+    @pytest.mark.parametrize("payload", [
+        {},
+        {"meta": {"version": "0.1.0", "seed": None, "config_hash": "ab"},
+         "value": 0.25, "exact": "1/4", "q": [0.1, 0.2, 0.7]},
+        {"empty": [], "nested_empty": {"a": [], "b": {}}, "none": None},
+        {"floats": [float("nan"), float("inf"), -float("inf"), -0.0, 1e-300,
+                    0.1 + 0.2, 2**60, True, False, None]},
+        {"sets": [["000"], ["001", "010", "100"], []], "mixed": [1, [2], 3],
+         "tuple": (1, 2), "deep": {"x": [{"y": [1.5, None]}]}},
+        {"text": ["ı", "é€", "\u0000\"\\\n"], "ünï": "ſ\t",
+         "flag": True},
+    ])
+    def test_matches_stdlib_indent(self, payload):
+        assert cli._json_text(payload) == json.dumps(payload, indent=2) + "\n"

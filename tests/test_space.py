@@ -1,8 +1,10 @@
 import io
 import math
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -321,6 +323,136 @@ class TestCountsFile:
         assert _outcome(read_counts, io.StringIO(text), k) == _outcome(
             _read_counts_reference, stripped, k)
 
+
+    @pytest.mark.parametrize("count", ["+3", "\u0663", "1_000", "3.0", "0x1",
+                                       "--2", "-", " ", "\u00b2"])
+    def test_count_is_ascii_digits(self, count):
+        # int() reads '+3', the Arabic-Indic three and '1_000' as numbers
+        with pytest.raises(CountsFileError) as err:
+            read_counts(io.StringIO(f"outcome\tcount\n00\t1\n01\t{count}\n"))
+        assert str(err.value) == (f"line 3: count {count.strip()!r} is not "
+                                  "an integer")
+
+    def test_count_padding_and_sign(self):
+        c = read_counts(io.StringIO("outcome\tcount\n01\t 7 \n10\t007\n"
+                                    f"11\t{'0' * 30}1\n00\t-0\n"))
+        assert c.counts.tolist() == [0, 7, 7, 1]
+        with pytest.raises(CountsFileError) as err:
+            read_counts(io.StringIO("outcome\tcount\n01\t -2\n"))
+        assert str(err.value) == "line 2: negative count -2"
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_lines_match_line_by_line_reference(self, data):
+        text, k = data.draw(_counts_text())
+        expected = _outcome(_read_lines_reference, text, k)
+        # blocks of a few lines put most faults in a later block
+        for block in (1, 2, 3, space_module._BLOCK_LINES):
+            with mock.patch.object(space_module, "_BLOCK_LINES", block):
+                assert _outcome(read_counts, io.StringIO(text), k) == expected
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_running_total_across_blocks(self, block):
+        text = f"outcome\tcount\n00\t{2**52}\n01\t{2**52 - 1}\n11\t1\n"
+        with mock.patch.object(space_module, "_BLOCK_LINES", block), \
+                pytest.raises(CountsFileError) as err:
+            read_counts(io.StringIO(text))
+        assert str(err.value) == ("line 4: count 1 brings the total to "
+                                  "2**53 or more")
+
+    def test_bad_line_in_second_block(self):
+        n = space_module._BLOCK_LINES
+        lines = ["outcome\tcount\n"] + [f"{i:016b}\t1\n" for i in range(n + 4)]
+        lines[n + 2] = f"{n + 1:016b}\t+1\n"
+        with pytest.raises(CountsFileError) as err:
+            read_counts(io.StringIO("".join(lines)))
+        assert str(err.value) == f"line {n + 3}: count '+1' is not an integer"
+        del lines[n + 2]
+        c = read_counts(io.StringIO("".join(lines)))
+        assert (c.space, c.n) == (SampleSpace(2, 16), n + 3)
+
+
+@st.composite
+def _counts_text(draw):
+    """A counts file over a small space, and a ``k`` override: the
+    header and rows among comments and blank lines, with padded fields,
+    LF or CRLF endings (or none on the last line), and at times one
+    faulty line."""
+    k = draw(st.integers(2, 4))
+    d = draw(st.integers(2, 3))
+    idx = draw(st.lists(st.integers(0, k**d - 1), min_size=1, max_size=16,
+                        unique=True))
+    pad = st.sampled_from(["", "", " ", "  ", "\r", "\u3000", "\x0c"])
+    end = st.sampled_from(["\n", "\n", "\r\n"])
+    fields = [("outcome", "count")] + [
+        ("".join(_SYMBOL_CHARS[i // k**j % k] for j in range(d - 1, -1, -1)),
+         str(draw(st.integers(0, 10**6)))) for i in idx]
+    lines = [draw(pad) + o + draw(pad) + "\t" + draw(pad) + c + draw(pad)
+             + draw(end) for o, c in fields]
+    fault = draw(st.sampled_from(
+        ["none"] * 4 + ["header", "fields1", "fields3", "count", "negative",
+                        "total", "surrogate", "zeros"]))
+    row = draw(st.integers(0 if fault == "header" else 1,
+                           0 if fault == "header" else len(lines) - 1))
+    o, c = fields[row]
+    bad_line = {"header": "outcome\tcounts\n", "fields1": f"{o} {c}\n",
+                "fields3": f"{o}\t{c}\t\n", "surrogate": f"{o}\udcff\t{c}\n"}
+    bad_count = {"count": st.sampled_from(["x", "+3", "1_000", "", "4.0"]),
+                 "negative": st.integers(-9, -1),
+                 "total": st.sampled_from([2**53 - 1, 2**53, 10**19,
+                                           2**64 + 5]),
+                 "zeros": st.just("0" * 20 + c)}
+    if fault in bad_line:
+        lines[row] = bad_line[fault]
+    elif fault in bad_count:
+        lines[row] = f"{o}\t{draw(bad_count[fault])}\n"
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(
+            ["\n", "   \n", "\t\n", "\r\n", "# note\n", "  #\tx\ty\n", "#\n",
+             "#0\t1\n"])))
+    text = "".join(lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\n")
+    return text, draw(st.sampled_from([None, None, k + 1]))
+
+
+def _read_lines_reference(text, k):
+    """The file read one line at a time, then :func:`_read_counts_reference`
+    on its rows."""
+    rows, header, total = [], None, 0
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        try:
+            line.encode("utf-8", "surrogateescape").decode("utf-8")
+        except UnicodeError as exc:
+            raise CountsFileError(f"line {line_no}: {exc}")
+        if not line.strip() or line.strip().startswith("#"):
+            continue
+        fields = [f.strip() for f in line.split("\t")]
+        if header is None:
+            if fields != ["outcome", "count"]:
+                raise CountsFileError(
+                    f"line {line_no}: header must be 'outcome<TAB>count', "
+                    f"got {fields}")
+            header = fields
+        elif len(fields) != 2:
+            raise CountsFileError(
+                f"line {line_no}: expected 2 fields, got {len(fields)}")
+        elif not re.fullmatch("-?[0-9]+", fields[1]):
+            raise CountsFileError(
+                f"line {line_no}: count {fields[1]!r} is not an integer")
+        elif int(fields[1]) < 0:
+            raise CountsFileError(
+                f"line {line_no}: negative count {int(fields[1])}")
+        else:
+            total += int(fields[1])
+            if total >= 2**53:
+                raise CountsFileError(
+                    f"line {line_no}: count {int(fields[1])} brings the "
+                    "total to 2**53 or more")
+            rows.append((fields[0], int(fields[1])))
+    if not rows:
+        raise CountsFileError("counts file has no data rows")
+    return _read_counts_reference(rows, k)
 
 #: Characters outside the symbol alphabet, ASCII and not.
 _INVALID_CHARS = "-_ .@[`{é€ß\u00a0ﬀ"
