@@ -33,7 +33,7 @@ from fractions import Fraction
 from . import __version__
 from .errors import LatentwError
 from .space import (_SYMBOL_CHARS, CountVector, empirical_distribution,
-                     read_counts)
+                     read_counts, utf8_lines)
 from . import exchangeable as exch
 from . import inference
 from . import methylation as meth
@@ -161,7 +161,7 @@ def _cmd_tv(args) -> int:
     c = _counts_arg(args)
     p = empirical_distribution(c)
     dist, q = exch.tv_distance_to_exchangeable(p)
-    extra = {"q": [float(v) for v in q.p]} if args.json else None
+    extra = {"q": q.p.tolist()} if args.json else None
     _emit(_scalar_output(dist, args, extra=extra), args.out)
     return 0
 
@@ -183,7 +183,7 @@ def _cmd_classweight(args) -> int:
             "meta": _meta(args),
             "lambda": min(res.lam, 1.0),
             "lambda_raw": res.lam,
-            "argmax_q": [float(v) for v in res.argmax_q.p],
+            "argmax_q": res.argmax_q.p.tolist(),
             "certificate_margin": res.certificate_margin,
             "converged": res.converged,
             "n_starts": len(res.multistart_log),
@@ -290,10 +290,9 @@ def _read_symbol_map(path: str, k: int) -> dict[int, str]:
     """Symbol -> label rows of a map file: one row per symbol, each a
     single symbol character below ``k``, after an optional header on the
     first line that is not a comment."""
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [(line_no, [f.strip() for f in line.split("\t")])
-                for line_no, line in enumerate(fh, start=1)
-                if line.strip() and not line.lstrip().startswith("#")]
+    rows = [(line_no, [f.strip() for f in line.split("\t")])
+            for line_no, line in utf8_lines(path, "map file", LatentwError)
+            if line.strip() and not line.lstrip().startswith("#")]
     if rows and rows[0][1] == ["from", "to"]:
         del rows[0]
     mapping: dict[int, str] = {}
@@ -320,10 +319,10 @@ def _read_covariate(path: str) -> dict[tuple[str, int], float]:
     header ``chrom<TAB>index<TAB>value`` on the first line that is not
     blank or a comment: one row per key, each index a non-negative
     integer and each value a finite number."""
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [(line_no, [f.strip() for f in line.split("\t")])
-                for line_no, line in enumerate(fh, start=1)
-                if line.strip() and not line.lstrip().startswith("#")]
+    rows = [(line_no, [f.strip() for f in line.split("\t")])
+            for line_no, line in utf8_lines(path, "covariate file",
+                                            LatentwError)
+            if line.strip() and not line.lstrip().startswith("#")]
     if rows and rows[0][1] != ["chrom", "index", "value"]:
         raise LatentwError(f"covariate file line {rows[0][0]}: header must "
                            "be 'chrom<TAB>index<TAB>value'")

@@ -14,57 +14,40 @@ regular case) the limit is normal with a closed-form variance; with ties
 the limit is a weighted sum of minima of correlated Gaussians, which we
 sample by Monte Carlo instead of evaluating in closed form.
 
-Every bootstrap here follows one draw plan.  A sample draws its resamples
-by one of two paths, chosen by ``k**d`` and the resample size ``n0``
-alone.  Spaces of at least ``_POISSON_MIN_OUTCOMES = 512`` outcomes with
-``3*sqrt(n0) <= k**d`` take the Poisson path; every other sample, and so
-every methylation triplet (8 outcomes) at any coverage, keeps one
-``Generator.multinomial`` call a chunk over all ``k**d`` outcomes, which
-draws each cell as a conditional binomial.
+Every bootstrap here draws one law by one chunk plan.  A resample's
+weight needs only its orbit minima, and a cell of probability 0 stays 0,
+so an orbit holding one (a dead orbit) has minimum 0 throughout.  A
+sample draws its lumped law: the cells of its live orbits in orbit
+order, after one rest cell holding the mass of every other cell when
+some orbit is dead, placed first since ``Generator.multinomial`` draws
+nothing in, and spends no random bits on, a first cell of probability 0.
+With every orbit live it is ``p`` in orbit order.  Lumping cells of a
+multinomial gives a multinomial, so the live cells keep their exact
+joint law.  A sample with no live orbit draws nothing: its weights are 0.
 
-The weight needs only each resample's orbit minima, and a cell of
-probability 0 stays 0 in every resample.  So an orbit holding a zero cell
-has minimum 0 in every resample, and the Poisson path draws a lumped law
-instead: the ``L`` cells of the live orbits (orbit minimum of ``p`` above
-0), in orbit order, then one rest cell holding the summed mass of every
-other cell.  Lumping cells of a multinomial gives a multinomial, so the live
-cells keep their exact joint law, and the dead orbits add 0 to every
-weight.  A sample with no live orbit draws nothing: its weights are 0.
-The Poisson path draws the ``L + 1`` lumped cells as independent Poisson
-cells at rate ``lam * law`` with ``lam = max(0, n0 - 3*sqrt(n0))``, draws
-a resample again while its total ``M`` exceeds ``n0`` (about 0.13% of
-them), and completes it with ``n0 - M`` draws from the law through a
-Walker alias table, built once per sample.  Given ``M``, the Poisson
-cells are multinomial ``(M, law)``, and the event ``M <= n0`` depends on
-``M`` alone; so the completed resample is exactly multinomial
-``(n0, law)``.  A zero cell (the rest cell when every dead orbit's cells
-are 0) has rate 0, probability 0 in its own column and is no column's
-alias, so it is never drawn.
+A law of ``m`` cells is drawn by one ``Generator.multinomial`` call a
+chunk or, where :func:`_takes_poisson` picks it (never for a methylation
+triplet), by :func:`_poisson_multinomial`, which gives the same law.  A
+sample's ``n_boot`` resamples are cut into chunks of at most
+``_BLOCK_CELLS = 2**15`` draw cells (resamples x ``m``, at least one
+resample a chunk), planned from that sample alone, so a row of a stack
+gets the same bits as by itself.  A sample that fits in one chunk draws
+from its seed, and consecutive such samples of a stack share a task of at
+most ``2**15`` draw cells.  Otherwise chunk ``i`` draws from
+``SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (i,))``, the
+seed that ``seed.spawn`` would give its ``i``-th child, without spawning
+from the caller's seed.
 
-A sample's draw cells are the cells it draws per resample: ``k**d`` on
-the multinomial path, ``L + 1`` on the Poisson path.  Its ``n_boot``
-resamples are cut into chunks of at most ``_BLOCK_CELLS = 2**15`` draw
-cells (at least one resample per chunk), planned from that sample alone,
-so a row of a stack gets the same bits as by itself.  A sample that fits
-in one chunk draws from its seed in one go, and consecutive such samples
-of a stack share a task of at most ``2**15`` draw cells, whose
-multinomial draws are reduced together.  Otherwise chunk ``i`` draws
-from ``SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (i,))``,
-the seed that ``seed.spawn`` would give its ``i``-th child, without
-spawning from the caller's seed.
-
-Each chunk is reduced to its resample weights as soon as it is drawn:
-the Poisson path by ``sum |z| * min`` over its live orbits, divided once
-by ``n0``; the multinomial path by ``exchangeable_weight_rows``, which
-copies the cells into orbit order.  So a worker holds about
-``max(2**15, k**d)`` draw cells at a time (int64: the draws, and their
-stacked and orbit-ordered copies; the Poisson path makes its completion
-draws in pieces of ``_PIECE_DRAWS = 2**13`` instead).  Each sample on the
-Poisson path also keeps its rates and its alias table, 24 bytes a drawn
-cell.  The chunks run on a thread pool of up to one worker per usable
-CPU, since numpy draws without the GIL, or fewer under ``estimate``'s
-``threads`` cap or when the workers' chunks would pass ``_POOL_BYTES``
-(1 GiB) together; ``estimate`` reduces a stack in groups of at most
+Each chunk is reduced to its weights as soon as it is drawn, in one
+place, :meth:`_LumpedLaw.weights`: ``sum |z| * min`` over the live
+orbits, divided once by ``n0``.  So a worker holds about ``max(2**15,
+m)`` int64 draw cells at a time: the draws and their minima, or the
+draws and a piece's completion counts.  A sample keeps its law (8 bytes
+a cell), and on the Poisson sampler its alias table (16 more).
+The chunks run on a thread pool of up to one worker per usable CPU, since
+numpy draws without the GIL, or fewer under ``estimate``'s ``threads``
+cap or when the workers' chunks would pass ``_POOL_BYTES`` (1 GiB)
+together; ``estimate`` reduces a stack in groups of at most
 ``_GROUP_REPLICATES`` resample weights.  The result is the same bits
 whatever the number of workers or the size of the groups.
 """
@@ -80,8 +63,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptySampleError, TiedArgminError
-from .exchangeable import (argmin_sets, exchangeable_weight,
-                           exchangeable_weight_rows)
+# The bootstrap does not call exchangeable_weight_rows; the benchmark's
+# tracer wraps it here.
+from .exchangeable import (exchangeable_weight_rows,  # noqa: F401
+                           argmin_sets, exchangeable_weight)
 from .space import (MAX_COUNT, CountVector, Distribution, SampleSpace,
                     empirical_distribution, ratio)
 
@@ -98,10 +83,9 @@ EIGEN_FLOOR = -1e-12
 _BLOCK_CELLS = 2**15
 
 #: Bytes the tasks of one bootstrap pool may hold at once.  A task holds
-#: its draws and their stacked and orbit-ordered copies, or a Poisson
-#: chunk's draws and completion pieces: within
-#: ``3 * 8 * max(_BLOCK_CELLS, k**d)`` bytes, so a large ``k**d`` gets
-#: fewer workers than there are CPUs.
+#: its draws and their minima, or its draws and a piece's completion
+#: counts: within ``3 * 8 * max(_BLOCK_CELLS, k**d)`` bytes, as a law has
+#: at most ``k**d`` cells, so a large ``k**d`` gets fewer workers.
 _POOL_BYTES = 2**30
 
 #: A Poisson resample of size ``n0`` is drawn at total rate
@@ -109,9 +93,9 @@ _POOL_BYTES = 2**30
 #: and are drawn again.
 _SHORTFALL_SDS = 3.0
 
-#: The Poisson path needs at least this many outcomes (and
-#: ``_SHORTFALL_SDS * sqrt(n0) <= k**d``).
-_POISSON_MIN_OUTCOMES = 512
+#: The Poisson sampler needs a law of at least this many drawn cells (and
+#: ``_SHORTFALL_SDS * sqrt(n0) <= 2 * cells``).
+_POISSON_MIN_CELLS = 512
 
 #: The completion draws of a chunk are made in pieces of at most this many.
 _PIECE_DRAWS = _BLOCK_CELLS // 4
@@ -179,11 +163,16 @@ def resample_law(counts: np.ndarray, n_boot: int,
     return n0, counts / n[:, None]
 
 
-def _takes_poisson(n_outcomes: int, n0: int) -> bool:
-    """The draw-path rule: True where Poisson cells completed to ``n0``
-    were measured faster than ``Generator.multinomial``."""
-    return (n_outcomes >= _POISSON_MIN_OUTCOMES
-            and _SHORTFALL_SDS * np.sqrt(n0) <= n_outcomes)
+def _takes_poisson(m: int, n0: int) -> bool:
+    """True when a law of ``m`` drawn cells at resample size ``n0`` takes
+    the Poisson sampler.  Measured frontier, Poisson over multinomial time
+    of 1 000 resamples in the plan's chunks at 1 thread (Dirichlet(1)
+    laws, 2-CPU Xeon, numpy 2.4), at ``3*sqrt(n0)`` = ``m``, ``2*m`` and
+    ``3*m``: 0.55, 0.75 and 1.11 for 512 cells, 0.58, 0.81 and 1.06 for
+    1 242, 0.66, 0.93 and 1.25 for 4 096; 0.57 on the k4d6 count table
+    (1 242 cells, n0 204 800), 1.86 on k2d10 (68 cells, n0 51 200).
+    Below 512 cells it measured 0.58 to 0.85 within ``2*m`` as well."""
+    return m >= _POISSON_MIN_CELLS and _SHORTFALL_SDS * np.sqrt(n0) <= 2 * m
 
 
 def _alias_table(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -214,14 +203,18 @@ def _alias_table(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return prob, alias
 
 
-def _poisson_multinomial(rng: np.random.Generator, n0: int, rate: np.ndarray,
+def _poisson_multinomial(rng: np.random.Generator, n0: int, p: np.ndarray,
                          table: tuple[np.ndarray, np.ndarray], size: int,
                          ) -> np.ndarray:
     """``size`` multinomial ``(n0, p)`` draws: Poisson cells at
-    ``rate = lam * p``, a row above ``n0`` drawn again, then each row
-    completed to ``n0`` by draws from the alias ``table`` of ``p``, in
-    pieces of at most ``_PIECE_DRAWS``."""
-    k = len(rate)
+    ``rate = lam * p``, ``lam = max(0, n0 - 3*sqrt(n0))``, a row above
+    ``n0`` drawn again (about 0.13% of them), then each row completed to
+    ``n0`` by draws from the alias ``table`` of ``p``, in pieces of at
+    most ``_PIECE_DRAWS``.  Given its total ``M`` a row's Poisson cells
+    are multinomial ``(M, p)``, and the redraw depends on ``M`` alone, so
+    the row is exactly multinomial ``(n0, p)``; a zero cell has rate 0 and
+    is no column's alias, so it is never drawn."""
+    k, rate = len(p), max(0.0, n0 - _SHORTFALL_SDS * np.sqrt(n0)) * p
     counts = rng.poisson(rate, size=(size, k))
     totals = counts.sum(axis=1)
     over = np.flatnonzero(totals > n0)
@@ -253,71 +246,73 @@ def _poisson_multinomial(rng: np.random.Generator, n0: int, rate: np.ndarray,
 
 @dataclass(frozen=True)
 class _LumpedLaw:
-    """A sample's drawn law on the Poisson path: the cells of its live
-    orbits in orbit order, then one rest cell (see the module docstring)."""
+    """A sample's drawn law: its live orbits' cells in orbit order, after
+    one rest cell when some orbit is dead (see the module docstring)."""
 
-    rate: np.ndarray                    # lam * law, one entry a drawn cell
-    table: tuple[np.ndarray, np.ndarray]   # alias table of the law
+    n0: int                             # resample size
+    law: np.ndarray                     # probability of each drawn cell
     starts: np.ndarray                  # live orbits' offsets in the law
     sizes: np.ndarray                   # live orbits' sizes |z|
+    table: tuple | None                 # alias table, on the Poisson sampler
 
-    def weights(self, rng: np.random.Generator, n0: int,
-                size: int) -> np.ndarray:
+    def draws(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` multinomial ``(n0, law)`` resamples, by the sampler
+        that ``_takes_poisson`` picked."""
+        if self.table is None:
+            return rng.multinomial(self.n0, self.law, size=size)
+        return _poisson_multinomial(rng, self.n0, self.law, self.table, size)
+
+    def weights(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Weights of ``size`` resamples: ``sum |z| * min / n0`` over the
         live orbits, divided once."""
-        draws = _poisson_multinomial(rng, n0, self.rate, self.table, size)
-        mins = np.minimum.reduceat(draws[:, :-1], self.starts, axis=1)
-        return ratio(mins @ self.sizes, n0)
+        mins = np.minimum.reduceat(self.draws(rng, size), self.starts, axis=1)
+        return ratio(mins @ self.sizes, self.n0)
 
 
 def _lumped_law(space: SampleSpace, p: np.ndarray, n0: int,
                 ) -> _LumpedLaw | None:
-    """The Poisson path's law of ``p`` at resample size ``n0``: its live
-    orbits (orbit minimum above 0) and a rest cell holding the sum of every
-    other cell in orbit order; None when no orbit is live."""
+    """The drawn law of ``p`` at resample size ``n0``: the cells of its
+    live orbits (orbit minimum above 0) in orbit order, after a rest cell
+    holding the sum of every other cell in orbit order when some orbit is
+    dead; None when no orbit is live."""
     index = space.orbit_index()
-    grouped = p[index.order]
-    live = np.minimum.reduceat(grouped, index.starts) > 0
+    law = p[index.order]
+    live = np.minimum.reduceat(law, index.starts) > 0
     if not live.any():
         return None
-    in_live = np.repeat(live, index.sizes)
-    law = np.append(grouped[in_live], grouped[~in_live].sum())
     sizes = index.sizes[live]
-    lam = max(0.0, n0 - _SHORTFALL_SDS * np.sqrt(n0))
-    return _LumpedLaw(rate=lam * law, table=_alias_table(law),
-                      starts=np.cumsum(sizes) - sizes, sizes=sizes)
+    starts = np.cumsum(sizes) - sizes
+    if not live.all():
+        in_live = np.repeat(live, index.sizes)
+        law = np.concatenate(([law[~in_live].sum()], law[in_live]))
+        starts += 1
+    table = _alias_table(law) if _takes_poisson(len(law), n0) else None
+    return _LumpedLaw(n0=n0, law=law, starts=starts, sizes=sizes,
+                      table=table)
 
 
 def multinomial_weights(space: SampleSpace, n0: np.ndarray, p: np.ndarray,
                         size: int, seeds: Sequence, threads: int | None = None,
                         ) -> np.ndarray:
-    """Exchangeable weights of ``size`` multinomial ``(n0[j], p[j])``
-    samples for each row ``j``, drawn by the module's chunk plan, on the
-    lumped Poisson path where ``_takes_poisson`` picks it.
-
-    Returns the ``(len(p), size)`` weights.  Each row is cut into chunks
-    by its own draw cells.  A row that fits in one chunk is drawn from its
-    seed, and such rows share a task of up to ``_BLOCK_CELLS`` draw cells,
-    where the multinomial ones are reduced together; other rows are drawn
-    and reduced chunk by chunk.  A Poisson-path row with no live orbit
-    draws nothing: its weights are 0.  The tasks run on a pool of at most
-    ``threads`` workers (None: one per usable CPU), and never more than
-    the CPUs, the tasks or the tasks that fit in ``_POOL_BYTES``; a cap
-    below 2 runs them in the calling thread.
+    """The ``(len(p), size)`` exchangeable weights of ``size``
+    multinomial ``(n0[j], p[j])`` samples for each row ``j``, drawn from
+    its lumped law by the module's chunk plan: a row that fits in one
+    chunk is drawn from its seed, and such rows share a task of up to
+    ``_BLOCK_CELLS`` draw cells; a row with no live orbit draws nothing.
+    The tasks run on a pool of at most ``threads`` workers (None: one per
+    usable CPU), and never more than the CPUs, the tasks or the tasks that
+    fit in ``_POOL_BYTES``; a cap below 2 runs them in the calling thread.
     """
-    seeds = [_as_seed_sequence(s) for s in seeds]
     weights = np.zeros((len(p), size))
-    lumped, tasks, shared, shared_cells = {}, [], [], 0
-    for j, seed in enumerate(seeds):
-        cells = space.n_outcomes
-        if _takes_poisson(space.n_outcomes, n0[j]):
-            lumped[j] = _lumped_law(space, p[j], n0[j])
-            if lumped[j] is None:
-                continue
-            cells = len(lumped[j].rate)
+    tasks, shared, shared_cells = [], [], 0
+    for j, seed in enumerate(map(_as_seed_sequence, seeds)):
+        law = _lumped_law(space, p[j], n0[j])
+        if law is None:
+            continue
+        cells = len(law.law)
         per_chunk = max(1, _BLOCK_CELLS // cells)
         if size > per_chunk:
-            tasks += [[(j, slice(lo, min(lo + per_chunk, size)),
+            tasks += [[(j, law, slice(lo, min(lo + per_chunk, size)),
                         np.random.SeedSequence(
                             seed.entropy, pool_size=seed.pool_size,
                             spawn_key=seed.spawn_key + (i,)))]
@@ -326,28 +321,15 @@ def multinomial_weights(space: SampleSpace, n0: np.ndarray, p: np.ndarray,
         if shared and shared_cells + size * cells > _BLOCK_CELLS:
             tasks.append(shared)
             shared, shared_cells = [], 0
-        shared.append((j, slice(0, size), seed))
+        shared.append((j, law, slice(0, size), seed))
         shared_cells += size * cells
     if shared:
         tasks.append(shared)
 
     def draw(task: list) -> None:
-        rows, stacked = [], []
-        for j, part, seed in task:
-            rng = np.random.default_rng(seed)
-            if j in lumped:
-                weights[j, part] = lumped[j].weights(
-                    rng, n0[j], part.stop - part.start)
-            else:
-                rows.append(j)
-                stacked.append(rng.multinomial(
-                    n0[j], p[j], size=part.stop - part.start))
-        if rows:
-            # A single row's draws are reduced in place, without a stacked
-            # copy.
-            counts = np.stack(stacked) if len(rows) > 1 else stacked[0][None]
-            weights[rows, task[0][1]] = exchangeable_weight_rows(
-                space, counts, total=n0[rows])
+        for j, law, part, seed in task:
+            weights[j, part] = law.weights(np.random.default_rng(seed),
+                                           part.stop - part.start)
 
     cpus = _usable_cpus()
     fit = _POOL_BYTES // (3 * 8 * max(_BLOCK_CELLS, space.n_outcomes))
@@ -403,13 +385,11 @@ def estimate(c: CountVector, n_boot: int = 1000,
         Cap on the workers that draw the resamples (None: one per usable
         CPU; below 2: the calling thread).  It never changes the result.
 
-    The resamples are drawn by the module's plan: one
-    ``Generator.multinomial`` call per chunk, or, on spaces of at least
-    512 outcomes with ``3*sqrt(n0) <= k**d``, Poisson cells of the live
-    orbits and one rest cell completed to ``n0``, which give the weights
-    of the same multinomial law.  A stack is drawn and
-    reduced in groups of at most ``_GROUP_REPLICATES`` resample weights,
-    and gets no regime diagnosis: its ``regularity_flag`` is None.
+    The resamples are drawn by the module's plan from the sample's lumped
+    law, which gives the weights of the multinomial law of ``p``.  A stack
+    is drawn and reduced in groups of at most ``_GROUP_REPLICATES``
+    resample weights, and gets no regime diagnosis: its
+    ``regularity_flag`` is None.
     """
     stack = c.counts.ndim == 2
     counts = c.counts if stack else c.counts[None, :]

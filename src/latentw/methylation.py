@@ -32,7 +32,7 @@ from .exchangeable import (decompose, exchangeable_component_rows,  # noqa: F401
                            tv_distance_to_exchangeable)
 from .inference import WeightEstimate, estimate
 from .space import (_IS_SPACE, CountVector, SampleSpace,
-                    empirical_distribution)
+                    empirical_distribution, utf8_error, utf8_lines)
 
 TRIPLET_SPACE = SampleSpace(k=2, d=3)
 CONFIGS = tuple(TRIPLET_SPACE.outcome_str(i) for i in range(8))  # 000..111
@@ -134,10 +134,8 @@ def _block_records(block: list[str]) -> Iterator[EpireadRecord] | None:
 def _check_line(line_no: int, raw: str) -> EpireadRecord | None:
     """The record of one line, or None for a blank line; raises
     :class:`EpireadParseError` naming the first thing wrong with it."""
-    try:
-        raw.encode("utf-8", "surrogateescape").decode("utf-8")
-    except UnicodeError as exc:
-        raise EpireadParseError(line_no, str(exc)) from None
+    if bad := utf8_error(raw):
+        raise EpireadParseError(line_no, bad)
     fields = raw.split()
     if not fields:
         return None
@@ -395,16 +393,15 @@ def read_report_tsv(source: str | IO[str]) -> list[dict]:
     ------
     ValueError
         If the header is not the 21 report columns, or a row, named as
-        ``report line N``, has another field count or a count or index
-        that is not an integer or another number field that is not a
-        number.
+        ``report line N``, has another field count, a count or index that
+        is not an integer, another number field that is not a number, or
+        (read from a path) bytes that are not UTF-8.
     """
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            return read_report_tsv(fh)
+    lines = (utf8_lines(source, "report") if isinstance(source, str)
+             else enumerate(source, start=1))
     rows = []
     header: list[str] | None = None
-    for line_no, raw in enumerate(source, start=1):
+    for line_no, raw in lines:
         line = raw.rstrip("\n")
         if not line or line.startswith("#"):
             continue

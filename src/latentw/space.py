@@ -597,10 +597,8 @@ def _line_rows(block: list[str], line_no: int, header: bool, total: int):
     """
     outcomes, counts = [], []
     for line_no, raw in enumerate(block, start=line_no):
-        try:
-            raw.encode("utf-8", "surrogateescape").decode("utf-8")
-        except UnicodeError as exc:
-            raise CountsFileError(f"line {line_no}: {exc}") from None
+        if bad := utf8_error(raw):
+            raise CountsFileError(f"line {line_no}: {bad}")
         line = raw.rstrip("\n").rstrip("\r")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
@@ -633,6 +631,26 @@ def _line_rows(block: list[str], line_no: int, header: bool, total: int):
                                   dtype=np.uint32),
             np.array(list(map(len, outcomes)), dtype=np.int64),
             np.array(counts, dtype=np.int64))
+
+
+def utf8_error(raw: str) -> str | None:
+    """Why a line read with ``errors="surrogateescape"`` is not UTF-8 (the
+    decoder's message, with the position in the line), or None."""
+    try:
+        raw.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeError as exc:
+        return str(exc)
+    return None
+
+
+def utf8_lines(path: str, where: str, error: type = ValueError):
+    """``(line number, line)`` of the UTF-8 file ``path``; a line holding
+    other bytes raises ``error`` naming ``where``, the line and the byte."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            if bad := utf8_error(raw):
+                raise error(f"{where} line {line_no}: {bad}")
+            yield line_no, raw
 
 
 def write_counts(c: CountVector, target: str | IO[str]) -> None:

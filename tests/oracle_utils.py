@@ -477,11 +477,11 @@ def _orbit_indices(k: int, d: int) -> list[list[int]]:
 
 def lumped_law_oracle(p: np.ndarray, k: int, d: int,
                       ) -> tuple[list[list[int]], np.ndarray | None]:
-    """The Poisson path's lumped law of ``p``: the live orbits (every
-    member's ``p`` above 0) as outcome-index lists, and the law of their
-    cells orbit by orbit, then of one rest cell with the numpy sum of
-    every other cell's ``p`` in orbit order; ``([], None)`` with no live
-    orbit."""
+    """The lumped law of ``p`` that the bootstrap draws: the live orbits
+    (every member's ``p`` above 0) as outcome-index lists, and the law of
+    their cells orbit by orbit, after one rest cell with the numpy sum of
+    every other cell's ``p`` in orbit order when some orbit is dead;
+    ``([], None)`` with no live orbit."""
     live, rest = [], []
     for members in _orbit_indices(k, d):
         if all(p[x] > 0 for x in members):
@@ -490,8 +490,8 @@ def lumped_law_oracle(p: np.ndarray, k: int, d: int,
             rest += [p[x] for x in members]
     if not live:
         return [], None
-    return live, np.array([p[x] for members in live for x in members]
-                          + [float(np.sum(np.array(rest, dtype=float)))])
+    head = [float(np.sum(np.array(rest, dtype=float)))] if rest else []
+    return live, np.array(head + [p[x] for members in live for x in members])
 
 
 def chunked_replicates_oracle(p: np.ndarray, n0: int, n_boot: int, k: int,
@@ -499,31 +499,26 @@ def chunked_replicates_oracle(p: np.ndarray, n0: int, n_boot: int, k: int,
     """Weights of ``n_boot`` multinomial ``(n0, p)`` resamples drawn by the
     documented chunk plan, one chunk at a time in a plain loop.
 
-    A space of at least 512 outcomes with ``3 * sqrt(n0) <= k**d`` takes
-    the Poisson path.  It draws the lumped law: the cells of the live
-    orbits (every member's ``p`` above 0), orbit by orbit in the order of
-    :func:`brute_orbits` sorted by representative, then one rest cell
-    with the numpy sum of every other cell's ``p`` in that order.  Its
-    draw cells are those ``L + 1`` cells; with no live orbit every weight
-    is 0 and nothing is drawn.  Any other space draws all ``k**d`` cells
-    with one ``Generator.multinomial`` call a chunk.
+    Every sample draws its lumped law (:func:`lumped_law_oracle`): the
+    cells of the live orbits, orbit by orbit in the order of
+    :func:`brute_orbits` sorted by representative, after one rest cell
+    when some orbit is dead.  Its draw cells are those ``m`` cells; with
+    no live orbit every weight is 0 and nothing is drawn.  A law of at
+    least 512 cells with ``3 * sqrt(n0) <= 2 * m`` is drawn as Poisson
+    cells completed to ``n0`` (:func:`poisson_chunk_oracle`), any other
+    by one ``Generator.multinomial`` call a chunk.
 
-    Chunks hold ``max(1, 2**15 // cells)`` resamples.  One chunk draws
-    from ``seed_seq`` itself; with several, chunk ``i`` draws from the
-    seed with ``(i,)`` appended to its spawn key.  Each resample's weight
-    is ``sum_z |z| * (min count in orbit z) / n0``, with the minima taken
-    member by member over the enumerated orbits (the dead orbits of the
-    Poisson path give 0).
+    Chunks hold ``max(1, 2**15 // m)`` resamples.  One chunk draws from
+    ``seed_seq`` itself; with several, chunk ``i`` draws from the seed with
+    ``(i,)`` appended to its spawn key.  Each resample's weight is
+    ``sum_z |z| * (min count in orbit z) / n0`` over the live orbits (the
+    dead ones give 0), with the minima taken member by member.
     """
-    orbits = _orbit_indices(k, d)
-    poisson = k**d >= 512 and 3 * math.sqrt(n0) <= k**d
-    if poisson:
-        live, law = lumped_law_oracle(p, k, d)
-        if not live:
-            return [0.0] * n_boot
-        cells = len(law)
-    else:
-        cells = k**d
+    live, law = lumped_law_oracle(p, k, d)
+    if not live:
+        return [0.0] * n_boot
+    cells = len(law)
+    poisson = cells >= 512 and 3 * math.sqrt(n0) <= 2 * cells
     per_chunk = max(1, 2**15 // cells)
     n_chunks = -(-n_boot // per_chunk)
     weights = []
@@ -532,14 +527,10 @@ def chunked_replicates_oracle(p: np.ndarray, n0: int, n_boot: int, k: int,
             seed_seq.entropy, spawn_key=tuple(seed_seq.spawn_key) + (i,))
         size = min(per_chunk, n_boot - i * per_chunk)
         rng = np.random.default_rng(seed)
-        if not poisson:
-            for row in rng.multinomial(n0, p, size=size).tolist():
-                mass = sum(len(members) * min(row[x] for x in members)
-                           for members in orbits)
-                weights.append(mass / n0)
-            continue
-        for row in poisson_chunk_oracle(rng, n0, law, size):
-            mass, at = 0, 0
+        rows = (poisson_chunk_oracle(rng, n0, law, size) if poisson
+                else rng.multinomial(n0, law, size=size).tolist())
+        for row in rows:
+            mass, at = 0, cells - sum(map(len, live))
             for members in live:
                 mass += len(members) * min(row[at:at + len(members)])
                 at += len(members)

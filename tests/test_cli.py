@@ -299,6 +299,57 @@ class TestCountsEncoding:
                        "invalid start byte\n")
 
 
+class TestTextEncoding:
+    # Report, covariate and map files name the line of a byte that is not
+    # UTF-8, and its position within the line, as counts files do; before,
+    # the position was counted from the start of the decoder's 8 KiB chunk
+    # and no line was named.
+    WHERE = {"report": "report line", "covariate": "covariate file line",
+             "map": "map file line"}
+
+    @staticmethod
+    def valid(kind: str, rows: int) -> bytes:
+        if kind == "report":
+            return ("\t".join(REPORT_COLUMNS) + "\n" + "".join(
+                "\t".join([f"chr{i}", "5"] + ["0.5"] * 3 + ["1"] * 8
+                          + ["0.125"] * 8) + "\n"
+                for i in range(rows))).encode()
+        if kind == "covariate":
+            return ("chrom\tindex\tvalue\n" + "".join(
+                f"chr1\t{i}\t{i}\n" for i in range(rows))).encode()
+        return ("from\tto\n0\ta\n1\tb\n"
+                + "# a comment line\n" * rows).encode()
+
+    @pytest.mark.parametrize("kind", ["report", "covariate", "map"])
+    @pytest.mark.parametrize("far", [False, True], ids=["line-2", "byte-20000"])
+    def test_bad_byte_names_line(self, capsys, tmp_path, third_counts, kind,
+                                 far):
+        data = self.valid(kind, 2000 if far else 2)
+        at = 20000 if far else data.index(b"\n") + 3
+        assert len(data) > at and data[at:at + 1] != b"\n"
+        line = data[:at].count(b"\n") + 1
+        column = at - (data.rfind(b"\n", 0, at) + 1)
+        assert far or line == 2
+        bad = tmp_path / f"{kind}.tsv"
+        bad.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+        if kind == "map":
+            argv = ["bound", "lump", "--counts", third_counts, "--map",
+                    str(bad)]
+        else:
+            files = {"report": tmp_path / "r.tsv", "covariate":
+                     tmp_path / "c.tsv"}
+            files["report"].write_bytes(self.valid("report", 2))
+            files["covariate"].write_bytes(self.valid("covariate", 2))
+            files[kind] = bad
+            argv = ["meth", "correlate", "--report", str(files["report"]),
+                    "--covariate", str(files["covariate"])]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == (f"latentw: error [E_VALIDATION]: {self.WHERE[kind]} "
+                       f"{line}: 'utf-8' codec can't decode byte 0xff in "
+                       f"position {column}: invalid start byte\n")
+
+
 class TestTv:
     def test_value(self, capsys, third_counts):
         code, out, _ = run(capsys, "tv", "--counts", third_counts)

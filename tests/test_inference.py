@@ -21,9 +21,11 @@ from latentw.inference import TIED_ARGMIN, UNIQUE_ARGMIN
 from oracle_utils import (brute_weight_vector, chunked_replicates_oracle,
                           lumped_law_oracle)
 
-#: 256 cells: a chunk of the bootstrap holds 128 resamples.
+#: 256 outcomes; :func:`sample44` draws 22 to 49 cells of them, so a
+#: chunk of the bootstrap holds 668 to 1489 resamples.
 SPACE44 = SampleSpace(4, 4)
-#: 729 cells: Poisson resamples while ``3*sqrt(n0) <= 729``, chunks of 44.
+#: 729 outcomes: a law of at least 512 drawn cells is drawn by Poisson
+#: cells while ``3*sqrt(n0) <= 2 * cells``.
 SPACE36 = SampleSpace(3, 6)
 
 
@@ -31,6 +33,13 @@ def sample44(seed, n=900):
     rng = np.random.default_rng(seed)
     return CountVector(SPACE44,
                        rng.multinomial(n, rng.dirichlet(np.ones(256))))
+
+
+def drawn_cells(c):
+    """The number of cells the bootstrap draws for ``c``: its lumped law's
+    length, 0 when no orbit is live."""
+    law = lumped_law_oracle(c.counts / c.n, c.space.k, c.space.d)[1]
+    return 0 if law is None else len(law)
 
 
 def lam_hat_rows_22(freqs: np.ndarray) -> np.ndarray:
@@ -162,15 +171,18 @@ class TestEstimateStack:
             assert stack.resample_size[i] == one.resample_size
 
     def test_multi_chunk_rows_equal_lone_estimates(self, monkeypatch):
-        # rows of 2 chunks each: the stack and the lone estimates draw
-        # them on a pool of two workers, with the same bits
+        # rows of 22, 39 and 44 drawn cells, so of 2, 2 and 3 chunks: the
+        # stack and the lone estimates draw them on a pool of two workers,
+        # with the same bits
         monkeypatch.setattr(inference_mod, "_usable_cpus", lambda: 2)
         counts = np.array([sample44(s).counts for s in (60, 61, 62)])
+        assert [drawn_cells(CountVector(SPACE44, row))
+                for row in counts] == [22, 39, 44]
         seeds = np.random.SeedSequence(63).spawn(3)
-        stack = estimate(CountVector(SPACE44, counts), n_boot=200,
+        stack = estimate(CountVector(SPACE44, counts), n_boot=1500,
                          seed=seeds)
         for i, (row, s) in enumerate(zip(counts, seeds)):
-            one = estimate(CountVector(SPACE44, row), n_boot=200, seed=s)
+            one = estimate(CountVector(SPACE44, row), n_boot=1500, seed=s)
             assert stack.lambda_corrected[i] == one.lambda_corrected
             assert stack.se_boot[i] == one.se_boot
             assert stack.bias_boot[i] == one.bias_boot
@@ -210,26 +222,32 @@ class TestChunkedBootstrap:
         3)[2]], ids=["int", "spawned"])
     @pytest.mark.parametrize("resample_size", [None, 40])
     def test_estimate_matches_oracle(self, seed, resample_size):
-        # 300 resamples of 256 cells: chunks of 128, 128 and 44
+        # 1500 resamples of 49 drawn cells: chunks of 668, 668 and 164
         c = sample44(50)
-        est = estimate(c, n_boot=300, resample_size=resample_size, seed=seed)
+        assert drawn_cells(c) == 49
+        est = estimate(c, n_boot=1500, resample_size=resample_size,
+                       seed=seed)
         n0 = resample_size or c.n
         seq = (np.random.SeedSequence(seed) if isinstance(seed, int)
                else seed)
-        reps = chunked_replicates_oracle(c.counts / c.n, n0, 300, 4, 4, seq)
+        reps = chunked_replicates_oracle(c.counts / c.n, n0, 1500, 4, 4, seq)
         assert abs(est.lambda_hat + est.bias_boot - np.mean(reps)) < 1e-12
         assert abs(est.se_boot - np.std(reps, ddof=1)) < 1e-12
 
     def test_bootstrap_distribution_matches_oracle(self):
+        # 39 drawn cells: chunks of 840, 840 and 320
         c = sample44(53)
-        got = bootstrap_distribution(c, n_boot=290, seed=54)
+        assert drawn_cells(c) == 39
+        got = bootstrap_distribution(c, n_boot=2000, seed=54)
         lam_hat = brute_weight_vector(c.counts / c.n, 4, 4)
-        reps = chunked_replicates_oracle(c.counts / c.n, c.n, 290, 4, 4,
+        reps = chunked_replicates_oracle(c.counts / c.n, c.n, 2000, 4, 4,
                                          np.random.SeedSequence(54))
         want = np.sqrt(c.n) * (np.array(reps) - lam_hat)
         assert np.allclose(got, want, rtol=0, atol=1e-12)
 
     def test_sample_size_heuristic_matches_oracle(self):
+        # 253 drawn cells (the 4 constant outcomes lumped into the rest
+        # cell): chunks of 129, 129 and 42
         rows = sample_size_heuristic(SPACE44, [60, 500], reps=300, seed=55)
         p = worst_case_source(SPACE44).p
         children = np.random.SeedSequence(55).spawn(2)
@@ -239,11 +257,14 @@ class TestChunkedBootstrap:
             assert abs(row.sd - np.std(reps, ddof=1)) < 1e-12
 
     def test_single_chunk_keeps_direct_draws(self, space23):
-        # 4096 resamples of 8 cells fill exactly one chunk: the draws are
-        # those of one multinomial call on the seed, as before chunking
+        # 4096 resamples of 8 cells fill exactly one chunk: every orbit is
+        # live, so the draws are those of one multinomial call on the seed
+        # over the law in orbit order, with no rest cell
         c = CountVector(space23, [30, 5, 9, 14, 2, 11, 7, 22])
-        draws = np.random.default_rng(56).multinomial(c.n, c.counts / c.n,
-                                                      size=4096)
+        order = space23.orbit_index().order
+        draws = np.empty((4096, 8), dtype=np.int64)
+        draws[:, order] = np.random.default_rng(56).multinomial(
+            c.n, (c.counts / c.n)[order], size=4096)
         reps = exchangeable_weight_rows(space23, draws, total=c.n)
         est = estimate(c, n_boot=4096, seed=56)
         assert est.se_boot == reps.std(ddof=1)
@@ -253,12 +274,14 @@ class TestChunkedBootstrap:
                               np.sqrt(c.n) * (reps - est.lambda_hat))
 
     def test_pool_width_does_not_change_bits(self, monkeypatch):
+        # 42 drawn cells: 6000 resamples in 8 chunks of up to 780
         c = sample44(57)
+        assert drawn_cells(c) == 42
         out = []
         for cpus in (1, 2, 16):
             monkeypatch.setattr(inference_mod, "_usable_cpus", lambda: cpus)
-            out.append((estimate(c, n_boot=1000, seed=58),
-                        bootstrap_distribution(c, n_boot=1000, seed=58)))
+            out.append((estimate(c, n_boot=6000, seed=58),
+                        bootstrap_distribution(c, n_boot=6000, seed=58)))
         for est, boot in out[1:]:
             assert est == out[0][0]
             assert np.array_equal(boot, out[0][1])
@@ -293,23 +316,26 @@ class TestChunkedBootstrap:
         monkeypatch.setattr(Recorder, "made", [])
         monkeypatch.setattr(inference_mod, "_usable_cpus", lambda: 64)
         c = sample44(61)
+        assert drawn_cells(c) == 39                      # chunks of 840
         stack = CountVector(SPACE44, np.stack([c.counts] * 2))
-        estimate(c, n_boot=300, seed=1)                  # 3 chunks
-        estimate(c, n_boot=128, seed=1)                  # 1 chunk
-        bootstrap_distribution(c, n_boot=1000, seed=1)   # 8 chunks
-        estimate(stack, n_boot=300, seed=[1, 2])         # 6 chunks
-        estimate(stack, n_boot=300, seed=[1, 2], threads=4)
-        estimate(stack, n_boot=300, seed=[1, 2], threads=1)
-        estimate(c, n_boot=300, seed=1, threads=-2)
+        estimate(c, n_boot=2000, seed=1)                 # 3 chunks
+        estimate(c, n_boot=840, seed=1)                  # 1 chunk
+        bootstrap_distribution(c, n_boot=6720, seed=1)   # 8 chunks
+        estimate(stack, n_boot=2000, seed=[1, 2])        # 6 chunks
+        estimate(stack, n_boot=2000, seed=[1, 2], threads=4)
+        estimate(stack, n_boot=2000, seed=[1, 2], threads=1)
+        estimate(c, n_boot=2000, seed=1, threads=-2)
         assert Recorder.made == [3, 8, 6, 4]
 
     def test_pool_capped_by_memory(self, monkeypatch):
         # a task of 256 outcomes holds up to 3 int64 copies of 2^15 cells:
         # a pool budget of two and a half tasks gets 2 workers, below one
-        # task still 1, and the bits are those of one thread
+        # task still 1, and the bits are those of one thread; 44 drawn
+        # cells make 3 chunks a row
         c = sample44(62)
+        assert drawn_cells(c) == 44
         stack = CountVector(SPACE44, np.stack([c.counts] * 2))
-        one = estimate(stack, n_boot=300, seed=[1, 2], threads=1)
+        one = estimate(stack, n_boot=2000, seed=[1, 2], threads=1)
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
                             Recorder)
         monkeypatch.setattr(Recorder, "made", [])
@@ -317,7 +343,7 @@ class TestChunkedBootstrap:
         task = 3 * 8 * inference_mod._BLOCK_CELLS
         for budget in (5 * task // 2, task - 1):
             monkeypatch.setattr(inference_mod, "_POOL_BYTES", budget)
-            got = estimate(stack, n_boot=300, seed=[1, 2])
+            got = estimate(stack, n_boot=2000, seed=[1, 2])
             for field in ("lambda_hat", "lambda_corrected", "se_boot",
                           "bias_boot"):
                 assert np.array_equal(getattr(got, field),
@@ -359,23 +385,33 @@ class TestChunkedBootstrap:
     def test_seed_sequence_left_unspawned(self):
         # chunk seeds are built from the seed's entropy and spawn key;
         # the caller's SeedSequence spawns no children
+        # (2000 resamples of 44 drawn cells: 3 chunks)
         seed = np.random.SeedSequence(62)
-        first = estimate(sample44(62), n_boot=300, seed=seed)
+        first = estimate(sample44(62), n_boot=2000, seed=seed)
         assert seed.n_children_spawned == 0
-        assert estimate(sample44(62), n_boot=300, seed=seed) == first
+        assert estimate(sample44(62), n_boot=2000, seed=seed) == first
+
+
+def sample36(seed):
+    """A sample on SPACE36 whose orbits of 000000 (one cell) and 000001
+    (six cells) are dead: 723 drawn cells, a rest cell holding the other
+    five cells of the 000001 orbit."""
+    counts = np.random.default_rng(seed).integers(1, 6, 729)
+    counts[[0, 1]] = 0
+    return CountVector(SPACE36, counts)
 
 
 class TestPoissonPlan:
-    # Spaces of at least 512 outcomes with 3*sqrt(n0) <= k**d draw their
-    # resamples as Poisson cells completed to n0; the oracle redoes the
-    # plan and the alias table in plain loops, so the bits must agree.
-    @pytest.mark.parametrize("resample_size", [None, 1, 59049, 59050],
+    # A law of at least 512 drawn cells with 3*sqrt(n0) <= 2 * cells is
+    # drawn as Poisson cells completed to n0; the oracle redoes the plan
+    # and the alias table in plain loops, so the bits must agree.
+    @pytest.mark.parametrize("resample_size", [None, 1, 232324, 232325],
                              ids=["n", "n0=1", "last-poisson",
                                   "first-multinomial"])
     def test_estimate_matches_oracle(self, resample_size):
-        rng = np.random.default_rng(70)
-        c = CountVector(SPACE36,
-                        rng.multinomial(2000, rng.dirichlet(np.ones(729))))
+        # 723 drawn cells: Poisson up to n0 = (2 * 723 / 3)**2 = 232324
+        c = sample36(70)
+        assert drawn_cells(c) == 723
         est = estimate(c, n_boot=100, resample_size=resample_size, seed=71)
         reps = chunked_replicates_oracle(c.counts / c.n,
                                          resample_size or c.n, 100, 3, 6,
@@ -384,11 +420,14 @@ class TestPoissonPlan:
         assert abs(est.se_boot - np.std(reps, ddof=1)) < 1e-12
 
     def test_bootstrap_distribution_matches_oracle(self):
-        # 1024 cells (chunks of 32), a sparse sample with zero cells
+        # zero cells in the orbits of 0000000001 (10 cells) and 1111111111:
+        # 1014 drawn cells, chunks of 32
         space = SampleSpace(2, 10)
         rng = np.random.default_rng(72)
-        counts = rng.multinomial(5000, rng.dirichlet(np.full(1024, 0.3)))
+        counts = rng.multinomial(5000, rng.dirichlet(np.full(1024, 0.3))) + 1
+        counts[[1, 1023]] = 0
         c = CountVector(space, counts)
+        assert drawn_cells(c) == 1014
         got = bootstrap_distribution(c, n_boot=70, seed=73)
         reps = chunked_replicates_oracle(c.counts / c.n, c.n, 70, 2, 10,
                                          np.random.SeedSequence(73))
@@ -397,28 +436,38 @@ class TestPoissonPlan:
                            rtol=0, atol=1e-12)
 
     def test_sample_size_heuristic_matches_oracle(self):
-        # the worst-case source has zero first and last cells
-        space = SampleSpace(2, 9)
+        # the worst-case source has zero first and last cells: 1023 drawn
+        # cells, the rest cell of mass 0 first
+        space = SampleSpace(2, 10)
         rows = sample_size_heuristic(space, [1, 50, 3000], reps=60, seed=74)
         p = worst_case_source(space).p
         for row, n, child in zip(rows, (1, 50, 3000),
                                  np.random.SeedSequence(74).spawn(3)):
-            reps = chunked_replicates_oracle(p, n, 60, 2, 9, child)
+            reps = chunked_replicates_oracle(p, n, 60, 2, 10, child)
             assert row.mean_bias == np.mean(reps) - 1.0
             assert abs(row.sd - np.std(reps, ddof=1)) < 1e-12
 
     def test_rule(self):
+        # the rule reads the drawn cells m and n0 alone; the measured
+        # frontier (Poisson faster at 1 thread on the left)
         takes = inference_mod._takes_poisson
-        assert takes(512, 1) and takes(729, 59049) and takes(4096, 204800)
-        assert not takes(729, 59050) and not takes(511, 1000)
+        assert takes(512, 25600) and takes(1242, 62100)
+        assert takes(4096, 10**6) and takes(1242, 204800)
+        assert not takes(512, 10**6) and not takes(1242, 10**6)
+        assert not takes(1242, 10**7) and not takes(4096, 10**7)
+        assert not takes(128, 6400) and not takes(264, 13200)
+        assert takes(729, 236196) and not takes(729, 236197)
+        assert takes(512, 1) and not takes(511, 1)
         # triplets (8 cells) keep Generator.multinomial at any coverage
         assert not any(takes(8, n) for n in (1, 10, 100, 10**6))
 
     def test_pool_width_does_not_change_bits(self, monkeypatch):
+        # every cell drawn: 4096 cells, Poisson, chunks of 8
         space = SampleSpace(4, 6)
         rng = np.random.default_rng(75)
-        c = CountVector(space,
-                        rng.multinomial(50000, rng.dirichlet(np.ones(4096))))
+        c = CountVector(space, rng.multinomial(
+            50000, rng.dirichlet(np.ones(4096))) + 1)
+        assert drawn_cells(c) == 4096
         assert inference_mod._takes_poisson(4096, c.n)
         out = []
         for cpus in (1, 2, 16):
@@ -431,34 +480,25 @@ class TestPoissonPlan:
 
 
 def seen_resamples(monkeypatch, space, n0, p, size, seed):
-    """The resamples that ``multinomial_weights`` draws, and the law they
-    are drawn from: on the Poisson path the lumped law, live cells then
-    the rest cell (its draws captured from ``_poisson_multinomial``), on
-    the multinomial path ``p`` in the natural outcome order (captured from
-    the weight reduction).  ``(None, None)`` when nothing is drawn."""
+    """The resamples that ``multinomial_weights`` draws, captured at the
+    one draw site of both samplers, and the law they are drawn from, which
+    must be :func:`lumped_law_oracle`'s.  ``(None, None)`` when nothing
+    is drawn."""
     seen = []
-    draw = inference_mod._poisson_multinomial
-    reduce_rows = inference_mod.exchangeable_weight_rows
+    draws = inference_mod._LumpedLaw.draws
 
-    def spy_draw(*args):
-        seen.append(draw(*args).copy())
-        return seen[-1]
+    def spy(law, rng, size):
+        seen.append((law.law, draws(law, rng, size).copy()))
+        return seen[-1][1]
 
-    def spy_reduce(space, rows, total):
-        seen.append(rows.reshape(-1, space.n_outcomes).copy())
-        return reduce_rows(space, rows, total=total)
-
-    monkeypatch.setattr(inference_mod, "_poisson_multinomial", spy_draw)
-    monkeypatch.setattr(inference_mod, "exchangeable_weight_rows",
-                        spy_reduce)
+    monkeypatch.setattr(inference_mod._LumpedLaw, "draws", spy)
     inference_mod.multinomial_weights(space, np.array([n0]), p[None, :],
                                       size, [seed], threads=1)
     if not seen:
         return None, None
-    law = p
-    if inference_mod._takes_poisson(space.n_outcomes, n0):
-        law = lumped_law_oracle(p, space.k, space.d)[1]
-    return np.concatenate(seen), law
+    law = lumped_law_oracle(p, space.k, space.d)[1]
+    assert all(np.array_equal(drawn, law) for drawn, _ in seen)
+    return np.concatenate([rows for _, rows in seen]), law
 
 
 def law_with_zeros(space, seed):
@@ -506,26 +546,32 @@ class TestAliasTable:
 
 
 class TestDrawPaths:
-    # Both draw paths give multinomial resamples of their drawn law: every
-    # resample sums to n0 exactly, and a zero cell is never drawn.  The
-    # Poisson path draws the lumped law (live cells, then the rest cell).
+    # Both samplers give multinomial resamples of the drawn law: every
+    # resample sums to n0 exactly, and a zero cell is never drawn.
     @pytest.mark.parametrize("k,d,n0", [
-        (2, 9, 1), (2, 9, 700), (2, 9, 29127),      # Poisson
-        (2, 9, 29128), (2, 3, 1), (2, 3, 500),      # multinomial
+        (2, 10, 1), (2, 10, 700), (2, 10, 456075),  # Poisson
+        (2, 10, 456076),                            # 1013 cells: multinomial
+        (2, 10, 465125), (2, 9, 1), (2, 9, 700),    # multinomial
+        (2, 9, 29127), (2, 9, 29128), (2, 3, 1), (2, 3, 500),
     ])
     def test_sums_and_zero_cells(self, monkeypatch, k, d, n0):
+        # on (2, 10), law_with_zeros kills the orbit of 1000000000 (10
+        # cells) and two constants: 1013 drawn cells, Poisson up to
+        # n0 = 456075; the worst-case source draws 1023, up to 465124.
+        # On (2, 9) they draw 502 and 511 cells, below the Poisson floor
         space = SampleSpace(k, d)
-        poisson = inference_mod._takes_poisson(space.n_outcomes, n0)
-        assert poisson == (space.n_outcomes >= 512 and n0 <= 29127)
         laws = [law_with_zeros(space, 80), worst_case_source(space).p,
                 np.eye(space.n_outcomes)[space.n_outcomes // 3]]
         for i, p in enumerate(laws):
             rows, law = seen_resamples(monkeypatch, space, n0, p, 200, 81 + i)
-            if poisson and i == 2:
+            if i == 2:
                 # the point mass's orbit holds zero cells: no live orbit
                 assert rows is None
                 continue
-            assert rows.shape == (200, len(law))
+            m = len(law)
+            assert inference_mod._takes_poisson(m, n0) == (
+                m >= 512 and 9 * n0 <= 4 * m * m)
+            assert rows.shape == (200, m)
             assert (rows.sum(axis=1) == n0).all()
             assert (rows[:, law == 0] == 0).all()
 
@@ -535,19 +581,23 @@ class TestDrawPaths:
         space = SampleSpace(2, 10)
         p = worst_case_source(space).p
         rows, law = seen_resamples(monkeypatch, space, 5000, p, 300, 82)
-        assert law[-1] == 0.0 and len(law) == 1024 - 2 + 1
-        assert (rows[:, -1] == 0).all()
+        assert law[0] == 0.0 and len(law) == 1024 - 2 + 1
+        assert inference_mod._takes_poisson(len(law), 5000)
+        assert (rows[:, 0] == 0).all()
 
-    @pytest.mark.parametrize("k,d,n0", [(2, 9, 5000), (2, 9, 40000),
+    @pytest.mark.parametrize("k,d,n0", [(3, 6, 5000), (2, 9, 40000),
                                         (2, 3, 50)],
                              ids=["poisson", "multinomial-512", "triplet"])
     def test_moments(self, monkeypatch, k, d, n0):
         # cell means within 5 standard errors of n0*law, and every
         # covariance within 6 of n0*(diag law - law law^T); the standard
-        # errors are those of the Gaussian limit, over 4000 resamples
+        # errors are those of the Gaussian limit, over 4000 resamples.  On
+        # (3, 6) the three zero cells are constants: 727 drawn cells; on
+        # the 512 outcomes of (2, 9), 502
         space = SampleSpace(k, d)
         rows, law = seen_resamples(monkeypatch, space, n0,
                                    law_with_zeros(space, 83), 4000, 84)
+        assert inference_mod._takes_poisson(len(law), n0) == (k == 3)
         live = law > 0
         x, q = rows[:, live].astype(float), law[live]
         mean_se = np.sqrt(n0 * q * (1 - q) / len(x))
@@ -557,55 +607,86 @@ class TestDrawPaths:
         cov_se = np.sqrt((np.outer(var, var) + cov**2) / len(x))
         assert (np.abs(np.cov(x, rowvar=False) - cov) < 6 * cov_se).all()
 
+    @pytest.mark.parametrize("k,d,n0", [(2, 3, 500), (3, 6, 20000),
+                                        (3, 6, 300000)],
+                             ids=["triplet", "poisson", "multinomial"])
+    def test_law_layout(self, monkeypatch, k, d, n0):
+        # with every orbit live the law is p in orbit order, k**d cells and
+        # no rest cell; with a dead orbit, its L live cells follow one rest
+        # cell at index 0 holding the sum of the others in orbit order
+        space = SampleSpace(k, d)
+        index = space.orbit_index()
+        p = np.random.default_rng(93).uniform(1.0, 2.0, space.n_outcomes)
+        p /= p.sum()
+        rows, law = seen_resamples(monkeypatch, space, n0, p, 50, 94)
+        assert rows.shape == (50, space.n_outcomes)
+        assert np.array_equal(law, p[index.order])
+        dead = index.members(1)
+        p[dead[0]] = 0.0
+        rows, law = seen_resamples(monkeypatch, space, n0, p, 50, 95)
+        in_live = np.ones(space.n_outcomes, dtype=bool)
+        in_live[dead] = False
+        assert rows.shape == (50, space.n_outcomes - len(dead) + 1)
+        assert law[0] == p[dead].sum() > 0
+        assert np.array_equal(law[1:], p[index.order][in_live[index.order]])
+        assert (rows.sum(axis=1) == n0).all()
+
 
 class TestLumpedPlan:
-    # The Poisson path draws only the live orbits' cells and a rest cell;
-    # each row's chunks and seeds depend on that row alone.
+    # Every sample draws only the live orbits' cells and, when some orbit
+    # is dead, a rest cell; each row's chunks and seeds depend on that row
+    # alone.
     def test_no_live_orbit_draws_nothing(self, monkeypatch):
-        # every orbit holds a zero cell: the weights are exactly 0
-        space = SampleSpace(2, 9)
-        index = space.orbit_index()
-        counts = np.random.default_rng(85).integers(1, 20, 512)
-        counts[[index.members(z)[0] for z in range(index.n_classes)]] = 0
-        c = CountVector(space, counts)
-        assert inference_mod._takes_poisson(512, c.n)
-
+        # every orbit holds a zero cell: the weights are exactly 0, and no
+        # sampler draws
         def fail(*args):
             raise AssertionError("drew a resample")
 
-        monkeypatch.setattr(inference_mod, "_poisson_multinomial", fail)
-        est = estimate(c, n_boot=300, seed=86)
-        assert est.lambda_hat == 0.0 and est.bias_boot == 0.0
-        assert est.se_boot == 0.0 and est.lambda_corrected == 0.0
-        boot = bootstrap_distribution(c, n_boot=300, seed=86)
-        assert not boot.any()
+        monkeypatch.setattr(inference_mod._LumpedLaw, "draws", fail)
+        for space in (SampleSpace(2, 9), SampleSpace(2, 3)):
+            index = space.orbit_index()
+            counts = np.random.default_rng(85).integers(1, 20,
+                                                        space.n_outcomes)
+            counts[[index.members(z)[0] for z in range(index.n_classes)]] = 0
+            c = CountVector(space, counts)
+            est = estimate(c, n_boot=300, seed=86)
+            assert est.lambda_hat == 0.0 and est.bias_boot == 0.0
+            assert est.se_boot == 0.0 and est.lambda_corrected == 0.0
+            boot = bootstrap_distribution(c, n_boot=300, seed=86)
+            assert not boot.any()
 
     def test_zero_mass_rest_never_drawn(self, monkeypatch):
         # zero out one whole orbit and nothing else: it is the only dead
-        # orbit, so the rest cell has mass 0 and must stay empty
+        # orbit, so the rest cell has mass 0 and must stay empty, on the
+        # Poisson sampler (n0 = 20000) and on multinomial (300000)
         space = SampleSpace(3, 6)
         p = np.random.default_rng(87).uniform(1.0, 2.0, 729)
         p[space.orbit_index().members(5)] = 0.0
         p /= p.sum()
-        rows, law = seen_resamples(monkeypatch, space, 20000, p, 500, 88)
-        assert law[-1] == 0.0
-        assert len(law) == 729 - len(space.orbit_index().members(5)) + 1
-        assert (rows[:, -1] == 0).all() and (rows.sum(axis=1) == 20000).all()
+        for n0 in (20000, 300000):
+            rows, law = seen_resamples(monkeypatch, space, n0, p, 500, 88)
+            assert law[0] == 0.0
+            assert len(law) == 729 - len(space.orbit_index().members(5)) + 1
+            assert inference_mod._takes_poisson(len(law), n0) == (
+                n0 == 20000)
+            assert (rows[:, 0] == 0).all()
+            assert (rows.sum(axis=1) == n0).all()
 
-    @pytest.mark.parametrize("n", [3000, 400000], ids=["poisson",
-                                                       "multinomial"])
+    @pytest.mark.parametrize("n", [10000, 400000], ids=["poisson",
+                                                        "multinomial"])
     def test_row_bits_do_not_depend_on_neighbours(self, n):
         # each row of a stack draws the same bits as alone, beside rows
-        # whose live cells, and so chunk plans, differ from its own
+        # whose drawn cells, and so chunk plans and samplers, differ from
+        # its own: at n = 10000, 67 cells by multinomial, then 724 and 729
+        # by Poisson; at 400000, all 729 cells by multinomial
         space = SampleSpace(3, 6)
         rng = np.random.default_rng(89)
         laws = [rng.dirichlet(np.full(729, a)) for a in (1.0, 5.0, 30.0)]
         counts = np.array([rng.multinomial(n, q) for q in laws])
-        assert inference_mod._takes_poisson(729, n) == (n == 3000)
-        if n == 3000:
-            cells = {len(lumped_law_oracle(row / n, 3, 6)[1])
-                     for row in counts}
-            assert len(cells) == 3
+        cells = [drawn_cells(CountVector(space, row)) for row in counts]
+        assert cells == ([67, 724, 729] if n == 10000 else [729] * 3)
+        assert [inference_mod._takes_poisson(m, n) for m in cells] == (
+            [False, True, True] if n == 10000 else [False] * 3)
         seeds = np.random.SeedSequence(90).spawn(3)
         stack = estimate(CountVector(space, counts), n_boot=200, seed=seeds)
         for i in range(3):
@@ -619,9 +700,9 @@ class TestLumpedPlan:
         rng = np.random.default_rng(91)
         c = CountVector(space, rng.multinomial(
             60000, rng.dirichlet(np.ones(4096))))
-        assert inference_mod._takes_poisson(4096, c.n)
-        # 142 drawn cells: chunks of 230 resamples
-        assert len(lumped_law_oracle(c.counts / c.n, 4, 6)[1]) == 142
+        # 142 drawn cells: multinomial, chunks of 230 resamples
+        assert drawn_cells(c) == 142
+        assert not inference_mod._takes_poisson(142, c.n)
         out = []
         for cpus in (1, 2, 16):
             monkeypatch.setattr(inference_mod, "_usable_cpus", lambda: cpus)
