@@ -49,9 +49,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _config_hash(args: argparse.Namespace, exclude=("threads", "out")) -> str:
+#: Arguments ``config_hash`` leaves out: the worker cap, which never
+#: changes a result, and the input and output paths, so that the same call
+#: on the same bytes gives the same hash from any directory.
+_UNHASHED = {"threads", "out", "counts", "q0", "map", "epireads", "report",
+             "covariate"}
+
+
+def _config_hash(args: argparse.Namespace) -> str:
     items = {k: v for k, v in sorted(vars(args).items())
-             if k not in exclude and not k.startswith("_") and k != "func"}
+             if k not in _UNHASHED and not k.startswith("_") and k != "func"}
     blob = json.dumps(items, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 

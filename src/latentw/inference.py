@@ -38,23 +38,23 @@ most ``2**15`` draw cells.  Otherwise chunk ``i`` draws from
 seed that ``seed.spawn`` would give its ``i``-th child, without spawning
 from the caller's seed.
 
-Each chunk is reduced to its weights as soon as it is drawn, in one
-place, :meth:`_LumpedLaw.weights`: ``sum |z| * min`` over the live
-orbits, divided once by ``n0``.  So a worker holds about ``max(2**15,
-m)`` int64 draw cells at a time: the draws and their minima, or the
-draws and a piece's completion counts.  A sample keeps its law (8 bytes
-a cell), and on the Poisson sampler its alias table (16 more).
-The chunks run on a thread pool of up to one worker per usable CPU, since
-numpy draws without the GIL, or fewer under ``estimate``'s ``threads``
-cap or when the workers' chunks would pass ``_POOL_BYTES`` (1 GiB)
-together; ``estimate`` reduces a stack in groups of at most
-``_GROUP_REPLICATES`` resample weights.  The result is the same bits
-whatever the number of workers or the size of the groups.
+Each chunk is reduced as soon as it is drawn, by :meth:`_LumpedLaw.masses`,
+to each resample's integer weight numerator ``W* = sum |z| * min``.  So a
+worker holds about ``max(2**15, m)`` int64 draw cells at a time: the draws
+and their minima, or the draws and a piece's completion counts.  A sample
+keeps its law (8 bytes a cell), and on the Poisson sampler its alias table
+(16 more).  The chunks run on a thread pool of up to one worker per usable
+CPU, since numpy draws without the GIL, or fewer under ``estimate``'s
+``threads`` cap or when the workers' chunks would pass ``_POOL_BYTES``
+(1 GiB) together.  The summaries keep only each row's integer ``sum W*``
+and ``sum W*^2`` and divide once (:func:`_summaries`): the same bits
+whatever the number of workers.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import math
 import numbers
 import os
 from dataclasses import dataclass
@@ -66,7 +66,7 @@ from .errors import EmptySampleError, TiedArgminError
 # The bootstrap does not call exchangeable_weight_rows; the benchmark's
 # tracer wraps it here.
 from .exchangeable import (exchangeable_weight_rows,  # noqa: F401
-                           argmin_sets, exchangeable_weight)
+                           _orbit_mass, argmin_sets, exchangeable_weight)
 from .space import (MAX_COUNT, CountVector, Distribution, SampleSpace,
                     empirical_distribution, ratio)
 
@@ -100,10 +100,6 @@ _POISSON_MIN_CELLS = 512
 #: The completion draws of a chunk are made in pieces of at most this many.
 _PIECE_DRAWS = _BLOCK_CELLS // 4
 
-#: Resample weights (rows x ``n_boot``) of one group of a stack in
-#: :func:`estimate`: the bound on the replicate matrix it holds at once.
-_GROUP_REPLICATES = 2**18
-
 
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the platform
@@ -124,12 +120,14 @@ class WeightEstimate:
     """Plug-in and bias-corrected exchangeable-weight estimates.
 
     For a stack of samples the numeric fields are ``(n,)`` arrays, one
-    entry per row, and ``seed`` and ``regularity_flag`` are None.
+    entry per row, and ``seed`` and ``regularity_flag`` are None.  The
+    bias and corrected weight are their exact values rounded once, and
+    ``se_boot`` is the root of the correctly rounded variance.
     """
 
     lambda_hat: float          # weight of the empirical measure
     lambda_corrected: float    # 2*lambda_hat - mean(replicates), clamped to [0,1]
-    se_boot: float             # sample sd of the bootstrap replicates
+    se_boot: float             # root of the replicates' variance (ddof 1)
     bias_boot: float           # mean(replicates) - lambda_hat
     n: int
     n_boot: int
@@ -262,11 +260,11 @@ class _LumpedLaw:
             return rng.multinomial(self.n0, self.law, size=size)
         return _poisson_multinomial(rng, self.n0, self.law, self.table, size)
 
-    def weights(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Weights of ``size`` resamples: ``sum |z| * min / n0`` over the
-        live orbits, divided once."""
+    def masses(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Integer weight numerators ``W* = sum |z| * min`` over the live
+        orbits of ``size`` resamples; a resample's weight is ``W* / n0``."""
         mins = np.minimum.reduceat(self.draws(rng, size), self.starts, axis=1)
-        return ratio(mins @ self.sizes, self.n0)
+        return mins @ self.sizes
 
 
 def _lumped_law(space: SampleSpace, p: np.ndarray, n0: int,
@@ -291,19 +289,15 @@ def _lumped_law(space: SampleSpace, p: np.ndarray, n0: int,
                       table=table)
 
 
-def multinomial_weights(space: SampleSpace, n0: np.ndarray, p: np.ndarray,
-                        size: int, seeds: Sequence, threads: int | None = None,
-                        ) -> np.ndarray:
-    """The ``(len(p), size)`` exchangeable weights of ``size``
-    multinomial ``(n0[j], p[j])`` samples for each row ``j``, drawn from
-    its lumped law by the module's chunk plan: a row that fits in one
-    chunk is drawn from its seed, and such rows share a task of up to
-    ``_BLOCK_CELLS`` draw cells; a row with no live orbit draws nothing.
+def multinomial_masses(space: SampleSpace, n0: np.ndarray, p: np.ndarray,
+                       size: int, seeds: Sequence, threads: int | None = None):
+    """Yield ``(j, part, W*)`` chunk by chunk, in task order: the weight
+    numerators of resamples ``part`` (a slice) of the ``size`` multinomial
+    ``(n0[j], p[j])`` resamples of row ``j``, by the module's chunk plan.
     The tasks run on a pool of at most ``threads`` workers (None: one per
     usable CPU), and never more than the CPUs, the tasks or the tasks that
     fit in ``_POOL_BYTES``; a cap below 2 runs them in the calling thread.
     """
-    weights = np.zeros((len(p), size))
     tasks, shared, shared_cells = [], [], 0
     for j, seed in enumerate(map(_as_seed_sequence, seeds)):
         law = _lumped_law(space, p[j], n0[j])
@@ -326,10 +320,10 @@ def multinomial_weights(space: SampleSpace, n0: np.ndarray, p: np.ndarray,
     if shared:
         tasks.append(shared)
 
-    def draw(task: list) -> None:
-        for j, law, part, seed in task:
-            weights[j, part] = law.weights(np.random.default_rng(seed),
-                                           part.stop - part.start)
+    def draw(task: list) -> list:
+        return [(j, part, law.masses(np.random.default_rng(seed),
+                                     part.stop - part.start))
+                for j, law, part, seed in task]
 
     cpus = _usable_cpus()
     fit = _POOL_BYTES // (3 * 8 * max(_BLOCK_CELLS, space.n_outcomes))
@@ -337,11 +331,37 @@ def multinomial_weights(space: SampleSpace, n0: np.ndarray, p: np.ndarray,
                   max(1, fit))
     if workers > 1:
         with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-            list(pool.map(draw, tasks))
+            for done in pool.map(draw, tasks):
+                yield from done
     else:
         for task in tasks:
-            draw(task)
-    return weights
+            yield from draw(task)
+
+
+def _summaries(chunks, n0: np.ndarray, n_boot: int, mass: np.ndarray,
+               n: np.ndarray) -> np.ndarray:
+    """Bias, corrected weight and sd of each row of bootstrap ``chunks``
+    (:func:`multinomial_masses`) against its plug-in weight ``W / n``
+    (``W = mass``), as ``(3, rows)``.  From the exact ``S1 = sum W*`` and
+    ``S2 = sum W*^2``, ``B = n_boot`` and ``den = B*n0*n``, each is one
+    division of Python ints, so its exact value rounded once:
+
+        bias      = (n*S1 - B*n0*W) / den
+        corrected = clip(2*B*n0*W - n*S1, 0, den) / den
+        variance  = (B*S2 - S1**2) / (B*(B-1)*n0**2),  sd = sqrt(variance)
+    """
+    s1, s2 = [0] * len(n0), [0] * len(n0)
+    for j, _, w in chunks:
+        w = w.astype(object) if n0[j] >= 2**24 else w  # 2**15 n0**2 < 2**63
+        s1[j] += int(w.sum())
+        s2[j] += int((w * w).sum())
+    b = n_boot
+    return np.array([
+        ((nj * s - b * m * wj) / (b * m * nj),
+         min(max(2 * b * m * wj - nj * s, 0), b * m * nj) / (b * m * nj),
+         math.sqrt((b * q - s * s) / (b * (b - 1) * m * m)))
+        for s, q, m, nj, wj in zip(s1, s2, n0.tolist(), n.tolist(),
+                                   mass.tolist())]).reshape(-1, 3).T
 
 
 def empirical_regularity(c: CountVector) -> str:
@@ -386,10 +406,9 @@ def estimate(c: CountVector, n_boot: int = 1000,
         CPU; below 2: the calling thread).  It never changes the result.
 
     The resamples are drawn by the module's plan from the sample's lumped
-    law, which gives the weights of the multinomial law of ``p``.  A stack
-    is drawn and reduced in groups of at most ``_GROUP_REPLICATES``
-    resample weights, and gets no regime diagnosis: its
-    ``regularity_flag`` is None.
+    law, which gives the weights of the multinomial law of ``p``, and
+    summarised by :func:`_summaries`.  A stack gets no regime diagnosis:
+    its ``regularity_flag`` is None.
     """
     stack = c.counts.ndim == 2
     counts = c.counts if stack else c.counts[None, :]
@@ -397,28 +416,18 @@ def estimate(c: CountVector, n_boot: int = 1000,
     if len(seeds) != len(counts):
         raise ValueError("a stack of samples takes one seed per row")
     n0, p = resample_law(counts, n_boot, resample_size)
-    mean_rep, se = np.empty(len(p)), np.empty(len(p))
-    per_group = max(1, _GROUP_REPLICATES // n_boot)
-    for lo in range(0, len(p), per_group):
-        group = slice(lo, lo + per_group)
-        reps = multinomial_weights(c.space, n0[group], p[group], n_boot,
-                                   seeds[group], threads)
-        mean_rep[group] = reps.mean(axis=-1)
-        se[group] = reps.std(axis=-1, ddof=1)
-    lam_hat = np.atleast_1d(exchangeable_weight(empirical_distribution(c)))
-    fields = (lam_hat, np.clip(2.0 * lam_hat - mean_rep, 0.0, 1.0), se,
-              mean_rep - lam_hat)
+    n, mass = np.atleast_1d(c.n, _orbit_mass(empirical_distribution(c))[1])
+    bias, corrected, se = _summaries(multinomial_masses(
+        c.space, n0, p, n_boot, seeds, threads), n0, n_boot, mass, n)
+    fields = (np.atleast_1d(ratio(mass, n)), corrected, se, bias)
     if stack:
         return WeightEstimate(*fields, n=c.n, n_boot=n_boot, resample_size=n0,
                               seed=None, regularity_flag=None)
     return WeightEstimate(
-        *(float(v[0]) for v in fields),
-        n=c.n,
-        n_boot=n_boot,
+        *(float(v[0]) for v in fields), n=c.n, n_boot=n_boot,
         resample_size=int(n0[0]),
         seed=int(seed) if isinstance(seed, numbers.Integral) else None,
-        regularity_flag=empirical_regularity(c),
-    )
+        regularity_flag=empirical_regularity(c))
 
 
 def bootstrap_distribution(c: CountVector, n_boot: int = 1000,
@@ -428,10 +437,13 @@ def bootstrap_distribution(c: CountVector, n_boot: int = 1000,
 
     With ``resample_size = n`` (default) this is the full bootstrap
     distribution estimator; with ``n0 = o(n)`` the subsample variant.
-    The resamples are those :func:`estimate` draws from the same seed.
+    The resamples are those :func:`estimate` draws from the same seed,
+    and each replicate's weight is its ``W* / n0``, divided once.
     """
     n0, p = resample_law(c.counts[None, :], n_boot, resample_size)
-    reps = multinomial_weights(c.space, n0, p, n_boot, [seed])[0]
+    reps = np.zeros(n_boot)
+    for _, part, w in multinomial_masses(c.space, n0, p, n_boot, [seed]):
+        reps[part] = ratio(w, n0[0])
     lam_hat = exchangeable_weight(empirical_distribution(c))
     return np.sqrt(n0[0]) * (reps - lam_hat)
 
@@ -583,23 +595,19 @@ def sample_size_heuristic(space: SampleSpace, candidate_sizes: Sequence[int],
                           reps: int, seed=0) -> list[BiasTableRow]:
     """Simulate plug-in estimation from the worst-case source.
 
-    For each candidate sample size, draws ``reps`` datasets from
+    For each candidate sample size ``n``, draws ``reps`` datasets from
     :func:`worst_case_source` (true weight 1) and tabulates the mean bias
     and standard deviation of the plug-in estimate, for choosing a sample
-    size at which both look acceptable.
+    size at which both look acceptable (by :func:`_summaries`, ``W = n0 = n``).
     """
     if reps < 2:
         raise ValueError("reps must be >= 2")
     sizes = [int(s) for s in candidate_sizes]
-    if any(s < 1 for s in sizes):
-        raise ValueError("candidate sizes must be >= 1")
-    t = worst_case_source(space)
-    root = _as_seed_sequence(seed)
-    children = root.spawn(len(sizes))
-    rows = []
-    for n, child in zip(sizes, children):
-        lams = multinomial_weights(space, np.array([n]), t.p[None, :], reps,
-                                   [child])[0]
-        rows.append(BiasTableRow(n=n, mean_bias=float(lams.mean() - 1.0),
-                                 sd=float(lams.std(ddof=1))))
-    return rows
+    if any(not 1 <= s < MAX_COUNT for s in sizes):
+        raise ValueError("candidate sizes must be >= 1 and below 2**53")
+    n, p = np.array(sizes, dtype=np.int64), worst_case_source(space).p
+    bias, _, sd = _summaries(multinomial_masses(
+        space, n, np.broadcast_to(p, (len(n), len(p))), reps,
+        _as_seed_sequence(seed).spawn(len(n))), n, reps, n, n)
+    return [BiasTableRow(n=s, mean_bias=float(b), sd=float(v))
+            for s, b, v in zip(sizes, bias, sd)]

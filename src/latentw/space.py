@@ -114,6 +114,10 @@ class SampleSpace:
         SpaceTooLargeError
             If ``k**d`` exceeds ``DEFAULT_MAX_OUTCOMES`` (``2**24``).
         """
+        # k**d >= 2**(d * floor(log2 k)): past 1024 bits it is not formed
+        if self.d * (int(self.k).bit_length() - 1) > 1024:
+            raise SpaceTooLargeError(f"k^d = {self.k}^{self.d} exceeds "
+                                     f"outcome budget {DEFAULT_MAX_OUTCOMES}")
         n = self.n_outcomes
         if n > DEFAULT_MAX_OUTCOMES:
             raise SpaceTooLargeError(f"k^d = {self.k}^{self.d} = {n} exceeds "

@@ -494,34 +494,36 @@ def lumped_law_oracle(p: np.ndarray, k: int, d: int,
     return live, np.array(head + [p[x] for members in live for x in members])
 
 
-def chunked_replicates_oracle(p: np.ndarray, n0: int, n_boot: int, k: int,
-                              d: int, seed_seq) -> list[float]:
-    """Weights of ``n_boot`` multinomial ``(n0, p)`` resamples drawn by the
-    documented chunk plan, one chunk at a time in a plain loop.
+def chunked_masses_oracle(p: np.ndarray, n0: int, n_boot: int, k: int,
+                          d: int, seed_seq, block_cells: int = 2**15,
+                          ) -> list[int]:
+    """Integer weight numerators ``W*`` of ``n_boot`` multinomial
+    ``(n0, p)`` resamples drawn by the documented chunk plan, one chunk at
+    a time in a plain loop.
 
     Every sample draws its lumped law (:func:`lumped_law_oracle`): the
     cells of the live orbits, orbit by orbit in the order of
     :func:`brute_orbits` sorted by representative, after one rest cell
     when some orbit is dead.  Its draw cells are those ``m`` cells; with
-    no live orbit every weight is 0 and nothing is drawn.  A law of at
+    no live orbit every ``W*`` is 0 and nothing is drawn.  A law of at
     least 512 cells with ``3 * sqrt(n0) <= 2 * m`` is drawn as Poisson
     cells completed to ``n0`` (:func:`poisson_chunk_oracle`), any other
     by one ``Generator.multinomial`` call a chunk.
 
-    Chunks hold ``max(1, 2**15 // m)`` resamples.  One chunk draws from
-    ``seed_seq`` itself; with several, chunk ``i`` draws from the seed with
-    ``(i,)`` appended to its spawn key.  Each resample's weight is
-    ``sum_z |z| * (min count in orbit z) / n0`` over the live orbits (the
+    Chunks hold ``max(1, block_cells // m)`` resamples.  One chunk draws
+    from ``seed_seq`` itself; with several, chunk ``i`` draws from the
+    seed with ``(i,)`` appended to its spawn key.  Each resample's ``W*``
+    is ``sum_z |z| * (min count in orbit z)`` over the live orbits (the
     dead ones give 0), with the minima taken member by member.
     """
     live, law = lumped_law_oracle(p, k, d)
     if not live:
-        return [0.0] * n_boot
+        return [0] * n_boot
     cells = len(law)
     poisson = cells >= 512 and 3 * math.sqrt(n0) <= 2 * cells
-    per_chunk = max(1, 2**15 // cells)
+    per_chunk = max(1, block_cells // cells)
     n_chunks = -(-n_boot // per_chunk)
-    weights = []
+    masses = []
     for i in range(n_chunks):
         seed = seed_seq if n_chunks == 1 else np.random.SeedSequence(
             seed_seq.entropy, spawn_key=tuple(seed_seq.spawn_key) + (i,))
@@ -534,8 +536,28 @@ def chunked_replicates_oracle(p: np.ndarray, n0: int, n_boot: int, k: int,
             for members in live:
                 mass += len(members) * min(row[at:at + len(members)])
                 at += len(members)
-            weights.append(mass / n0)
-    return weights
+            masses.append(mass)
+    return masses
+
+
+def chunked_replicates_oracle(p: np.ndarray, n0: int, n_boot: int, k: int,
+                              d: int, seed_seq) -> list[float]:
+    """Weights ``W* / n0`` of the resamples of
+    :func:`chunked_masses_oracle`."""
+    return [mass / n0 for mass in
+            chunked_masses_oracle(p, n0, n_boot, k, d, seed_seq)]
+
+
+def exact_summaries(masses: list[int], n0: int, mass: int, n: int,
+                    ) -> tuple[Fraction, Fraction, Fraction]:
+    """Exact bootstrap bias, clamped corrected weight and sample variance
+    (``ddof`` 1) of the resample weights ``masses[i] / n0`` against the
+    plug-in weight ``mass / n``."""
+    b = len(masses)
+    mean, lam = Fraction(sum(masses), b * n0), Fraction(mass, n)
+    var = Fraction(b * sum(w * w for w in masses) - sum(masses) ** 2,
+                   b * (b - 1) * n0 * n0)
+    return mean - lam, min(max(2 * lam - mean, Fraction(0)), Fraction(1)), var
 
 
 def poisson_chunk_oracle(rng: np.random.Generator, n0: int, law: np.ndarray,

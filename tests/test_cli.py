@@ -240,6 +240,64 @@ class TestSpaceBudget:
         assert "Traceback" not in proc.stderr
 
 
+class TestSimulateBounds:
+    # simulate size checks each size against 2**53 and the space against
+    # the outcome budget before it draws or forms k**d
+    @pytest.mark.parametrize("args,code", [
+        (("--d", "3", "--sizes", "100000000000000000000"), "E_VALIDATION"),
+        (("--d", "3", "--sizes", "9007199254740993"), "E_VALIDATION"),
+        (("--d", "100000000000000000000", "--sizes", "10"),
+         "E_SPACE_TOO_LARGE"),
+    ], ids=["sizes-1e20", "sizes-2^53+1", "d-1e20"])
+    def test_oversized_argument_exits_1(self, args, code):
+        proc = TestSpaceBudget.run_limited("simulate", "size", "--k", "2",
+                                           "--reps", "2", *args)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert line.startswith(f"latentw: error [{code}]: ")
+
+
+class TestConfigHash:
+    def test_same_bytes_from_two_directories(self, capsys, tmp_path):
+        # input paths are not hashed: the same calls on the same bytes in
+        # two directories give the same outputs
+        outputs = []
+        for name in ("a", "b"):
+            where = tmp_path / name
+            where.mkdir()
+            files = {
+                "counts": "outcome\tcount\n101\t100\n110\t100\n111\t100\n",
+                "map": "from\tto\n0\tx\n1\tx\n",
+                "reads": "\n".join(["chr1 0 CCC"] * 100 + ["chr1 1 CTC"] * 100
+                                   + ["chr1 2 TCT"] * 100) + "\n",
+                "cov": "chrom\tindex\tvalue\nchr1\t0\t1\nchr1\t1\t5\n"
+                       "chr1\t2\t3\n",
+            }
+            path = {}
+            for key, text in files.items():
+                path[key] = str(where / key)
+                (where / key).write_text(text)
+            report = str(where / "report.tsv")
+            calls = [
+                ("weight", "--counts", path["counts"], "--json"),
+                ("bound", "lump", "--counts", path["counts"], "--map",
+                 path["map"], "--json"),
+                ("classweight", "--counts", path["counts"], "--class",
+                 "singleton", "--q0", path["counts"], "--grid", "5",
+                 "--json"),
+                ("estimate", "--counts", path["counts"], "--boot", "50"),
+                ("meth", "triplets", "--epireads", path["reads"], "--boot",
+                 "20", "--out", report),
+                ("meth", "correlate", "--report", report, "--covariate",
+                 path["cov"], "--group-by", "dataset"),
+            ]
+            got = [run(capsys, *argv) for argv in calls]
+            assert all(code == 0 for code, _, _ in got)
+            outputs.append((got, Path(report).read_text()))
+        assert outputs[0] == outputs[1]
+
+
 class TestCountBound:
     # Counts and their running total stay below 2**53, where float64 holds
     # integers exactly; above it a count could overflow int64 or wrap

@@ -1,11 +1,14 @@
 import concurrent.futures
 import itertools
+import math
 import sys
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import latentw.inference as inference_mod
@@ -18,7 +21,8 @@ from latentw import (CountVector, Distribution, SampleSpace,
 from latentw.errors import EmptySampleError, TiedArgminError
 from latentw.exchangeable import exchangeable_weight_rows
 from latentw.inference import TIED_ARGMIN, UNIQUE_ARGMIN
-from oracle_utils import (brute_weight_vector, chunked_replicates_oracle,
+from oracle_utils import (brute_weight_vector, chunked_masses_oracle,
+                          chunked_replicates_oracle, exact_summaries,
                           lumped_law_oracle)
 
 #: 256 outcomes; :func:`sample44` draws 22 to 49 cells of them, so a
@@ -265,10 +269,15 @@ class TestChunkedBootstrap:
         draws = np.empty((4096, 8), dtype=np.int64)
         draws[:, order] = np.random.default_rng(56).multinomial(
             c.n, (c.counts / c.n)[order], size=4096)
+        index = space23.orbit_index()
+        masses = (index.class_minima_rows(draws) @ index.sizes).tolist()
         reps = exchangeable_weight_rows(space23, draws, total=c.n)
         est = estimate(c, n_boot=4096, seed=56)
-        assert est.se_boot == reps.std(ddof=1)
-        assert est.bias_boot == reps.mean() - est.lambda_hat
+        bias, corrected, var = exact_summaries(masses, c.n, 79, c.n)
+        assert est.lambda_hat == 0.79
+        assert est.bias_boot == float(bias)
+        assert est.lambda_corrected == float(corrected)
+        assert est.se_boot == math.sqrt(float(var))
         boot = bootstrap_distribution(c, n_boot=4096, seed=56)
         assert np.array_equal(boot,
                               np.sqrt(c.n) * (reps - est.lambda_hat))
@@ -354,13 +363,17 @@ class TestChunkedBootstrap:
     @pytest.mark.parametrize("rows_per_group", [1, 3])
     def test_group_size_does_not_change_bits(self, monkeypatch, threads,
                                              rows_per_group):
+        # rows of 8 drawn cells x 50 resamples share a task while it holds
+        # at most _BLOCK_CELLS draw cells: all 10 rows in one task, or
+        # groups of rows_per_group on a pool of `threads` workers
         rng = np.random.default_rng(64)
         counts = rng.multinomial(300, rng.dirichlet(np.ones(8)), size=10)
         c = CountVector(SampleSpace(2, 3), counts)
         seeds = np.random.SeedSequence(65).spawn(10)
-        whole = estimate(c, n_boot=50, seed=seeds)
-        monkeypatch.setattr(inference_mod, "_GROUP_REPLICATES",
-                            rows_per_group * 50)
+        whole = estimate(c, n_boot=50, seed=seeds, threads=1)
+        monkeypatch.setattr(inference_mod, "_BLOCK_CELLS",
+                            rows_per_group * 50 * 8)
+        monkeypatch.setattr(inference_mod, "_usable_cpus", lambda: 16)
         got = estimate(c, n_boot=50, seed=seeds, threads=threads)
         for field in ("lambda_hat", "lambda_corrected", "se_boot",
                       "bias_boot", "n", "resample_size"):
@@ -480,7 +493,7 @@ class TestPoissonPlan:
 
 
 def seen_resamples(monkeypatch, space, n0, p, size, seed):
-    """The resamples that ``multinomial_weights`` draws, captured at the
+    """The resamples that ``multinomial_masses`` draws, captured at the
     one draw site of both samplers, and the law they are drawn from, which
     must be :func:`lumped_law_oracle`'s.  ``(None, None)`` when nothing
     is drawn."""
@@ -492,8 +505,8 @@ def seen_resamples(monkeypatch, space, n0, p, size, seed):
         return seen[-1][1]
 
     monkeypatch.setattr(inference_mod._LumpedLaw, "draws", spy)
-    inference_mod.multinomial_weights(space, np.array([n0]), p[None, :],
-                                      size, [seed], threads=1)
+    list(inference_mod.multinomial_masses(space, np.array([n0]), p[None, :],
+                                          size, [seed], threads=1))
     if not seen:
         return None, None
     law = lumped_law_oracle(p, space.k, space.d)[1]
@@ -711,6 +724,89 @@ class TestLumpedPlan:
         for est, boot in out[1:]:
             assert est == out[0][0]
             assert np.array_equal(boot, out[0][1])
+
+
+#: Resample sizes at the edges of the int64 chunk sums (``n0 < 2**24``)
+#: and of the exactness bound.
+_EDGE_N0 = [1, 2**24 - 1, 2**24, 2**52]
+
+
+@st.composite
+def _boot_cases(draw):
+    """A sample or a stack of random small counts (ties and zero cells
+    throughout; row 0 optionally with no live orbit), a resample size,
+    ``n_boot``, a seed and a chunk size."""
+    space = draw(st.sampled_from([SampleSpace(2, 2), SampleSpace(2, 3),
+                                  SampleSpace(3, 2)]))
+    rows = draw(st.integers(1, 3))
+    counts = np.array(draw(st.lists(
+        st.lists(st.integers(0, 4), min_size=space.n_outcomes,
+                 max_size=space.n_outcomes), min_size=rows, max_size=rows)))
+    counts[:, -1] += counts.sum(axis=1) == 0
+    if draw(st.booleans()):
+        index = space.orbit_index()
+        counts[0, [index.members(z)[0] for z in range(index.n_classes)]] = 0
+        counts[0, index.members(1)[-1]] += 1      # orbit 1 is not a singleton
+    n0 = draw(st.one_of(st.none(), st.sampled_from(_EDGE_N0),
+                        st.integers(1, 2**52)))
+    return (space, counts, n0, draw(st.integers(2, 40)),
+            draw(st.integers(0, 2**32)), draw(st.sampled_from([2**15, 40])))
+
+
+class TestExactSummaries:
+    # Every bootstrap summary is its exact value over the drawn resamples
+    # rounded once, and se / sd the root of the correctly rounded
+    # variance; the draws come from the plain-loop chunk oracle.
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(_boot_cases(), st.booleans())
+    def test_estimate_matches_fraction_oracle(self, case, stack):
+        space, counts, n0, n_boot, seed, block = case
+        counts = counts if stack else counts[:1]
+        seqs = (np.random.SeedSequence(seed).spawn(len(counts)) if stack
+                else [np.random.SeedSequence(seed)])
+        c = CountVector(space, counts if stack else counts[0])
+        fields = ("lambda_hat", "lambda_corrected", "se_boot", "bias_boot")
+        got = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(inference_mod, "_BLOCK_CELLS", block)
+            mp.setattr(inference_mod, "_usable_cpus", lambda: 4)
+            for threads in (1, 2):
+                est = estimate(c, n_boot=n_boot, resample_size=n0,
+                               seed=seqs if stack else seed, threads=threads)
+                got.append([np.atleast_1d(getattr(est, f)) for f in fields])
+        assert all(np.array_equal(a, b) for a, b in zip(*got))
+        lam_hat, corrected_got, se, bias_got = got[0]
+        index = space.orbit_index()
+        for j, row in enumerate(counts):
+            n = int(row.sum())
+            size = n0 or n
+            masses = chunked_masses_oracle(row / n, size, n_boot, space.k,
+                                           space.d, seqs[j], block)
+            mass = int(index.class_minima_rows(row) @ index.sizes)
+            bias, corrected, var = exact_summaries(masses, size, mass, n)
+            assert lam_hat[j] == mass / n
+            assert bias_got[j] == float(bias)
+            assert corrected_got[j] == float(corrected)
+            assert se[j] == math.sqrt(float(var))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.sampled_from([SampleSpace(2, 2), SampleSpace(2, 3),
+                            SampleSpace(3, 2)]),
+           st.lists(st.one_of(st.sampled_from(_EDGE_N0),
+                              st.integers(1, 2**52)), min_size=1, max_size=3),
+           st.integers(2, 40), st.integers(0, 2**32))
+    def test_sample_size_heuristic_matches_fraction_oracle(self, space, sizes,
+                                                           reps, seed):
+        rows = sample_size_heuristic(space, sizes, reps=reps, seed=seed)
+        p = worst_case_source(space).p
+        children = np.random.SeedSequence(seed).spawn(len(sizes))
+        for row, n, child in zip(rows, sizes, children):
+            masses = chunked_masses_oracle(p, n, reps, space.k, space.d,
+                                           child)
+            bias, _, var = exact_summaries(masses, n, n, n)
+            assert row.n == n
+            assert row.mean_bias == float(bias)
+            assert row.sd == math.sqrt(float(var))
 
 
 class TestAsymptoticVariance:
