@@ -17,13 +17,20 @@ sample by Monte Carlo instead of evaluating in closed form.
 Every bootstrap here draws one law by one chunk plan.  A resample's
 weight needs only its orbit minima, and a cell of probability 0 stays 0,
 so an orbit holding one (a dead orbit) has minimum 0 throughout.  A
-sample draws its lumped law: the cells of its live orbits in orbit
-order, after one rest cell holding the mass of every other cell when
-some orbit is dead, placed first since ``Generator.multinomial`` draws
-nothing in, and spends no random bits on, a first cell of probability 0.
-With every orbit live it is ``p`` in orbit order.  Lumping cells of a
-multinomial gives a multinomial, so the live cells keep their exact
-joint law.  A sample with no live orbit draws nothing: its weights are 0.
+singleton orbit (a constant outcome) adds its count once, so the live
+ones matter only through the sum of their counts.  A sample draws its
+lumped law, in this order: one rest cell holding the mass of the dead
+orbits' cells, when some orbit is dead, placed first since
+``Generator.multinomial`` draws nothing in, and spends no random bits
+on, a first cell of probability 0; one unit cell holding the mass of
+the live singleton orbits, when there is one, taken as an orbit of one
+cell; then the cells of the live multi-cell orbits in orbit order.  Each
+of the two lumped cells is the numpy sum of the sample's cells it holds,
+in orbit order.  Lumping cells of a multinomial gives a multinomial, so
+the drawn cells keep their exact joint law, and ``W*`` its law.  A
+sample with no live orbit draws nothing: its weights are 0.  The plan
+reads a stack in one pass: rows are grouped by their live-orbit
+pattern, and the laws of a group are gathered as one array.
 
 A law of ``m`` cells is drawn by one ``Generator.multinomial`` call a
 chunk or, where :func:`_takes_poisson` picks it (never for a methylation
@@ -163,13 +170,15 @@ def resample_law(counts: np.ndarray, n_boot: int,
 
 def _takes_poisson(m: int, n0: int) -> bool:
     """True when a law of ``m`` drawn cells at resample size ``n0`` takes
-    the Poisson sampler.  Measured frontier, Poisson over multinomial time
-    of 1 000 resamples in the plan's chunks at 1 thread (Dirichlet(1)
-    laws, 2-CPU Xeon, numpy 2.4), at ``3*sqrt(n0)`` = ``m``, ``2*m`` and
-    ``3*m``: 0.55, 0.75 and 1.11 for 512 cells, 0.58, 0.81 and 1.06 for
-    1 242, 0.66, 0.93 and 1.25 for 4 096; 0.57 on the k4d6 count table
-    (1 242 cells, n0 204 800), 1.86 on k2d10 (68 cells, n0 51 200).
-    Below 512 cells it measured 0.58 to 0.85 within ``2*m`` as well."""
+    the Poisson sampler; the plan asks it for each row, with ``m`` the
+    cells of the row's lumped law.  Measured frontier, Poisson over
+    multinomial time of 1 000 resamples in the plan's chunks at 1 thread
+    (Dirichlet(1) laws, 2-CPU Xeon, numpy 2.4), at ``3*sqrt(n0)`` =
+    ``m``, ``2*m`` and ``3*m``: 0.55, 0.75 and 1.11 for 512 cells, 0.58,
+    0.81 and 1.06 for 1 242, 0.66, 0.93 and 1.25 for 4 096; 0.57 on the
+    k4d6 count table (1 242 cells, n0 204 800), 1.86 on k2d10 (68 cells,
+    n0 51 200).  Below 512 cells it measured 0.58 to 0.85 within ``2*m``
+    as well."""
     return m >= _POISSON_MIN_CELLS and _SHORTFALL_SDS * np.sqrt(n0) <= 2 * m
 
 
@@ -242,15 +251,17 @@ def _poisson_multinomial(rng: np.random.Generator, n0: int, p: np.ndarray,
     return counts
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _LumpedLaw:
-    """A sample's drawn law: its live orbits' cells in orbit order, after
-    one rest cell when some orbit is dead (see the module docstring)."""
+    """A sample's drawn law: the rest cell when some orbit is dead, the
+    unit cell when some singleton orbit is live, then the live multi-cell
+    orbits' cells (see the module docstring).  The unit cell is an orbit
+    of one cell and size 1 in ``starts`` and ``sizes``."""
 
     n0: int                             # resample size
     law: np.ndarray                     # probability of each drawn cell
-    starts: np.ndarray                  # live orbits' offsets in the law
-    sizes: np.ndarray                   # live orbits' sizes |z|
+    starts: np.ndarray                  # drawn orbits' offsets in the law
+    sizes: np.ndarray                   # drawn orbits' sizes |z|
     table: tuple | None                 # alias table, on the Poisson sampler
 
     def draws(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -261,32 +272,49 @@ class _LumpedLaw:
         return _poisson_multinomial(rng, self.n0, self.law, self.table, size)
 
     def masses(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Integer weight numerators ``W* = sum |z| * min`` over the live
+        """Integer weight numerators ``W* = sum |z| * min`` over the drawn
         orbits of ``size`` resamples; a resample's weight is ``W* / n0``."""
         mins = np.minimum.reduceat(self.draws(rng, size), self.starts, axis=1)
         return mins @ self.sizes
 
 
-def _lumped_law(space: SampleSpace, p: np.ndarray, n0: int,
-                ) -> _LumpedLaw | None:
-    """The drawn law of ``p`` at resample size ``n0``: the cells of its
-    live orbits (orbit minimum above 0) in orbit order, after a rest cell
-    holding the sum of every other cell in orbit order when some orbit is
-    dead; None when no orbit is live."""
+def _lumped_laws(space: SampleSpace, n0: np.ndarray, p: np.ndarray,
+                 ) -> list[_LumpedLaw | None]:
+    """The drawn law of each row ``j`` of ``p`` at resample size
+    ``n0[j]``, None for a row with no live orbit (orbit minimum of ``p``
+    above 0).
+
+    The rows are grouped by their live-orbit pattern.  A group's laws are
+    gathered as one array whose rows the laws view, with the group's
+    ``starts`` and ``sizes``: its rest cell and unit cell are each the
+    numpy sum, row by row, of the cells they hold in orbit order.
+    """
     index = space.orbit_index()
-    law = p[index.order]
-    live = np.minimum.reduceat(law, index.starts) > 0
-    if not live.any():
-        return None
-    sizes = index.sizes[live]
-    starts = np.cumsum(sizes) - sizes
-    if not live.all():
-        in_live = np.repeat(live, index.sizes)
-        law = np.concatenate(([law[~in_live].sum()], law[in_live]))
-        starts += 1
-    table = _alias_table(law) if _takes_poisson(len(law), n0) else None
-    return _LumpedLaw(n0=n0, law=law, starts=starts, sizes=sizes,
-                      table=table)
+    live = np.minimum.reduceat((p > 0)[:, index.order], index.starts, axis=1)
+    _, group = np.unique(np.packbits(live, axis=1), axis=0,
+                         return_inverse=True)
+    orbit_of = index.class_of[index.order]
+    laws, resample = [None] * len(p), n0.tolist()
+    for rows in np.split(np.argsort(group, kind="stable"),
+                         np.cumsum(np.bincount(group))[:-1]):
+        on = live[rows[0]]
+        if not on.any():
+            continue
+        unit = on & (index.sizes == 1)
+        multi = on & ~unit
+        law = np.column_stack(
+            [p[np.ix_(rows, index.order[cells[orbit_of]])].sum(axis=1)
+             for cells in (~on, unit) if cells.any()]
+            + [p[np.ix_(rows, index.order[multi[orbit_of]])]])
+        sizes = np.concatenate((np.ones(int(unit.any()), dtype=np.int64),
+                                index.sizes[multi]))
+        starts = np.cumsum(sizes) - sizes + (not on.all())
+        m = law.shape[1]
+        for j, row in zip(rows.tolist(), law):
+            table = (_alias_table(row) if _takes_poisson(m, resample[j])
+                     else None)
+            laws[j] = _LumpedLaw(resample[j], row, starts, sizes, table)
+    return laws
 
 
 def multinomial_masses(space: SampleSpace, n0: np.ndarray, p: np.ndarray,
@@ -299,8 +327,8 @@ def multinomial_masses(space: SampleSpace, n0: np.ndarray, p: np.ndarray,
     fit in ``_POOL_BYTES``; a cap below 2 runs them in the calling thread.
     """
     tasks, shared, shared_cells = [], [], 0
-    for j, seed in enumerate(map(_as_seed_sequence, seeds)):
-        law = _lumped_law(space, p[j], n0[j])
+    for j, (seed, law) in enumerate(zip(map(_as_seed_sequence, seeds),
+                                        _lumped_laws(space, n0, p))):
         if law is None:
             continue
         cells = len(law.law)

@@ -324,7 +324,7 @@ class Distribution:
 
     @classmethod
     def uniform(cls, space: SampleSpace, exact: bool = False) -> "Distribution":
-        n = space.n_outcomes
+        n = space.check_budget()
         return cls(space, [Fraction(1, n)] * n if exact else np.full(n, 1 / n))
 
     @classmethod
@@ -337,7 +337,7 @@ class Distribution:
                      exact: bool = False) -> "Distribution":
         """Build from ``{outcome: probability}``; unlisted outcomes get 0."""
         as_prob = _as_fraction if exact else float
-        p = [as_prob(0)] * space.n_outcomes
+        p = [as_prob(0)] * space.check_budget()
         for outcome, prob in mapping.items():
             p[space.index_of(outcome)] = as_prob(prob)
         return cls(space, p)
@@ -411,7 +411,7 @@ class CountVector:
 
     @classmethod
     def from_mapping(cls, space: SampleSpace, mapping: Mapping) -> "CountVector":
-        c = np.zeros(space.n_outcomes, dtype=np.int64)
+        c = np.zeros(space.check_budget(), dtype=np.int64)
         for outcome, count in mapping.items():
             c[space.index_of(outcome)] = int(count)
         return cls(space, c)

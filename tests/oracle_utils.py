@@ -476,22 +476,62 @@ def _orbit_indices(k: int, d: int) -> list[list[int]]:
 
 
 def lumped_law_oracle(p: np.ndarray, k: int, d: int,
-                      ) -> tuple[list[list[int]], np.ndarray | None]:
-    """The lumped law of ``p`` that the bootstrap draws: the live orbits
-    (every member's ``p`` above 0) as outcome-index lists, and the law of
-    their cells orbit by orbit, after one rest cell with the numpy sum of
-    every other cell's ``p`` in orbit order when some orbit is dead;
-    ``([], None)`` with no live orbit."""
-    live, rest = [], []
+                      ) -> tuple[list[int], np.ndarray | None]:
+    """The lumped law of ``p`` that the bootstrap draws, and the sizes
+    ``|z|`` of its drawn orbits, each of ``|z|`` consecutive cells after
+    the first ``len(law) - sum(sizes)``; ``([], None)`` with no live orbit
+    (an orbit whose every member's ``p`` is above 0).
+
+    Orbit by orbit in the order of :func:`brute_orbits` sorted by
+    representative: a rest cell with the numpy sum of the dead orbits'
+    ``p`` in orbit order, when some orbit is dead; a unit cell, an orbit
+    of size 1, with the numpy sum of the live singleton orbits' ``p`` in
+    orbit order, when some is live; then the live multi-cell orbits'
+    cells.
+    """
+    rest, unit, sizes, cells = [], [], [], []
     for members in _orbit_indices(k, d):
-        if all(p[x] > 0 for x in members):
-            live.append(members)
-        else:
+        if not all(p[x] > 0 for x in members):
             rest += [p[x] for x in members]
-    if not live:
+        elif len(members) == 1:
+            unit.append(p[members[0]])
+        else:
+            sizes.append(len(members))
+            cells += [p[x] for x in members]
+    if not unit and not sizes:
         return [], None
-    head = [float(np.sum(np.array(rest, dtype=float)))] if rest else []
-    return live, np.array(head + [p[x] for members in live for x in members])
+    head = [float(np.sum(np.array(part, dtype=float)))
+            for part in (rest, unit) if part]
+    return [1] * bool(unit) + sizes, np.array(head + cells)
+
+
+def triplet_mass_moments(counts: list[int], n0: int,
+                         ) -> tuple[Fraction, Fraction, Fraction]:
+    """Exact mean, variance and fourth central moment of the weight
+    numerator ``W* = sum_z |z| * min_z`` of one multinomial
+    ``(n0, counts / sum(counts))`` triplet resample, over every resample
+    (``C(n0 + 7, 7)`` of them: 19 448 at ``n0 = 10``) with its exact
+    integer probability ``n0! / prod(x!) * prod(counts ** x) / n ** n0``.
+    """
+    n, orbits = sum(counts), _orbit_indices(2, 3)
+    fact = [math.factorial(i) for i in range(n0 + 1)]
+    law: dict[int, int] = {}
+    for bars in itertools.combinations(range(n0 + 7), 7):
+        x = [b - a - 1 for a, b in zip((-1,) + bars, bars + (n0 + 7,))]
+        weight = fact[n0]
+        for xi, ci in zip(x, counts):
+            weight = weight // fact[xi] * ci ** xi
+        if weight:
+            mass = sum(len(members) * min(x[i] for i in members)
+                       for members in orbits)
+            law[mass] = law.get(mass, 0) + weight
+    total = n ** n0
+    mean = Fraction(sum(w * p for w, p in law.items()), total)
+
+    def central(r: int) -> Fraction:
+        return sum((w - mean) ** r * p for w, p in law.items()) / total
+
+    return mean, central(2), central(4)
 
 
 def chunked_masses_oracle(p: np.ndarray, n0: int, n_boot: int, k: int,
@@ -501,23 +541,24 @@ def chunked_masses_oracle(p: np.ndarray, n0: int, n_boot: int, k: int,
     ``(n0, p)`` resamples drawn by the documented chunk plan, one chunk at
     a time in a plain loop.
 
-    Every sample draws its lumped law (:func:`lumped_law_oracle`): the
-    cells of the live orbits, orbit by orbit in the order of
-    :func:`brute_orbits` sorted by representative, after one rest cell
-    when some orbit is dead.  Its draw cells are those ``m`` cells; with
-    no live orbit every ``W*`` is 0 and nothing is drawn.  A law of at
-    least 512 cells with ``3 * sqrt(n0) <= 2 * m`` is drawn as Poisson
-    cells completed to ``n0`` (:func:`poisson_chunk_oracle`), any other
-    by one ``Generator.multinomial`` call a chunk.
+    Every sample draws its lumped law (:func:`lumped_law_oracle`): a
+    rest cell when some orbit is dead, a unit cell holding the live
+    singleton orbits, then the cells of the live multi-cell orbits.  Its
+    draw cells are those ``m`` cells; with no live orbit every ``W*`` is 0
+    and nothing is drawn.  A law of at least 512 cells with
+    ``3 * sqrt(n0) <= 2 * m`` is drawn as Poisson cells completed to
+    ``n0`` (:func:`poisson_chunk_oracle`), any other by one
+    ``Generator.multinomial`` call a chunk.
 
     Chunks hold ``max(1, block_cells // m)`` resamples.  One chunk draws
     from ``seed_seq`` itself; with several, chunk ``i`` draws from the
     seed with ``(i,)`` appended to its spawn key.  Each resample's ``W*``
-    is ``sum_z |z| * (min count in orbit z)`` over the live orbits (the
-    dead ones give 0), with the minima taken member by member.
+    is ``sum_z |z| * (min count in orbit z)`` over the drawn orbits (the
+    dead ones give 0, and the unit cell its count), with the minima taken
+    member by member.
     """
-    live, law = lumped_law_oracle(p, k, d)
-    if not live:
+    sizes, law = lumped_law_oracle(p, k, d)
+    if not sizes:
         return [0] * n_boot
     cells = len(law)
     poisson = cells >= 512 and 3 * math.sqrt(n0) <= 2 * cells
@@ -532,10 +573,10 @@ def chunked_masses_oracle(p: np.ndarray, n0: int, n_boot: int, k: int,
         rows = (poisson_chunk_oracle(rng, n0, law, size) if poisson
                 else rng.multinomial(n0, law, size=size).tolist())
         for row in rows:
-            mass, at = 0, cells - sum(map(len, live))
-            for members in live:
-                mass += len(members) * min(row[at:at + len(members)])
-                at += len(members)
+            mass, at = 0, cells - sum(sizes)
+            for size in sizes:
+                mass += size * min(row[at:at + size])
+                at += size
             masses.append(mass)
     return masses
 

@@ -19,14 +19,13 @@ from latentw import (CountVector, Distribution, SampleSpace,
                      limit_law_sample, limit_law_spec, sample_size_heuristic,
                      subsample_size, worst_case_source)
 from latentw.errors import EmptySampleError, TiedArgminError
-from latentw.exchangeable import exchangeable_weight_rows
 from latentw.inference import TIED_ARGMIN, UNIQUE_ARGMIN
 from oracle_utils import (brute_weight_vector, chunked_masses_oracle,
                           chunked_replicates_oracle, exact_summaries,
-                          lumped_law_oracle)
+                          lumped_law_oracle, triplet_mass_moments)
 
-#: 256 outcomes; :func:`sample44` draws 22 to 49 cells of them, so a
-#: chunk of the bootstrap holds 668 to 1489 resamples.
+#: 256 outcomes; :func:`sample44` draws 20 to 46 cells of them, so a
+#: chunk of the bootstrap holds 712 to 1638 resamples.
 SPACE44 = SampleSpace(4, 4)
 #: 729 outcomes: a law of at least 512 drawn cells is drawn by Poisson
 #: cells while ``3*sqrt(n0) <= 2 * cells``.
@@ -175,18 +174,18 @@ class TestEstimateStack:
             assert stack.resample_size[i] == one.resample_size
 
     def test_multi_chunk_rows_equal_lone_estimates(self, monkeypatch):
-        # rows of 22, 39 and 44 drawn cells, so of 2, 2 and 3 chunks: the
+        # rows of 20, 36 and 42 drawn cells, so of 2, 3 and 3 chunks: the
         # stack and the lone estimates draw them on a pool of two workers,
         # with the same bits
         monkeypatch.setattr(inference_mod, "_usable_cpus", lambda: 2)
         counts = np.array([sample44(s).counts for s in (60, 61, 62)])
         assert [drawn_cells(CountVector(SPACE44, row))
-                for row in counts] == [22, 39, 44]
+                for row in counts] == [20, 36, 42]
         seeds = np.random.SeedSequence(63).spawn(3)
-        stack = estimate(CountVector(SPACE44, counts), n_boot=1500,
+        stack = estimate(CountVector(SPACE44, counts), n_boot=2000,
                          seed=seeds)
         for i, (row, s) in enumerate(zip(counts, seeds)):
-            one = estimate(CountVector(SPACE44, row), n_boot=1500, seed=s)
+            one = estimate(CountVector(SPACE44, row), n_boot=2000, seed=s)
             assert stack.lambda_corrected[i] == one.lambda_corrected
             assert stack.se_boot[i] == one.se_boot
             assert stack.bias_boot[i] == one.bias_boot
@@ -226,9 +225,9 @@ class TestChunkedBootstrap:
         3)[2]], ids=["int", "spawned"])
     @pytest.mark.parametrize("resample_size", [None, 40])
     def test_estimate_matches_oracle(self, seed, resample_size):
-        # 1500 resamples of 49 drawn cells: chunks of 668, 668 and 164
+        # 1500 resamples of 46 drawn cells: chunks of 712, 712 and 76
         c = sample44(50)
-        assert drawn_cells(c) == 49
+        assert drawn_cells(c) == 46
         est = estimate(c, n_boot=1500, resample_size=resample_size,
                        seed=seed)
         n0 = resample_size or c.n
@@ -239,9 +238,9 @@ class TestChunkedBootstrap:
         assert abs(est.se_boot - np.std(reps, ddof=1)) < 1e-12
 
     def test_bootstrap_distribution_matches_oracle(self):
-        # 39 drawn cells: chunks of 840, 840 and 320
+        # 38 drawn cells: chunks of 862, 862 and 276
         c = sample44(53)
-        assert drawn_cells(c) == 39
+        assert drawn_cells(c) == 38
         got = bootstrap_distribution(c, n_boot=2000, seed=54)
         lam_hat = brute_weight_vector(c.counts / c.n, 4, 4)
         reps = chunked_replicates_oracle(c.counts / c.n, c.n, 2000, 4, 4,
@@ -261,31 +260,30 @@ class TestChunkedBootstrap:
             assert abs(row.sd - np.std(reps, ddof=1)) < 1e-12
 
     def test_single_chunk_keeps_direct_draws(self, space23):
-        # 4096 resamples of 8 cells fill exactly one chunk: every orbit is
-        # live, so the draws are those of one multinomial call on the seed
-        # over the law in orbit order, with no rest cell
+        # 4096 resamples of 7 cells fit in one chunk: every orbit is live,
+        # so the draws are those of one multinomial call on the seed over
+        # the unit cell (000 and 111) and the two 3-cell orbits in orbit
+        # order, with no rest cell
         c = CountVector(space23, [30, 5, 9, 14, 2, 11, 7, 22])
-        order = space23.orbit_index().order
-        draws = np.empty((4096, 8), dtype=np.int64)
-        draws[:, order] = np.random.default_rng(56).multinomial(
-            c.n, (c.counts / c.n)[order], size=4096)
-        index = space23.orbit_index()
-        masses = (index.class_minima_rows(draws) @ index.sizes).tolist()
-        reps = exchangeable_weight_rows(space23, draws, total=c.n)
+        p = (c.counts / c.n)[space23.orbit_index().order]
+        draws = np.random.default_rng(56).multinomial(
+            c.n, np.concatenate(([p[0] + p[7]], p[1:7])), size=4096)
+        masses = (draws[:, 0] + 3 * draws[:, 1:4].min(axis=1)
+                  + 3 * draws[:, 4:].min(axis=1))
         est = estimate(c, n_boot=4096, seed=56)
-        bias, corrected, var = exact_summaries(masses, c.n, 79, c.n)
+        bias, corrected, var = exact_summaries(masses.tolist(), c.n, 79, c.n)
         assert est.lambda_hat == 0.79
         assert est.bias_boot == float(bias)
         assert est.lambda_corrected == float(corrected)
         assert est.se_boot == math.sqrt(float(var))
         boot = bootstrap_distribution(c, n_boot=4096, seed=56)
         assert np.array_equal(boot,
-                              np.sqrt(c.n) * (reps - est.lambda_hat))
+                              np.sqrt(c.n) * (masses / c.n - est.lambda_hat))
 
     def test_pool_width_does_not_change_bits(self, monkeypatch):
-        # 42 drawn cells: 6000 resamples in 8 chunks of up to 780
+        # 40 drawn cells: 6000 resamples in 8 chunks of up to 819
         c = sample44(57)
-        assert drawn_cells(c) == 42
+        assert drawn_cells(c) == 40
         out = []
         for cpus in (1, 2, 16):
             monkeypatch.setattr(inference_mod, "_usable_cpus", lambda: cpus)
@@ -325,7 +323,7 @@ class TestChunkedBootstrap:
         monkeypatch.setattr(Recorder, "made", [])
         monkeypatch.setattr(inference_mod, "_usable_cpus", lambda: 64)
         c = sample44(61)
-        assert drawn_cells(c) == 39                      # chunks of 840
+        assert drawn_cells(c) == 36                      # chunks of 910
         stack = CountVector(SPACE44, np.stack([c.counts] * 2))
         estimate(c, n_boot=2000, seed=1)                 # 3 chunks
         estimate(c, n_boot=840, seed=1)                  # 1 chunk
@@ -339,10 +337,10 @@ class TestChunkedBootstrap:
     def test_pool_capped_by_memory(self, monkeypatch):
         # a task of 256 outcomes holds up to 3 int64 copies of 2^15 cells:
         # a pool budget of two and a half tasks gets 2 workers, below one
-        # task still 1, and the bits are those of one thread; 44 drawn
+        # task still 1, and the bits are those of one thread; 42 drawn
         # cells make 3 chunks a row
         c = sample44(62)
-        assert drawn_cells(c) == 44
+        assert drawn_cells(c) == 42
         stack = CountVector(SPACE44, np.stack([c.counts] * 2))
         one = estimate(stack, n_boot=2000, seed=[1, 2], threads=1)
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
@@ -407,8 +405,9 @@ class TestChunkedBootstrap:
 
 def sample36(seed):
     """A sample on SPACE36 whose orbits of 000000 (one cell) and 000001
-    (six cells) are dead: 723 drawn cells, a rest cell holding the other
-    five cells of the 000001 orbit."""
+    (six cells) are dead: 722 drawn cells, a rest cell holding the other
+    five cells of the 000001 orbit and a unit cell holding 111111 and
+    222222."""
     counts = np.random.default_rng(seed).integers(1, 6, 729)
     counts[[0, 1]] = 0
     return CountVector(SPACE36, counts)
@@ -418,13 +417,13 @@ class TestPoissonPlan:
     # A law of at least 512 drawn cells with 3*sqrt(n0) <= 2 * cells is
     # drawn as Poisson cells completed to n0; the oracle redoes the plan
     # and the alias table in plain loops, so the bits must agree.
-    @pytest.mark.parametrize("resample_size", [None, 1, 232324, 232325],
+    @pytest.mark.parametrize("resample_size", [None, 1, 231681, 231682],
                              ids=["n", "n0=1", "last-poisson",
                                   "first-multinomial"])
     def test_estimate_matches_oracle(self, resample_size):
-        # 723 drawn cells: Poisson up to n0 = (2 * 723 / 3)**2 = 232324
+        # 722 drawn cells: Poisson up to n0 = (2 * 722 / 3)**2 = 231681.8
         c = sample36(70)
-        assert drawn_cells(c) == 723
+        assert drawn_cells(c) == 722
         est = estimate(c, n_boot=100, resample_size=resample_size, seed=71)
         reps = chunked_replicates_oracle(c.counts / c.n,
                                          resample_size or c.n, 100, 3, 6,
@@ -475,13 +474,14 @@ class TestPoissonPlan:
         assert not any(takes(8, n) for n in (1, 10, 100, 10**6))
 
     def test_pool_width_does_not_change_bits(self, monkeypatch):
-        # every cell drawn: 4096 cells, Poisson, chunks of 8
+        # every orbit live: 4093 cells (the 4 constants lumped), Poisson,
+        # chunks of 8
         space = SampleSpace(4, 6)
         rng = np.random.default_rng(75)
         c = CountVector(space, rng.multinomial(
             50000, rng.dirichlet(np.ones(4096))) + 1)
-        assert drawn_cells(c) == 4096
-        assert inference_mod._takes_poisson(4096, c.n)
+        assert drawn_cells(c) == 4093
+        assert inference_mod._takes_poisson(4093, c.n)
         out = []
         for cpus in (1, 2, 16):
             monkeypatch.setattr(inference_mod, "_usable_cpus", lambda: cpus)
@@ -624,31 +624,46 @@ class TestDrawPaths:
                                         (3, 6, 300000)],
                              ids=["triplet", "poisson", "multinomial"])
     def test_law_layout(self, monkeypatch, k, d, n0):
-        # with every orbit live the law is p in orbit order, k**d cells and
-        # no rest cell; with a dead orbit, its L live cells follow one rest
-        # cell at index 0 holding the sum of the others in orbit order
+        # with every orbit live there is no rest cell: the unit cell holds
+        # the k constants' sum in orbit order, and the other cells follow
+        # in orbit order, k**d - k + 1 cells.  A dead orbit adds one rest
+        # cell at index 0, the sum of its cells in orbit order.  With the
+        # first constant the only live one, the unit cell is that cell, so
+        # the law is the rest cell and then every live cell in orbit order
         space = SampleSpace(k, d)
         index = space.orbit_index()
+        single = np.repeat(index.sizes == 1, index.sizes)
         p = np.random.default_rng(93).uniform(1.0, 2.0, space.n_outcomes)
         p /= p.sum()
         rows, law = seen_resamples(monkeypatch, space, n0, p, 50, 94)
-        assert rows.shape == (50, space.n_outcomes)
-        assert np.array_equal(law, p[index.order])
-        dead = index.members(1)
-        p[dead[0]] = 0.0
+        assert rows.shape == (50, space.n_outcomes - k + 1)
+        ordered = p[index.order]
+        assert law[0] == ordered[single].sum()
+        assert np.array_equal(law[1:], ordered[~single])
+        dead = np.isin(index.order, index.members(1))
+        p[index.members(1)[0]] = 0.0
         rows, law = seen_resamples(monkeypatch, space, n0, p, 50, 95)
-        in_live = np.ones(space.n_outcomes, dtype=bool)
-        in_live[dead] = False
-        assert rows.shape == (50, space.n_outcomes - len(dead) + 1)
-        assert law[0] == p[dead].sum() > 0
-        assert np.array_equal(law[1:], p[index.order][in_live[index.order]])
+        ordered = p[index.order]
+        assert rows.shape == (50, space.n_outcomes - dead.sum() - k + 2)
+        assert law[0] == ordered[dead].sum() > 0
+        assert law[1] == ordered[single].sum()
+        assert np.array_equal(law[2:], ordered[~single & ~dead])
+        assert (rows.sum(axis=1) == n0).all()
+        p[index.order[single][1:]] = 0.0
+        rows, law = seen_resamples(monkeypatch, space, n0, p, 50, 96)
+        live = ordered > 0
+        live[dead | single] = False
+        live[0] = True
+        assert np.array_equal(law, np.concatenate(
+            ([p[index.order][~live].sum()], ordered[live])))
         assert (rows.sum(axis=1) == n0).all()
 
 
 class TestLumpedPlan:
-    # Every sample draws only the live orbits' cells and, when some orbit
-    # is dead, a rest cell; each row's chunks and seeds depend on that row
-    # alone.
+    # Every sample draws only a rest cell when some orbit is dead, a unit
+    # cell when some singleton orbit is live, and the live multi-cell
+    # orbits' cells; each row's law, chunks and seeds depend on that row
+    # alone, whatever the live-orbit patterns of its neighbours.
     def test_no_live_orbit_draws_nothing(self, monkeypatch):
         # every orbit holds a zero cell: the weights are exactly 0, and no
         # sampler draws
@@ -679,7 +694,8 @@ class TestLumpedPlan:
         for n0 in (20000, 300000):
             rows, law = seen_resamples(monkeypatch, space, n0, p, 500, 88)
             assert law[0] == 0.0
-            assert len(law) == 729 - len(space.orbit_index().members(5)) + 1
+            # the three constants are one unit cell
+            assert len(law) == 729 - len(space.orbit_index().members(5)) - 1
             assert inference_mod._takes_poisson(len(law), n0) == (
                 n0 == 20000)
             assert (rows[:, 0] == 0).all()
@@ -690,14 +706,15 @@ class TestLumpedPlan:
     def test_row_bits_do_not_depend_on_neighbours(self, n):
         # each row of a stack draws the same bits as alone, beside rows
         # whose drawn cells, and so chunk plans and samplers, differ from
-        # its own: at n = 10000, 67 cells by multinomial, then 724 and 729
-        # by Poisson; at 400000, all 729 cells by multinomial
+        # its own: at n = 10000, 65 cells by multinomial, then 722 and 727
+        # by Poisson; at 400000, 727 cells (every orbit live, the three
+        # constants one unit cell) by multinomial
         space = SampleSpace(3, 6)
         rng = np.random.default_rng(89)
         laws = [rng.dirichlet(np.full(729, a)) for a in (1.0, 5.0, 30.0)]
         counts = np.array([rng.multinomial(n, q) for q in laws])
         cells = [drawn_cells(CountVector(space, row)) for row in counts]
-        assert cells == ([67, 724, 729] if n == 10000 else [729] * 3)
+        assert cells == ([65, 722, 727] if n == 10000 else [727] * 3)
         assert [inference_mod._takes_poisson(m, n) for m in cells] == (
             [False, True, True] if n == 10000 else [False] * 3)
         seeds = np.random.SeedSequence(90).spawn(3)
@@ -708,14 +725,68 @@ class TestLumpedPlan:
             assert stack.se_boot[i] == one.se_boot
             assert stack.bias_boot[i] == one.bias_boot
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("block", [2**15, 1050, 100],
+                             ids=["one-task", "shared", "split"])
+    def test_mixed_patterns_equal_lone_estimates(self, monkeypatch, threads,
+                                                 block):
+        # one stack of every layout: with and without a rest cell, 0, 1 or
+        # 2 live singletons, only singletons, only a 3-cell orbit, and no
+        # live orbit; rows share one task, a few rows share a task, or a
+        # row splits into chunks of 14 resamples.  Each row is its lone
+        # estimate, bit for bit
+        space = SampleSpace(2, 3)
+        counts = np.array([[30, 5, 9, 14, 2, 11, 7, 22],   # no rest, 2
+                           [30, 0, 9, 14, 2, 11, 7, 22],   # rest, 2
+                           [30, 5, 9, 14, 2, 11, 7, 0],    # rest, 000
+                           [0, 5, 9, 14, 2, 11, 7, 22],    # rest, 111
+                           [0, 5, 9, 14, 2, 11, 7, 0],     # rest, none
+                           [40, 0, 3, 0, 0, 0, 0, 12],     # singletons
+                           [50, 0, 0, 0, 0, 0, 0, 0],      # 000 alone
+                           [0, 4, 0, 6, 0, 0, 0, 0],       # no live orbit
+                           [0, 4, 5, 0, 6, 0, 0, 0],       # 3-cell orbit
+                           [12, 3, 8, 1, 6, 9, 2, 5]])     # no rest, 2
+        cells = [drawn_cells(CountVector(space, row)) for row in counts]
+        assert cells == [7, 5, 8, 8, 7, 2, 2, 0, 4, 7]
+        monkeypatch.setattr(inference_mod, "_BLOCK_CELLS", block)
+        monkeypatch.setattr(inference_mod, "_usable_cpus", lambda: 4)
+        seeds = np.random.SeedSequence(97).spawn(len(counts))
+        stack = estimate(CountVector(space, counts), n_boot=50, seed=seeds,
+                         threads=threads)
+        for i, (row, s) in enumerate(zip(counts, seeds)):
+            one = estimate(CountVector(space, row), n_boot=50, seed=s,
+                           threads=threads)
+            for field in ("lambda_hat", "lambda_corrected", "se_boot",
+                          "bias_boot", "n", "resample_size"):
+                assert getattr(stack, field)[i] == getattr(one, field)
+
+    @pytest.mark.parametrize("counts", [
+        [3, 1, 2, 1, 2, 1, 1, 2], [3, 1, 2, 1, 2, 1, 1, 0],
+        [0, 1, 2, 1, 2, 1, 1, 2], [3, 0, 2, 1, 2, 1, 1, 2],
+        [0, 0, 2, 1, 0, 1, 1, 0]],
+        ids=["both-singletons", "000-only", "111-only", "orbit-dead",
+             "one-live-orbit"])
+    def test_masses_follow_exact_law(self, counts):
+        # 20 000 W* of multinomial (10, counts / n) triplet resamples: the
+        # sample mean and the sample variance each within 5 standard
+        # errors of the exact law's, which enumerates all 19 448 resamples
+        space, n0, reps = SampleSpace(2, 3), 10, 20000
+        p = np.array(counts) / sum(counts)
+        w = np.concatenate([w for _, _, w in inference_mod.multinomial_masses(
+            space, np.array([n0]), p[None, :], reps, [98])]).astype(float)
+        mean, var, mu4 = (float(v) for v in triplet_mass_moments(counts, n0))
+        assert abs(w.mean() - mean) < 5 * math.sqrt(var / reps)
+        se_var = math.sqrt((mu4 - var**2 * (reps - 3) / (reps - 1)) / reps)
+        assert abs(w.var(ddof=1) - var) < 5 * se_var
+
     def test_sparse_k4d6_pool_width_does_not_change_bits(self, monkeypatch):
         space = SampleSpace(4, 6)
         rng = np.random.default_rng(91)
         c = CountVector(space, rng.multinomial(
             60000, rng.dirichlet(np.ones(4096))))
-        # 142 drawn cells: multinomial, chunks of 230 resamples
-        assert drawn_cells(c) == 142
-        assert not inference_mod._takes_poisson(142, c.n)
+        # 139 drawn cells: multinomial, chunks of 235 resamples
+        assert drawn_cells(c) == 139
+        assert not inference_mod._takes_poisson(139, c.n)
         out = []
         for cpus in (1, 2, 16):
             monkeypatch.setattr(inference_mod, "_usable_cpus", lambda: cpus)

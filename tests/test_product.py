@@ -167,8 +167,10 @@ class TestClassWeight:
                          ProductClassSpec(kind="product"))
 
     def test_space_budget(self, monkeypatch):
-        monkeypatch.setattr(space_module, "DEFAULT_MAX_OUTCOMES", 16)
+        # the law is built inside the budget, since Distribution.uniform
+        # checks it too; class_weight must check it again
         p = Distribution.uniform(SampleSpace(2, 5))
+        monkeypatch.setattr(space_module, "DEFAULT_MAX_OUTCOMES", 16)
         for kind in ("iid", "product"):
             with pytest.raises(SpaceTooLargeError):
                 class_weight(p, ProductClassSpec(kind=kind))

@@ -1,6 +1,8 @@
 import io
 import math
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -19,6 +21,7 @@ from latentw.space import _SYMBOL_CHARS, _parse_symbol, ratio
 from latentw.errors import (CountsFileError, EmptySampleError,
                             LatentwError, SpaceTooLargeError)
 
+from child_env import child_env
 from oracle_utils import brute_orbits, multinomial_orbit_size
 
 
@@ -107,6 +110,36 @@ class TestOrbitIndex:
         monkeypatch.setattr(space_module, "DEFAULT_MAX_OUTCOMES", 16)
         with pytest.raises(SpaceTooLargeError):
             build_orbit_index(SampleSpace(2, 5))
+
+    def test_constructors_check_budget(self):
+        # every constructor that allocates k**d cells checks the budget
+        # first.  The child runs under a 1 GiB address-space limit, so one
+        # that did not fails with a memory error instead of allocating
+        code = "\n".join([
+            "from latentw import CountVector, Distribution, SampleSpace",
+            "space, x = SampleSpace(2, 30), '0' * 30",
+            "for make in (lambda: Distribution.uniform(space),",
+            "             lambda: Distribution.uniform(space, exact=True),",
+            "             lambda: Distribution.from_mapping(space, {x: 1}),",
+            "             lambda: Distribution.from_mapping(space, {x: 1},",
+            "                                               exact=True),",
+            "             lambda: Distribution.point_mass(space, x),",
+            "             lambda: CountVector.from_mapping(space, {x: 1})):",
+            "    try:",
+            "        make()",
+            "    except Exception as exc:",
+            "        print(type(exc).__name__)"])
+
+        def limit_memory():
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True,
+                              preexec_fn=limit_memory, timeout=120,
+                              env=child_env(OPENBLAS_NUM_THREADS="1"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["SpaceTooLargeError"] * 6
 
 
 class TestDistribution:
