@@ -31,8 +31,8 @@ from .errors import DegenerateGroupError, EpireadParseError
 from .exchangeable import (decompose, exchangeable_component_rows,  # noqa: F401
                            tv_distance_to_exchangeable)
 from .inference import WeightEstimate, estimate
-from .space import (_IS_SPACE, CountVector, SampleSpace,
-                    empirical_distribution, utf8_error, utf8_lines)
+from .space import (CountVector, SampleSpace, empirical_distribution,
+                    utf8_error, utf8_lines)
 
 TRIPLET_SPACE = SampleSpace(k=2, d=3)
 CONFIGS = tuple(TRIPLET_SPACE.outcome_str(i) for i in range(8))  # 000..111
@@ -65,6 +65,11 @@ _STATE_CODES = np.full(256, _INVALID_CODE, dtype=np.uint8)
 _STATE_CODES[[ord("T"), ord("C"), ord("N")]] = (0, 1, 8)
 
 _DROP_STATES = str.maketrans("", "", "CTN")
+
+#: ``_IS_SPACE[c]`` says whether ``str.split()`` takes code point ``c``
+#: for white space.  U+3000 is the largest such code point, so the last
+#: entry (False) stands for every code point above the table.
+_IS_SPACE = np.array([chr(c).isspace() for c in range(0x3002)])
 
 
 class EpireadRecord(NamedTuple):

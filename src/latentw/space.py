@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Mapping, Sequence
@@ -142,13 +143,6 @@ def _parse_symbol(c: str) -> int:
     if v < 0:
         raise ValueError(f"invalid symbol character {c!r}")
     return v
-
-
-#: ``_IS_SPACE[c]`` says whether ``str.split()`` and ``str.strip()`` take
-#: code point ``c`` for white space.  U+3000 is the largest such code
-#: point, so the last entry (False) stands for every code point above the
-#: table.
-_IS_SPACE = np.array([chr(c).isspace() for c in range(0x3002)])
 
 
 #: The symbol of each code point below 128, -1 for none; index 128 stands
@@ -528,66 +522,53 @@ def _block_rows(block: list[str], header: bool, total: int):
     fails a check here; :func:`_line_rows` then reads the block and
     names the bad line.
 
-    The block is taken as one array of code points.  A line is a row
-    unless it is blank or its first non-space code point is ``#``.  Every
-    row holds exactly one tab, and each of its two fields runs from its
-    first to its last non-space code point: the outcome's are kept, and
-    the count's must be ASCII digits.
+    The block is read as one string, with no lone surrogate.  Its lines
+    are split at tabs and newlines, which must alternate, so that each
+    holds exactly one tab, and every field is stripped.  A block holding
+    ``#``, or whose lines do not split so or give an empty count, is
+    split again without its blank and comment lines.  The counts must
+    be ASCII digits, and ``np.fromstring`` reads them: a count past
+    int64 reads as ``2**63 - 1``, which fails the total.
     """
     text = "".join(block)
     try:
-        points = np.frombuffer((text if text.endswith("\n") else text + "\n")
-                               .encode("utf-32-le"), dtype=np.uint32)
-    except UnicodeEncodeError:                  # a lone surrogate
+        text.encode()                           # a lone surrogate fails
+    except UnicodeEncodeError:
         return None
-    end = np.flatnonzero(points == ord("\n"))
-    if end.size != len(block):                  # a line not ended by "\n"
-        return None
-    start = np.concatenate(([0], end[:-1] + 1))
-    # The non-space code points, then a stop past the text: each field's
-    # first is the first at or after its start, and its last the one
-    # before its end.
-    ink = np.append(np.flatnonzero(~np.take(_IS_SPACE, points, mode="clip")),
-                    points.size)
-    lead = ink[np.searchsorted(ink, start)]
-    row = (lead < end) & (np.take(points, lead, mode="clip") != ord("#"))
-    if not header and row.any():
-        first = np.flatnonzero(row)[0]
-        if [f.strip() for f in block[first].split("\t")] != ["outcome",
-                                                             "count"]:
+    text += "" if text.endswith("\n") else "\n"
+    rows = None if "#" in text else _split_rows(text)
+    if rows is None or "" in rows[1]:
+        # drop the blank lines and those whose first non-space is "#"
+        rows = _split_rows(re.sub(r"\n[^\S\n]*(?:#[^\n]*)?(?=\n)", "",
+                                  "\n" + text)[1:])
+        if rows is None:
             return None
-        header, row[first] = True, False
-    tab = np.flatnonzero(points == ord("\t"))
-    first_tab = np.searchsorted(tab, start[row])
-    if np.any(np.searchsorted(tab, end[row]) - first_tab != 1):
+    outcomes, counts = rows
+    if not header and counts:
+        if (outcomes[0], counts[0]) != ("outcome", "count"):
+            return None
+        header, outcomes, counts = True, outcomes[1:], counts[1:]
+    digits = "".join(counts)
+    if counts and not (digits.isascii() and digits.isdigit()):
         return None
-    tab, lead, end = tab[first_tab], lead[row], end[row]
-    cut = np.searchsorted(ink, tab)
-    lengths = np.where(lead < tab, ink[cut - 1] + 1 - lead, 0)
-    count_start = ink[cut]
-    count_len = ink[np.searchsorted(ink, end) - 1] + 1 - count_start
-    # A blank count, or one of more than 18 digits, which might pass the
-    # int64 range, is left to the line-by-line check.
-    if np.any((count_start > end) | (count_len > 18)):
+    values = np.fromstring(" ".join(counts), dtype=np.int64, sep=" ")
+    if (values.size != len(counts)             # an empty count
+            or total + values.sum(dtype=np.float64) >= MAX_COUNT):
         return None
-    digit_at, offsets = _ranges(count_start, count_len)
-    digits = points[digit_at].astype(np.int64) - ord("0")
-    if np.any((digits < 0) | (digits > 9)):
-        return None
-    place = np.repeat(count_start + count_len - 1, count_len) - digit_at
-    values = (np.add.reduceat(digits * 10**place, offsets) if digits.size
-              else digits)
-    if total + values.sum(dtype=np.float64) >= MAX_COUNT:
-        return None
-    return header, points[_ranges(lead, lengths)[0]], lengths, values
+    return (header, np.frombuffer("".join(outcomes).encode("utf-32-le"),
+                                  dtype=np.uint32),
+            np.fromiter(map(len, outcomes), np.int64, len(outcomes)), values)
 
 
-def _ranges(first: np.ndarray, lengths: np.ndarray):
-    """The indices ``first[i] .. first[i] + lengths[i] - 1``, range after
-    range, and the offset of each range among them."""
-    offsets = np.cumsum(lengths) - lengths
-    return (np.arange(lengths.sum()) + np.repeat(first - offsets, lengths),
-            offsets)
+def _split_rows(text: str):
+    """The stripped outcomes and counts of the lines of ``text`` (each
+    ended by a newline), or None unless each line holds one tab."""
+    other = bytes.maketrans(b"", b"").replace(b"\t\n", b"")
+    separators = text.encode().translate(None, other)
+    if separators != b"\t\n" * (len(separators) // 2):
+        return None
+    fields = list(map(str.strip, text.replace("\n", "\t").split("\t")))
+    return fields[0:-1:2], fields[1::2]
 
 
 def _line_rows(block: list[str], line_no: int, header: bool, total: int):

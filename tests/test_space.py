@@ -384,6 +384,32 @@ class TestCountsFile:
             with mock.patch.object(space_module, "_BLOCK_LINES", block):
                 assert _outcome(read_counts, io.StringIO(text), k) == expected
 
+    @pytest.mark.parametrize("block", [3, space_module._BLOCK_LINES])
+    def test_layouts_stay_on_bulk_path(self, block):
+        # comments, blank lines, CRLF ends and padded fields are read by
+        # the bulk check; only a block with a bad line is read line by line
+        rows = [("outcome", "count")] + [(f"{i:03b}", str(5 * i + 1))
+                                         for i in range(8)]
+        skipped = ["# note", "  #\tx\ty", "", "   ", "\t", " \t \r", "\r",
+                   "\u3000", "#0\t1"]
+        lines = []
+        for i, (o, c) in enumerate(rows):
+            lines.append(skipped[i % len(skipped)] + "\n")
+            lines.append(f"\u3000{o} \t\x0c{c} \r\n" if i % 2
+                         else f"{o}\t{c}\n")
+        text = "".join(lines).rstrip("\n")
+        line_rows = mock.Mock(wraps=space_module._line_rows)
+        with mock.patch.object(space_module, "_BLOCK_LINES", block), \
+                mock.patch.object(space_module, "_line_rows", line_rows):
+            c = read_counts(io.StringIO(text))
+            assert line_rows.call_count == 0
+            assert c.counts.tolist() == [5 * i + 1 for i in range(8)]
+            # a row of three fields and one of one field are not read as
+            # two rows of two fields
+            with pytest.raises(CountsFileError, match="expected 2 fields"):
+                read_counts(io.StringIO("outcome\tcount\n000\t5\t011\n7\n"))
+            assert line_rows.call_count == 1
+
     @pytest.mark.parametrize("block", [1, 2, 3])
     def test_running_total_across_blocks(self, block):
         text = f"outcome\tcount\n00\t{2**52}\n01\t{2**52 - 1}\n11\t1\n"
