@@ -250,11 +250,7 @@ def _grid_starts(objective, dim, grid_points):
     each one's best points are merged into the running best, which come
     first among ties; so the whole grid is never held.
     """
-    per_param = grid_points
-    # Shrink the per-parameter resolution until the full grid fits the
-    # evaluation budget (high-dimensional products explode otherwise).
-    while per_param > 2 and per_param**dim > _MAX_GRID_TOTAL:
-        per_param -= 1
+    per_param = _grid_resolution(grid_points, dim)
     axis = np.linspace(0.0, 1.0, per_param)
     free = dim
     while free and per_param**free * dim > _CHUNK_ELEMENTS:
@@ -277,6 +273,19 @@ def _grid_starts(objective, dim, grid_points):
         keep = np.argsort(-best_values, kind="stable")[:_N_STARTS]
         best, best_values = best[keep], best_values[keep]
     return best
+
+
+def _grid_resolution(grid_points: int, dim: int) -> int:
+    """The per-parameter resolution of the grid: the largest ``p <=
+    grid_points`` whose ``p**dim`` points fit ``_MAX_GRID_TOTAL``, but
+    not below 2 (high-dimensional products explode otherwise).  The float
+    root is corrected by one step either way."""
+    if grid_points <= 2:
+        return grid_points
+    root = int(_MAX_GRID_TOTAL ** (1 / dim))
+    root += (root + 1)**dim <= _MAX_GRID_TOTAL
+    root -= root**dim > _MAX_GRID_TOTAL
+    return max(2, min(grid_points, root))
 
 
 def _poll_directions(dim: int) -> np.ndarray:
@@ -312,7 +321,7 @@ def _compass_search(objective, starts, grid_points):
     dirs = _poll_directions(starts.shape[1])
     theta = np.clip(np.asarray(starts, dtype=np.float64), 0.0, 1.0)
     best = objective(theta)
-    step0 = 1.0 / (grid_points - 1) if grid_points > 1 else 0.1
+    step0 = 1 / (grid_points - 1) if grid_points > 1 else 0.1
     step = np.full(len(theta), step0)
     evals = np.zeros(len(theta), dtype=np.int64)
     spent = np.zeros(len(theta), dtype=bool)

@@ -258,15 +258,22 @@ def supmin_grid_oracle(p: np.ndarray, kind: str, k: int, d: int,
     return best
 
 
+def grid_resolution_oracle(grid_points: int, dim: int) -> int:
+    """The grid's per-parameter resolution, lowered one step at a time from
+    ``grid_points`` while the grid passes ``_MAX_GRID_TOTAL`` points, but
+    not below 2."""
+    per_param = grid_points
+    while per_param > 2 and per_param**dim > product._MAX_GRID_TOTAL:
+        per_param -= 1
+    return per_param
+
+
 def grid_starts_oracle(objective, dim: int, grid_points: int) -> np.ndarray:
     """The best grid starts of the class search, ranked over the whole
     grid at once: the full ``ij`` grid is built, scored in one objective
     call and ranked by one stable sort on the negated values.
     """
-    per_param = grid_points
-    while per_param > 2 and per_param**dim > product._MAX_GRID_TOTAL:
-        per_param -= 1
-    axis = np.linspace(0.0, 1.0, per_param)
+    axis = np.linspace(0.0, 1.0, grid_resolution_oracle(grid_points, dim))
     grid = np.stack(np.meshgrid(*[axis] * dim, indexing="ij", copy=False),
                     axis=-1).reshape(-1, dim)
     values = objective(grid)
@@ -316,10 +323,7 @@ def class_weight_scalar_oracle(p, kind: str, grid_points: int) -> tuple:
             return 0.0
         return float(np.min(pf[pos] / q[pos]))
 
-    per_param = grid_points
-    while per_param > 2 and per_param**dim > product._MAX_GRID_TOTAL:
-        per_param -= 1
-    axis = np.linspace(0.0, 1.0, per_param)
+    axis = np.linspace(0.0, 1.0, grid_resolution_oracle(grid_points, dim))
     scored = []
     for combo in itertools.product(axis, repeat=dim):
         theta = np.array(combo)

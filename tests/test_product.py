@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -15,9 +17,10 @@ from latentw import product
 from latentw import space as space_module
 from latentw.errors import DimensionTooLargeError, SpaceTooLargeError
 
+from child_env import child_env
 from conftest import dirichlet_distributions
-from oracle_utils import (class_weight_scalar_oracle, grid_starts_oracle,
-                          supmin_grid_oracle)
+from oracle_utils import (class_weight_scalar_oracle, grid_resolution_oracle,
+                          grid_starts_oracle, supmin_grid_oracle)
 
 
 def bernoulli_product(space, qs):
@@ -335,6 +338,30 @@ class TestGridTiles:
                 assert np.array_equal(
                     product._grid_starts(objective, dim, grid_points),
                     grid_starts_oracle(objective, dim, grid_points))
+
+    def test_resolution_matches_count_down(self):
+        # every grid up to 300, and those around the integer roots of
+        # _MAX_GRID_TOTAL (60 000, 244, 39, ...), at every dimension
+        total = product._MAX_GRID_TOTAL
+        for dim in range(1, product._MAX_DIM + 1):
+            root = grid_resolution_oracle(total, dim)
+            for grid_points in {*range(1, 301), root - 1, root, root + 1,
+                                root + 2, 2 * root, 10**5}:
+                assert (product._grid_resolution(grid_points, dim)
+                        == grid_resolution_oracle(grid_points, dim))
+
+    def test_huge_grid_is_quick(self, tmp_path):
+        # the resolution was lowered one step at a time: --grid 10**7 took
+        # 0.8 s, and 2**31 did not finish in 20 s
+        path = tmp_path / "k2d3.tsv"
+        path.write_text("outcome\tcount\n000\t3\n011\t5\n101\t2\n111\t4\n")
+        for grid in (2**31, 2**53, 2**63, 10**20, 10**400):
+            proc = subprocess.run(
+                [sys.executable, "-m", "latentw", "classweight", "--counts",
+                 str(path), "--class", "iid", "--grid", str(grid)],
+                capture_output=True, text=True, timeout=20, env=child_env())
+            assert (proc.returncode, proc.stderr) == (0, "")
+            assert 0 <= float(proc.stdout) <= 1
 
     @pytest.mark.parametrize("chunk", [40, 4, 1])
     def test_small_tiles_match_whole_grid(self, monkeypatch, chunk):
