@@ -60,7 +60,9 @@ whatever the number of workers.
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
+import itertools
 import math
 import numbers
 import os
@@ -158,6 +160,8 @@ def resample_law(counts: np.ndarray, n_boot: int,
         raise EmptySampleError("cannot estimate from an empty sample")
     if n_boot < 2:
         raise ValueError("n_boot must be >= 2")
+    if n_boot >= MAX_COUNT:
+        raise ValueError("n_boot must be below 2**53")
     if resample_size is not None and resample_size % 1 != 0:
         raise ValueError("resample_size must be an integer")
     if resample_size is not None and resample_size >= MAX_COUNT:
@@ -325,28 +329,33 @@ def multinomial_masses(space: SampleSpace, n0: np.ndarray, p: np.ndarray,
     The tasks run on a pool of at most ``threads`` workers (None: one per
     usable CPU), and never more than the CPUs, the tasks or the tasks that
     fit in ``_POOL_BYTES``; a cap below 2 runs them in the calling thread.
+    The plan is made as the tasks are drawn, at most two a worker ahead,
+    so its memory does not grow with ``size``.
     """
-    tasks, shared, shared_cells = [], [], 0
-    for j, (seed, law) in enumerate(zip(map(_as_seed_sequence, seeds),
-                                        _lumped_laws(space, n0, p))):
-        if law is None:
-            continue
-        cells = len(law.law)
-        per_chunk = max(1, _BLOCK_CELLS // cells)
-        if size > per_chunk:
-            tasks += [[(j, law, slice(lo, min(lo + per_chunk, size)),
-                        np.random.SeedSequence(
-                            seed.entropy, pool_size=seed.pool_size,
-                            spawn_key=seed.spawn_key + (i,)))]
-                      for i, lo in enumerate(range(0, size, per_chunk))]
-            continue
-        if shared and shared_cells + size * cells > _BLOCK_CELLS:
-            tasks.append(shared)
-            shared, shared_cells = [], 0
-        shared.append((j, law, slice(0, size), seed))
-        shared_cells += size * cells
-    if shared:
-        tasks.append(shared)
+    laws = _lumped_laws(space, n0, p)
+
+    def plan():
+        shared, shared_cells = [], 0
+        for j, (seed, law) in enumerate(zip(map(_as_seed_sequence, seeds),
+                                            laws)):
+            if law is None:
+                continue
+            cells = len(law.law)
+            per_chunk = max(1, _BLOCK_CELLS // cells)
+            if size > per_chunk:
+                for i, lo in enumerate(range(0, size, per_chunk)):
+                    yield [(j, law, slice(lo, min(lo + per_chunk, size)),
+                            np.random.SeedSequence(
+                                seed.entropy, pool_size=seed.pool_size,
+                                spawn_key=seed.spawn_key + (i,)))]
+                continue
+            if shared and shared_cells + size * cells > _BLOCK_CELLS:
+                yield shared
+                shared, shared_cells = [], 0
+            shared.append((j, law, slice(0, size), seed))
+            shared_cells += size * cells
+        if shared:
+            yield shared
 
     def draw(task: list) -> list:
         return [(j, part, law.masses(np.random.default_rng(seed),
@@ -355,12 +364,19 @@ def multinomial_masses(space: SampleSpace, n0: np.ndarray, p: np.ndarray,
 
     cpus = _usable_cpus()
     fit = _POOL_BYTES // (3 * 8 * max(_BLOCK_CELLS, space.n_outcomes))
-    workers = min(cpus if threads is None else threads, cpus, len(tasks),
-                  max(1, fit))
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-            for done in pool.map(draw, tasks):
-                yield from done
+    tasks = plan()
+    first = list(itertools.islice(tasks, max(1, min(
+        cpus if threads is None else threads, cpus, fit))))
+    tasks = itertools.chain(first, tasks)
+    if len(first) > 1:
+        with concurrent.futures.ThreadPoolExecutor(len(first)) as pool:
+            ahead = collections.deque()
+            for task in tasks:
+                ahead.append(pool.submit(draw, task))
+                if len(ahead) > 2 * len(first):
+                    yield from ahead.popleft().result()
+            while ahead:
+                yield from ahead.popleft().result()
     else:
         for task in tasks:
             yield from draw(task)
@@ -419,7 +435,7 @@ def estimate(c: CountVector, n_boot: int = 1000,
         Observed outcome counts (total ``n >= 1``), or a stack of samples
         whose rows are estimated at once, each as if it came by itself.
     n_boot : int
-        Number of bootstrap resamples (>= 2).
+        Number of bootstrap resamples, from 2 to below ``2**53``.
     resample_size : int, optional
         Resample size ``n0``, an integer from 1 to below ``2**53`` (a
         float must be integral); defaults to ``n`` (the full bootstrap).
@@ -630,6 +646,8 @@ def sample_size_heuristic(space: SampleSpace, candidate_sizes: Sequence[int],
     """
     if reps < 2:
         raise ValueError("reps must be >= 2")
+    if reps >= MAX_COUNT:
+        raise ValueError("reps must be below 2**53")
     sizes = [int(s) for s in candidate_sizes]
     if any(not 1 <= s < MAX_COUNT for s in sizes):
         raise ValueError("candidate sizes must be >= 1 and below 2**53")

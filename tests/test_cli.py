@@ -258,6 +258,33 @@ class TestSimulateBounds:
         assert line.startswith(f"latentw: error [{code}]: ")
 
 
+class TestBootBounds:
+    # --boot and --reps stay below 2**53; the bootstrap's chunk plan was
+    # built whole before the first draw, and failed with a MemoryError
+    # traceback under the child's 1 GiB limit
+    @pytest.mark.parametrize("value", [2**53, 2**63, 10**20],
+                             ids=["2^53", "2^63", "1e20"])
+    @pytest.mark.parametrize("command", ["estimate", "simulate", "meth"])
+    def test_huge_count_exits_1(self, tmp_path, command, value):
+        counts = tmp_path / "c.tsv"
+        counts.write_text("outcome\tcount\n000\t3\n011\t5\n101\t2\n")
+        reads = tmp_path / "r.epiread"
+        reads.write_text("chr1 0 CCT\nchr1 0 TCT\nchr1 1 CTC\n")
+        argv = {"estimate": ["estimate", "--counts", str(counts), "--boot"],
+                "simulate": ["simulate", "size", "--k", "2", "--d", "3",
+                             "--sizes", "10", "--reps"],
+                "meth": ["meth", "triplets", "--epireads", str(reads),
+                         "--min-coverage", "1", "--out",
+                         str(tmp_path / "o.tsv"), "--boot"]}[command]
+        proc = TestSpaceBudget.run_limited(*argv, str(value))
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        what = "reps" if command == "simulate" else "n_boot"
+        assert line == (f"latentw: error [E_VALIDATION]: {what} must be "
+                        "below 2**53")
+
+
 class TestConfigHash:
     def test_same_bytes_from_two_directories(self, capsys, tmp_path):
         # input paths are not hashed: the same calls on the same bytes in

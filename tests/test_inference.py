@@ -1,6 +1,7 @@
 import concurrent.futures
 import itertools
 import math
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -20,6 +21,7 @@ from latentw import (CountVector, Distribution, SampleSpace,
                      subsample_size, worst_case_source)
 from latentw.errors import EmptySampleError, TiedArgminError
 from latentw.inference import TIED_ARGMIN, UNIQUE_ARGMIN
+from child_env import child_env
 from oracle_utils import (brute_weight_vector, chunked_masses_oracle,
                           chunked_replicates_oracle, exact_summaries,
                           lumped_law_oracle, triplet_mass_moments)
@@ -216,8 +218,10 @@ class Recorder:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *items):
-        return map(fn, *items)
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
 
 
 class TestChunkedBootstrap:
@@ -392,6 +396,31 @@ class TestChunkedBootstrap:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_plan_is_made_as_drawn(self, threads):
+        # 2**52 resamples make 2**52 / 4681 chunks: a plan built whole
+        # before the first draw fails with a MemoryError under the
+        # child's 1 GiB limit; made as drawn, the first chunks come at once
+        code = "\n".join([
+            "import itertools, numpy as np",
+            "from latentw import SampleSpace, inference",
+            "chunks = inference.multinomial_masses(",
+            "    SampleSpace(2, 3), np.array([100]), np.full((1, 8), 1 / 8),",
+            f"    2**52, [0], threads={threads})",
+            "print([w.size for _, _, w in itertools.islice(chunks, 5)])",
+            "chunks.close()"])
+
+        def limit_memory():
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True,
+                              preexec_fn=limit_memory, timeout=60,
+                              env=child_env(OPENBLAS_NUM_THREADS="1"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{[2**15 // 7] * 5}\n"
 
     def test_seed_sequence_left_unspawned(self):
         # chunk seeds are built from the seed's entropy and spawn key;

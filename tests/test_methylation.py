@@ -480,8 +480,10 @@ class TestTripletReport:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, *items):
-                return map(fn, *items)
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
                             Recorder)
