@@ -1,5 +1,8 @@
+import argparse
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -283,6 +286,112 @@ class TestBootBounds:
         what = "reps" if command == "simulate" else "n_boot"
         assert line == (f"latentw: error [E_VALIDATION]: {what} must be "
                         "below 2**53")
+
+
+#: The values every integer option is tried with.
+CONTRACT_VALUES = (-1, 0, 1, 2**31, 2**53, 2**63, 10**20)
+
+#: Calls left out of the contract sweep: 2**31 resamples run for minutes
+#: (about 460 000 chunks), in memory that does not grow with them, and
+#: are not an error.
+CONTRACT_SLOW = {("estimate", "--boot", 2**31),
+                 ("simulate size", "--reps", 2**31),
+                 ("meth triplets", "--boot", 2**31)}
+
+#: A child process that runs the calls of its stdin in turn through
+#: cli.main, one JSON line each: exit code and stderr, or the exception
+#: that escaped main.
+CONTRACT_CHILD = """
+import contextlib, io, json, sys, traceback
+from latentw import cli
+for line in sys.stdin:
+    argv, err = json.loads(line), io.StringIO()
+    print(json.dumps(argv), file=sys.stderr, flush=True)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \\
+                contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    except BaseException:
+        code, err = None, io.StringIO(traceback.format_exc())
+    print(json.dumps([argv, code, err.getvalue()]), flush=True)
+"""
+
+
+def _leaf_parsers(parser, prefix=()):
+    """``(command words, parser)`` of every subcommand that runs."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaf_parsers(sub, prefix + (name,))
+    if parser.get_default("func"):
+        yield " ".join(prefix), parser
+
+
+class TestIntegerOptions:
+    # Every integer option of the parser, but --threads (the test must
+    # not ask for thousands of threads), is tried at each value on a
+    # small valid input.  Each call exits 0, or 1 or 2 with one coded
+    # error line; no exception escapes main, under a 1 GiB limit.
+    def test_every_value_exits_cleanly(self, tmp_path):
+        (tmp_path / "c.tsv").write_text(
+            "outcome\tcount\n000\t3\n011\t5\n101\t2\n111\t4\n")
+        (tmp_path / "m.tsv").write_text("0\ta\n1\tb\n")
+        (tmp_path / "r.epiread").write_text(
+            "chr1 0 CCTC\nchr1 0 TCTT\nchr1 1 CTC\nchr1 0 CCC\n")
+        counts = ["--counts", "c.tsv"]
+        base = {
+            "weight": ["weight", *counts],
+            "decompose": ["decompose", *counts],
+            "bound marginal": ["bound", "marginal", *counts,
+                               "--indices", "1,2"],
+            "bound lump": ["bound", "lump", *counts, "--map", "m.tsv"],
+            "tv": ["tv", *counts],
+            "classweight": ["classweight", *counts, "--class", "iid"],
+            "estimate": ["estimate", *counts, "--boot", "50"],
+            "simulate size": ["simulate", "size", "--k", "2", "--d", "3",
+                              "--sizes", "10,40", "--reps", "20"],
+            "meth triplets": ["meth", "triplets", "--epireads", "r.epiread",
+                              "--min-coverage", "1", "--boot", "50",
+                              "--out", "o.tsv"],
+        }
+        calls = []
+        for command, parser in _leaf_parsers(cli.build_parser()):
+            options = [a.option_strings[0] for a in parser._actions
+                       if a.type is int and a.dest != "threads"]
+            if options:
+                assert command in base, f"no valid call of {command}"
+            for option, value in itertools.product(options, CONTRACT_VALUES):
+                if (command, option, value) in CONTRACT_SLOW:
+                    continue
+                argv = list(base[command])
+                if option in argv:
+                    argv[argv.index(option) + 1] = str(value)
+                else:
+                    argv += [option, str(value)]
+                calls.append(argv)
+
+        def limit():
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+            if hasattr(os, "sched_setaffinity"):
+                os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])
+
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", CONTRACT_CHILD], cwd=tmp_path,
+                input="".join(json.dumps(a) + "\n" for a in calls),
+                capture_output=True, text=True, preexec_fn=limit,
+                timeout=120, env=child_env(OPENBLAS_NUM_THREADS="1"))
+        except subprocess.TimeoutExpired as exc:
+            started = (exc.stderr or b"").decode().splitlines()
+            pytest.fail(f"timed out at {started[-1:]}")
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        results = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert [argv for argv, _, _ in results] == calls
+        bad = [(argv, code, err) for argv, code, err in results
+               if not (code == 0 or code in (1, 2) and re.fullmatch(
+                   r"latentw: error \[E_[A-Z_]+\]: [^\n]*\n", err))]
+        assert bad == []
 
 
 class TestConfigHash:
