@@ -311,7 +311,7 @@ for line in sys.stdin:
         with contextlib.redirect_stdout(io.StringIO()), \\
                 contextlib.redirect_stderr(err):
             code = cli.main(argv)
-    except BaseException:
+    except Exception:
         code, err = None, io.StringIO(traceback.format_exc())
     print(json.dumps([argv, code, err.getvalue()]), flush=True)
 """
