@@ -161,7 +161,8 @@ def _calls() -> list[list[str]]:
     for name in tables:
         c = ["--counts", f"{name}.tsv"]
         calls += [["weight", *c], ["weight", *c, "--json"],
-                  ["weight", *c, "--exact"], ["weight", *c, "--exact", "--json"],
+                  ["weight", *c, "--exact"],
+                  ["weight", *c, "--exact", "--json"],
                   ["decompose", *c], ["decompose", *c, "--exact"],
                   ["bound", "marginal", *c, "--indices", "1,2"],
                   ["bound", "marginal", *c, "--indices", "2", "--json"],
