@@ -80,6 +80,24 @@ def _epireads(seed: int, reads: int, positions: int) -> str:
     return "".join(f"{c}\t{s}\t{t}\n" for c, s, t in lines)
 
 
+def _spaced(text: str) -> str:
+    """The reads of ``text`` as files may lay them out: ``\\x1c``, NBSP and
+    U+3000 among the separators, leading white space, CRLF ends, blank
+    and white-space-only lines between reads, and ``chr2`` renamed
+    ``c\\x00``.  Sixty reads on the bare chromosome ``\\x00`` end it."""
+    seps = (" ", "\x1c", "\xa0", "\u3000", " \t")
+    leads = ("", " ", "\t", "\u3000")
+    ends = ("\n", "\r\n", " \n")
+    blanks = ("\n", "\t\n", "\u3000\r\n", "  \n")
+    out = []
+    for i, line in enumerate(text.replace("chr2", "c\x00").splitlines()):
+        out.append(leads[i % 4] + seps[i % 5].join(line.split("\t"))
+                   + ends[i % 3])
+        if i % 7 == 0:
+            out.append(blanks[i // 7 % 4])
+    return "".join(out) + "\x00 2 CCTC\n" * 60
+
+
 def write_fixtures(where: Path) -> dict[str, str]:
     """Write every input file of :data:`CALLS` into ``where``, and return
     the sha256 of each by name."""
@@ -126,6 +144,10 @@ def write_fixtures(where: Path) -> dict[str, str]:
         "reads2.epiread": _epireads(7, 600, 12),
         "bad_fields.epiread": "chr1\t0\tCCC\nchr1\t1\n",
         "bad_state.epiread": "chr1\t0\tCCC\nchr1 1 CXC\n",
+        "spaced.epiread": _spaced(_epireads(8, 1500, 10)),
+        # six fields over two lines, and a fourth field that is NUL
+        "pooled.epiread": "a 5\nC b 6 T\n",
+        "nul_field.epiread": "c 1 CC \x00\n2 CC\n",
         "cov.tsv": "chrom\tindex\tvalue\n" + "".join(
             f"{c}\t{i}\t{(i * 7 + len(c)) % 11 * 0.5}\n"
             for c in ("chr1", "chr2") for i in range(16)),
@@ -211,7 +233,10 @@ def _calls() -> list[list[str]]:
                    "--out", f"report{threads}.tsv"],
                   ["meth", "triplets", "--epireads",
                    "reads.epiread,reads2.epiread", "--min-coverage", "150",
-                   "--threads", threads, "--out", f"both{threads}.tsv"]]
+                   "--threads", threads, "--out", f"both{threads}.tsv"],
+                  ["meth", "triplets", "--epireads", "spaced.epiread",
+                   "--min-coverage", "50", "--boot", "100", "--threads",
+                   threads, "--out", f"spaced{threads}.tsv"]]
     calls += [
         ["meth", "triplets", "--epireads", "reads2.epiread",
          "--min-coverage", "100000", "--out", "none.tsv"],
@@ -226,6 +251,10 @@ def _calls() -> list[list[str]]:
         ["meth", "triplets", "--epireads", "latin1.epiread", "--out",
          "bad3.tsv"],
         ["meth", "triplets", "--epireads", ",", "--out", "bad4.tsv"],
+        ["meth", "triplets", "--epireads", "pooled.epiread", "--out",
+         "bad5.tsv"],
+        ["meth", "triplets", "--epireads", "nul_field.epiread", "--out",
+         "bad6.tsv"],
         ["meth", "correlate", "--report", "report1.tsv", "--covariate",
          "cov_dup.tsv"],
         ["meth", "correlate", "--report", "bad_report.tsv", "--covariate",
