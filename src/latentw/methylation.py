@@ -66,11 +66,6 @@ _STATE_CODES[[ord("T"), ord("C"), ord("N")]] = (0, 1, 8)
 
 _DROP_STATES = str.maketrans("", "", "CTN")
 
-#: ``_IS_SPACE[c]`` says whether ``str.split()`` takes code point ``c``
-#: for white space.  U+3000 is the largest such code point, so the last
-#: entry (False) stands for every code point above the table.
-_IS_SPACE = np.array([chr(c).isspace() for c in range(0x3002)])
-
 
 class EpireadRecord(NamedTuple):
     chrom: str
@@ -104,27 +99,26 @@ def parse_epireads(stream: Iterable[str]) -> Iterator[EpireadRecord]:
 def _block_records(block: list[str]) -> Iterator[EpireadRecord] | None:
     """Records of a block of lines, or None if some line of it is bad.
 
-    The lines are joined with a newline after each, so each line owns
-    the code points from its start to the end of its newline: its field
-    count is the number of non-space code points there that follow a
-    space (or start the block).
+    The lines are joined with ``" \\x00 "`` and split once, so ``n``
+    lines of three fields give ``4n - 1`` tokens, every fourth one the
+    marker ``"\\x00"`` and no other.  A block that fails this is split
+    again without its blank lines.  A line with the field ``"\\x00"``
+    fails both, and is left to :func:`_check_line`.
     """
-    text = "\n".join(block) + "\n"
-    try:
-        points = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
-    except UnicodeEncodeError:                  # a lone surrogate
+    for blanks in (True, False):
+        lines = block if blanks else list(filter(str.strip, block))
+        text = " \x00 ".join(lines)
+        tokens, marks = text.split(), len(lines) - 1
+        if not tokens or (len(tokens) == 4 * marks + 3
+                          and tokens.count("\x00") == marks
+                          == tokens[3::4].count("\x00")):
+            break
+    else:
         return None
-    space = np.take(_IS_SPACE, points, mode="clip")
-    first = ~space
-    first[1:] &= space[:-1]
-    span = np.fromiter(map(len, block), dtype=np.int64, count=len(block)) + 1
-    fields = np.add.reduceat(first, np.cumsum(span) - span, dtype=np.int64)
-    if np.any((fields != 3) & (fields != 0)):
-        return None
-    tokens = text.split()
-    chroms, states = tokens[0::3], tokens[2::3]
+    chroms, states = tokens[0::4], tokens[2::4]
     try:
-        starts = list(map(int, tokens[1::3]))
+        text.encode()               # a lone surrogate raises a ValueError
+        starts = list(map(int, tokens[1::4]))
         start = np.array(starts, dtype=np.int64)
     except (ValueError, OverflowError):
         return None
@@ -198,10 +192,13 @@ def extract_triplets(records: Iterable[EpireadRecord],
     Raises
     ------
     ValueError
-        If a record's states hold a character other than C, T and N, a
-        CpG index is negative or above :data:`MAX_CPG_INDEX`, or there
-        are more than ``2**24`` chromosome names.
+        If ``coverage_threshold`` is negative, a record's states hold a
+        character other than C, T and N, a CpG index is negative or above
+        :data:`MAX_CPG_INDEX`, or there are more than ``2**24`` chromosome
+        names.
     """
+    if coverage_threshold < 0:
+        raise ValueError("coverage_threshold must be >= 0")
     chrom_ids: dict[str, int] = {}
     chrom_id = chrom_ids.setdefault
     key_parts, count_parts = [], []

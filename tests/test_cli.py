@@ -704,6 +704,17 @@ class TestMeth:
         assert err == "latentw: error [E_VALIDATION]: n_boot must be >= 2\n"
         assert not out.exists()
 
+    def test_negative_min_coverage_exits_1(self, capsys, epireads, tmp_path):
+        # read as 0 before: every covered triplet was reported
+        out = tmp_path / "r.tsv"
+        code, stdout, err = run(capsys, "meth", "triplets", "--epireads",
+                                epireads, "--min-coverage", "-1", "--out",
+                                str(out))
+        assert (code, stdout) == (1, "")
+        assert err == ("latentw: error [E_VALIDATION]: coverage_threshold "
+                       "must be >= 0\n")
+        assert not out.exists()
+
     def test_covariate_format(self, tmp_path):
         # blank and whitespace-only lines are skipped: the second line
         # used to be taken as the header

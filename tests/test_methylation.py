@@ -154,12 +154,24 @@ class TestBlockParser:
         (["c 1", "C c 2 C", "c 3 CC"], 1),
         (["c 1 C C", "c 2", "c 3 CC"], 1),
         (["c 1 CC", "", "c 2 C C T", "c"], 3),
+        # a field that is the block check's line marker, "\x00"
+        (["c 1 CC \x00", "2 CC"], 1),
+        (["\x00 1 CC", "c 2 T"], None),
+        # blank lines only
+        (["", " \t", "\u3000\r\n"], None),
     ])
     def test_fields_do_not_pool_across_lines(self, lines, bad_line):
-        # a multiple of three fields in all, split unevenly over lines
+        # fields split unevenly over lines, at every block size
         expected = parse_epireads_oracle(lines, MAX_CPG_INDEX)
-        assert expected[1][0] == bad_line
-        assert _parse_until_error(lines) == expected
+        assert (expected[1] or (None,))[0] == bad_line
+        marker = "\x00" in " ".join(lines).split()
+        for block in (1, 2, 3, meth_mod._BLOCK_LINES):
+            with mock.patch.object(meth_mod, "_BLOCK_LINES", block), \
+                    mock.patch.object(meth_mod, "_check_line",
+                                      wraps=meth_mod._check_line) as rescan:
+                assert _parse_until_error(lines) == expected
+            # blank lines stay on the bulk path; a marker field leaves it
+            assert rescan.called == (bad_line is not None or marker)
 
     @pytest.mark.parametrize("start", [2**63 - 6, 2**63 - 1, 2**63])
     def test_read_ending_past_int64(self, start):
@@ -169,13 +181,6 @@ class TestBlockParser:
             lines, MAX_CPG_INDEX) == ([("chr1", 0, "CCC")], (2, (
                 f"read at start index {start} runs past the largest "
                 f"supported CpG index {MAX_CPG_INDEX}")))
-
-    def test_space_table_is_what_split_splits_on(self):
-        table = meth_mod._IS_SPACE
-        code_points = np.arange(sys.maxunicode + 1)
-        expected = [chr(c).isspace() for c in range(sys.maxunicode + 1)]
-        assert np.array_equal(np.take(table, code_points, mode="clip"),
-                              expected)
 
     def test_bad_line_in_second_block(self, tmp_path):
         n = meth_mod._BLOCK_LINES
@@ -213,6 +218,11 @@ class TestExtractTriplets:
         assert extract_triplets(records(*["chr1 0 CCC"] * 99)) == {}
         assert len(extract_triplets(records(*["chr1 0 CCC"] * 99),
                                     coverage_threshold=99)) == 1
+
+    def test_negative_threshold_raises(self):
+        with pytest.raises(ValueError, match="coverage_threshold must be "
+                                             ">= 0"):
+            extract_triplets(records("chr1 0 CCC"), coverage_threshold=-1)
 
     def test_ambiguity_blocks_affected_windows(self):
         # CNCC covers CpGs 0..3; both windows (0,1,2) and (1,2,3) include
