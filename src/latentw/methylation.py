@@ -4,10 +4,11 @@ Epiread lines are whitespace-separated ``chrom  start_cpg  states`` where
 ``start_cpg`` is the ordinal index of the first CpG covered by the read
 and ``states`` is a string over {C, T, N}: C = methylated, T =
 unmethylated, N = ambiguous.  Lines are parsed a block at a time: each
-block's field counts, starts and states are checked in bulk, and a block
-that fails is checked line by line, so an error names its line.  Records
-stream from the parser into the extraction, which keeps only the columns
-of a bounded chunk of reads, never a list of records.
+block is split once with ``str.split()``, its field counts, starts and
+states are checked in bulk, and a block that fails is checked line by
+line, so an error names its line.  Records stream from the parser into
+the extraction, which keeps only the columns of a bounded chunk of
+reads, never a list of records.
 
 Every window of three consecutive CpG ordinals fully covered by a read
 with no N in those three positions contributes one observation of a

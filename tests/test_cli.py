@@ -705,7 +705,6 @@ class TestMeth:
         assert not out.exists()
 
     def test_negative_min_coverage_exits_1(self, capsys, epireads, tmp_path):
-        # read as 0 before: every covered triplet was reported
         out = tmp_path / "r.tsv"
         code, stdout, err = run(capsys, "meth", "triplets", "--epireads",
                                 epireads, "--min-coverage", "-1", "--out",
