@@ -103,8 +103,8 @@ def _block_records(block: list[str]) -> Iterator[EpireadRecord] | None:
     The lines are joined with ``" \\x00 "`` and split once, so ``n``
     lines of three fields give ``4n - 1`` tokens, every fourth one the
     marker ``"\\x00"`` and no other.  A block that fails this is split
-    again without its blank lines.  A line with the field ``"\\x00"``
-    fails both, and is left to :func:`_check_line`.
+    again without its blank lines (no token, if all are blank).  A line
+    with the field ``"\\x00"`` fails both: :func:`_check_line` reads it.
     """
     for blanks in (True, False):
         lines = block if blanks else list(filter(str.strip, block))
