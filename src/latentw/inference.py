@@ -82,10 +82,6 @@ from .space import (MAX_COUNT, CountVector, Distribution, SampleSpace,
 UNIQUE_ARGMIN = "unique_argmin"
 TIED_ARGMIN = "tied_argmin"
 
-#: Eigenvalues of the limit covariance below this are a hard error.
-EIGEN_FLOOR = -1e-12
-
-
 #: Draw cells (resamples x the cells a resample draws) in one chunk of a
 #: bootstrap: the unit of work of its pool, and the bound on the memory
 #: one worker holds.
@@ -493,8 +489,9 @@ def bootstrap_distribution(c: CountVector, n_boot: int = 1000,
 
 
 def subsample_size(n: int) -> int:
-    """The suggested ``ceil(2*sqrt(n))`` subsample bootstrap size."""
-    return int(np.ceil(2.0 * np.sqrt(n)))
+    """The suggested subsample bootstrap size ``ceil(2*sqrt(n))``, in
+    integers: the least ``s`` with ``s*s >= 4*n``, for ``n >= 1``."""
+    return math.isqrt(4 * n - 1) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -515,23 +512,30 @@ class LimitLawSpec:
     class_sizes: np.ndarray            # |z| per orbit
     minima: np.ndarray                 # m_z per orbit
     argmin_sets: tuple[tuple[int, ...], ...]
-    coords: np.ndarray                 # retained outcome indices
 
     @property
-    def is_unique_argmin(self) -> bool:
-        """True when no orbit that matters has a tied minimum.
+    def tied(self) -> list[int]:
+        """The orbits whose minimum is held by two or more cells.
 
-        Ties at minimum 0 are ignored: those coordinates have variance
+        Ties at minimum 0 are left out: those coordinates have variance
         ``m(1-m) = 0``, so their minima are deterministic and the
         Gaussian regime survives.
         """
-        return all(len(s) == 1 or self.minima[z] == 0.0
-                   for z, s in enumerate(self.argmin_sets))
+        return [z for z, s in enumerate(self.argmin_sets)
+                if len(s) > 1 and self.minima[z] > 0.0]
+
+    @property
+    def is_unique_argmin(self) -> bool:
+        """True when no orbit is :attr:`tied`."""
+        return not self.tied
+
+    def _block_sizes(self) -> np.ndarray:
+        return np.array([len(s) for s in self.argmin_sets])
 
     @property
     def covariance(self) -> np.ndarray:
-        """The ``(len(coords), len(coords))`` covariance, built anew."""
-        m = np.repeat(self.minima, [len(s) for s in self.argmin_sets])
+        """The covariance over the retained coordinates, built anew."""
+        m = np.repeat(self.minima, self._block_sizes())
         cov = -np.outer(m, m)
         np.fill_diagonal(cov, m * (1.0 - m))
         return cov
@@ -542,23 +546,20 @@ def limit_law_spec(p: Distribution) -> LimitLawSpec:
     the argmin sets of a law of counts are exact count ties."""
     pf = p.as_float()
     index = pf.space.orbit_index()
-    sets = argmin_sets(p)
-    return LimitLawSpec(
-        space=pf.space,
-        class_sizes=index.sizes,
-        minima=index.class_minima_rows(pf.p),
-        argmin_sets=sets,
-        coords=np.array([x for s in sets for x in s], dtype=np.int64),
-    )
+    return LimitLawSpec(space=pf.space, class_sizes=index.sizes,
+                        minima=index.class_minima_rows(pf.p),
+                        argmin_sets=argmin_sets(p))
 
 
 def asymptotic_variance(p: Distribution) -> float:
     """Closed-form variance of the Gaussian limit, unique-argmin case.
 
-        V = sum_z |z|^2 m_z (1-m_z) - sum_{z1 != z2} |z1||z2| m_z1 m_z2
+        V = sum_z |z|^2 m_z - lam^2,   lam = sum_z |z| m_z
 
-    (the second sum runs over ordered pairs of distinct orbits).  It
-    needs only the orbit minima and sizes, so it builds no covariance.
+    On numerators ``c`` over ``n`` that is ``(n*sum_z |z|^2 c_z - W^2) /
+    n^2`` with ``W = sum_z |z| c_z``: for a law of counts or an exact law
+    a ratio of Python ints, divided once, so the correctly rounded
+    value.  It needs only the orbit minima and sizes.
 
     Raises
     ------
@@ -567,47 +568,41 @@ def asymptotic_variance(p: Distribution) -> float:
         use :func:`limit_law_sample` instead.
     """
     spec = limit_law_spec(p)
-    if not spec.is_unique_argmin:
-        tied = [z for z, s in enumerate(spec.argmin_sets)
-                if len(s) > 1 and spec.minima[z] > 0.0]
+    if spec.tied:
         raise TiedArgminError(
-            f"orbits {tied} have tied minima; the Gaussian formula does "
+            f"orbits {spec.tied} have tied minima; the Gaussian formula does "
             "not apply")
-    sizes = spec.class_sizes.astype(np.float64)
-    m = spec.minima
-    diag_term = float(np.sum(sizes**2 * m * (1.0 - m)))
-    weighted = sizes * m
-    cross = float(np.sum(weighted)**2 - np.sum(weighted**2))
-    return diag_term - cross
+    mins = p.space.orbit_index().class_minima_rows(p.num).tolist()
+    sizes = spec.class_sizes.tolist()
+    w = sum(s * c for s, c in zip(sizes, mins))
+    q = sum(s * s * c for s, c in zip(sizes, mins))
+    return ratio(p.den * q - w * w, p.den * p.den)
 
 
 def limit_law_sample(p: Distribution, n_draws: int, seed=0) -> np.ndarray:
     """Monte Carlo draws from the limiting law of ``sqrt(n)(lam_hat - lam)``.
 
-    Draws a zero-mean Gaussian vector on the retained argmin coordinates
-    (multinomial CLT covariance, sampled through its eigendecomposition
-    with negative eigenvalues above ``-1e-12`` clipped to zero) and
-    returns ``sum_z |z| * min`` over each orbit's argmin block.
+    The Gaussian vector on the retained coordinates, of covariance
+    ``diag(m) - m m^T``, is drawn in closed form from ``len(m) + 1``
+    standard normals ``(xi_0, xi)``:
+
+        x = sqrt(m)*xi - m*(sum(sqrt(m)*xi) + sqrt(1 - sum(m))*xi_0)
+
+    (the multinomial CLT with the other cells lumped into ``xi_0``).
+    Each draw is ``sum_z |z| * min`` over the orbits' argmin blocks.
     """
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
     spec = limit_law_spec(p)
-    m = len(spec.coords)
-    vals, vecs = np.linalg.eigh(spec.covariance)
-    if np.any(vals < EIGEN_FLOOR):
-        raise RuntimeError(f"covariance has eigenvalue {vals.min()} < {EIGEN_FLOOR}")
-    vals = np.clip(vals, 0.0, None)
-    transform = vecs * np.sqrt(vals)
-    rng = np.random.default_rng(_as_seed_sequence(seed))
-    z = rng.standard_normal(size=(n_draws, m)) @ transform.T
-
-    out = np.zeros(n_draws)
-    offset = 0
-    for z_id, s in enumerate(spec.argmin_sets):
-        block = z[:, offset:offset + len(s)]
-        out += spec.class_sizes[z_id] * block.min(axis=1)
-        offset += len(s)
-    return out
+    blocks = spec._block_sizes()
+    m = np.repeat(spec.minima, blocks)
+    xi = np.random.default_rng(_as_seed_sequence(seed)).standard_normal(
+        size=(n_draws, len(m) + 1))
+    x = xi[:, 1:] * np.sqrt(m)
+    rest = math.sqrt(max(0.0, 1.0 - m.sum())) * xi[:, 0]
+    x -= np.outer(x.sum(axis=1) + rest, m)
+    return np.minimum.reduceat(x, np.cumsum(blocks) - blocks,
+                               axis=1) @ spec.class_sizes
 
 
 # ---------------------------------------------------------------------------

@@ -662,3 +662,39 @@ def poisson_chunk_oracle(rng: np.random.Generator, n0: int, law: np.ndarray,
             col = int(x)
             row[col if x - col < prob[col] else alias[col]] += 1
     return rows
+
+
+def limit_variance_oracle(p: list[Fraction], k: int, d: int,
+                          ) -> Fraction | None:
+    """Variance ``sum_z |z|^2 m_z (1 - m_z) - sum_{z1 != z2} |z1||z2|
+    m_z1 m_z2`` of the Gaussian limit of an exact law ``p`` (Fractions in
+    outcome-index order), summed term by term in Fractions; None when an
+    orbit's minimum is above 0 and held by two or more of its cells."""
+    minima, sizes = [], []
+    for members in _orbit_indices(k, d):
+        m = min(p[x] for x in members)
+        if m > 0 and sum(p[x] == m for x in members) > 1:
+            return None
+        minima.append(m)
+        sizes.append(len(members))
+    terms = [s * m for s, m in zip(sizes, minima)]
+    diag = sum(s * s * m * (1 - m) for s, m in zip(sizes, minima))
+    cross = sum(a * b for i, a in enumerate(terms)
+                for j, b in enumerate(terms) if i != j)
+    return diag - cross
+
+
+def limit_law_mvn_oracle(spec, n_draws: int, rng: np.random.Generator,
+                         ) -> np.ndarray:
+    """Draws of ``sum_z |z| * min`` over the argmin blocks of ``spec`` (a
+    ``LimitLawSpec``), the block coordinates drawn by
+    ``Generator.multivariate_normal(0, spec.covariance)``, which factors
+    the covariance itself, and reduced block by block in a loop."""
+    cov = spec.covariance
+    x = rng.multivariate_normal(np.zeros(len(cov)), cov, size=n_draws,
+                                check_valid="raise")
+    out, offset = np.zeros(n_draws), 0
+    for size, block in zip(spec.class_sizes, spec.argmin_sets):
+        out += size * x[:, offset:offset + len(block)].min(axis=1)
+        offset += len(block)
+    return out

@@ -8,7 +8,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from fractions import Fraction
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -24,6 +26,7 @@ from latentw.inference import TIED_ARGMIN, UNIQUE_ARGMIN
 from child_env import child_env
 from oracle_utils import (brute_weight_vector, chunked_masses_oracle,
                           chunked_replicates_oracle, exact_summaries,
+                          limit_law_mvn_oracle, limit_variance_oracle,
                           lumped_law_oracle, triplet_mass_moments)
 
 #: 256 outcomes; :func:`sample44` draws 20 to 46 cells of them, so a
@@ -149,6 +152,18 @@ class TestEstimate:
     def test_subsample_size(self):
         assert subsample_size(10000) == 200
         assert subsample_size(101) == 21
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.one_of(st.integers(1, 2**53 - 1),
+                     st.integers(1, 2**26).map(lambda j: j * j),
+                     st.integers(1, 2**26).map(lambda j: j * j + 1)))
+    @example(4503599694479361)      # float ceil(2*sqrt(n)) gives 134217729
+    @example(2**53 - 1)
+    @example(1)
+    def test_subsample_size_matches_isqrt_oracle(self, n):
+        # the least s with s*s >= 4n
+        s = math.isqrt(4 * n)
+        assert subsample_size(n) == s + (s * s < 4 * n)
 
 
 class TestEstimateStack:
@@ -924,6 +939,35 @@ class TestAsymptoticVariance:
         with pytest.raises(TiedArgminError):
             asymptotic_variance(Distribution.uniform(space22))
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.sampled_from([SampleSpace(2, 2), SampleSpace(2, 3),
+                            SampleSpace(3, 2), SampleSpace(3, 3),
+                            SampleSpace(2, 4)]),
+           st.sampled_from([1, 3, 60, 2**20, 2**40, 2**47]),
+           st.booleans(), st.data())
+    def test_matches_fraction_oracle(self, space, top, exact, data):
+        # a law of counts below 2**53 in total, or an exact law whose cells
+        # have their own denominators of up to 64 bits; the exact value is
+        # rounded once, and a tie above 0 raises
+        cells = space.n_outcomes
+        counts = data.draw(st.lists(st.integers(0, top), min_size=cells,
+                                    max_size=cells).filter(any))
+        if exact:
+            dens = data.draw(st.lists(st.integers(1, 2**64), min_size=cells,
+                                      max_size=cells))
+            fracs = [Fraction(c, b) for c, b in zip(counts, dens)]
+            fracs = [f / sum(fracs) for f in fracs]
+            p = Distribution(space, fracs)
+        else:
+            fracs = [Fraction(c, sum(counts)) for c in counts]
+            p = empirical_distribution(CountVector(space, counts))
+        want = limit_variance_oracle(fracs, space.k, space.d)
+        if want is None:
+            with pytest.raises(TiedArgminError):
+                asymptotic_variance(p)
+        else:
+            assert asymptotic_variance(p) == float(want)
+
     @pytest.mark.parametrize("tied", [False, True])
     def test_memory_is_bounded(self, tied):
         # (36,3) has 8 436 orbits: a covariance over their argmin cells
@@ -987,6 +1031,27 @@ class TestLimitLaw:
         draws = limit_law_sample(Distribution.point_mass(space23, "000"),
                                  1000, seed=7)
         assert np.all(draws == 0.0)
+
+    @pytest.mark.parametrize("space,law", [
+        (SampleSpace(2, 2), None),
+        (SampleSpace(2, 3), None),
+        # 01 and 10 tied at 3/20, 12 and 21 tied at 0, 02 unique: the
+        # retained cells leave mass 1/4 to the other cells
+        (SampleSpace(3, 2), {"00": Fraction(1, 10), "11": Fraction(1, 10),
+                             "22": Fraction(1, 20), "01": Fraction(3, 20),
+                             "10": Fraction(3, 20), "02": Fraction(1, 5),
+                             "20": Fraction(1, 4)}),
+    ], ids=["uniform22", "uniform23", "mixed32"])
+    def test_tied_matches_mvn_reference(self, space, law):
+        # the closed-form draws against draws of the covariance itself
+        p = (Distribution.uniform(space) if law is None
+             else Distribution.from_mapping(space, law, exact=True))
+        spec = limit_law_spec(p)
+        assert not spec.is_unique_argmin
+        draws = limit_law_sample(p, 20000, seed=21)
+        ref = limit_law_mvn_oracle(spec, 20000, np.random.default_rng(22))
+        assert stats.ks_2samp(draws, ref).statistic < 0.03
+        assert abs(draws.mean() - ref.mean()) < 0.05
 
 
 class TestBootstrapDistribution:
