@@ -5,9 +5,9 @@ simulate, meth.  Exit codes: 0 success, 1 validation error, 2 I/O error.
 Every structured output (JSON or TSV file) embeds the package version,
 the seed, and a hash of the result-affecting configuration; thread count
 is deliberately excluded from the hash because results do not depend on
-it; ``--threads`` defaults to the CPU count.  All randomness flows from
-``--seed`` (default 0, never the clock; a negative seed is a usage
-error).
+it; ``--threads`` defaults to one worker per usable CPU.  All randomness
+flows from ``--seed`` (default 0, never the clock; a negative seed is a
+usage error).
 
 A call builds the parser of the subcommand it names and of no other, as
 most of a short call's time would otherwise go to building them all;
@@ -26,7 +26,6 @@ import hashlib
 import itertools
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -174,13 +173,14 @@ def _cmd_tv(args) -> int:
 
 
 def _cmd_classweight(args) -> int:
-    c = _counts_arg(args)
-    p = empirical_distribution(c)
-    if args.cls == "singleton":
-        if not args.q0:
-            raise _UsageError("--q0 is required for --class singleton")
-        q0_counts = read_counts(args.q0, k=p.space.k)
-        q0 = empirical_distribution(q0_counts)
+    if args.cls == "singleton" and not args.q0:
+        raise _UsageError("--q0 is required for --class singleton")
+    if args.cls != "singleton" and args.q0:
+        raise _UsageError(f"--q0 applies to --class singleton only, not "
+                          f"--class {args.cls}")
+    p = empirical_distribution(_counts_arg(args))
+    if args.q0:
+        q0 = empirical_distribution(read_counts(args.q0, k=p.space.k))
         spec = ProductClassSpec(kind="singleton", q0=q0)
     else:
         spec = ProductClassSpec(kind=args.cls)
@@ -208,7 +208,8 @@ def _cmd_classweight(args) -> int:
 
 def _cmd_estimate(args) -> int:
     c = _counts_arg(args)
-    n0 = inference.subsample_size(c.n) if args.subsample else None
+    # an empty sample fails in estimate, as E_EMPTY_SAMPLE
+    n0 = inference.subsample_size(c.n) if args.subsample and c.n else None
     est = inference.estimate(c, n_boot=args.boot, resample_size=n0,
                              seed=args.seed)
     payload = {"meta": _meta(args, seed=args.seed)}
@@ -377,15 +378,16 @@ def build_parser(command: str | None = None) -> _Parser:
         return sub.add_parser(name, **kwargs) if every or name == command \
             else None
 
-    def add_counts(p, exact=True):
+    def add_counts(p, exact=True, json=True):
         p.add_argument("--counts", required=True, help="counts TSV file")
         p.add_argument("--k", type=int, default=None,
                        help="alphabet size override")
         if exact:
             p.add_argument("--exact", action="store_true",
                            help="print exact fractions")
-        p.add_argument("--json", action="store_true",
-                       help="structured JSON output")
+        if json:
+            p.add_argument("--json", action="store_true",
+                           help="structured JSON output")
         p.add_argument("--out", default=None, help="write output to file")
 
     if p := add_command("weight", help="exchangeable weight of the counts"):
@@ -394,8 +396,9 @@ def build_parser(command: str | None = None) -> _Parser:
 
     if p := add_command("decompose",
                         help="exchangeable component + residual as JSON"):
-        add_counts(p)
-        p.set_defaults(func=_cmd_decompose)
+        # decompose always writes JSON; ``json`` stays in its config_hash
+        add_counts(p, json=False)
+        p.set_defaults(func=_cmd_decompose, json=False)
 
     if p := add_command("bound",
                         help="upper bounds on the exchangeable weight"):
@@ -456,7 +459,7 @@ def build_parser(command: str | None = None) -> _Parser:
         mt.add_argument("--min-coverage", type=int, default=100)
         mt.add_argument("--boot", type=int, default=1000)
         mt.add_argument("--seed", type=int, default=0)
-        mt.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+        mt.add_argument("--threads", type=int, default=None)
         mt.add_argument("--out", required=True)
         mt.set_defaults(func=_cmd_meth_triplets)
         mc = msub.add_parser("correlate",

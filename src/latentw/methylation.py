@@ -31,7 +31,7 @@ from .errors import DegenerateGroupError, EpireadParseError
 # The report does not call decompose; the benchmark's tracer wraps it here.
 from .exchangeable import (decompose, exchangeable_component_rows,  # noqa: F401
                            tv_distance_to_exchangeable)
-from .inference import WeightEstimate, estimate
+from .inference import WeightEstimate, _as_seed_sequence, estimate
 from .space import (CountVector, SampleSpace, empirical_distribution,
                     utf8_error, utf8_lines)
 
@@ -317,7 +317,7 @@ def _triplet_row(c: CountVector, n_boot: int,
 
 
 def triplet_report(triplets: Mapping[tuple[str, int], CountVector],
-                   n_boot: int = 1000, seed=0, threads: int = 1,
+                   n_boot: int = 1000, seed=0, threads: int | None = None,
                    ) -> TripletReport:
     """Run per-triplet estimation and assemble report rows.
 
@@ -327,7 +327,8 @@ def triplet_report(triplets: Mapping[tuple[str, int], CountVector],
     observation is recorded as a failure entry instead of a row.
 
     All other triplets are estimated as one stack, whose draws run on at
-    most ``threads`` workers (see :func:`estimate`); their exchangeable
+    most ``threads`` workers (None: one per usable CPU; see
+    :func:`estimate`); their exchangeable
     components and TV distances are computed on the same stack.
 
     Raises
@@ -336,9 +337,7 @@ def triplet_report(triplets: Mapping[tuple[str, int], CountVector],
         If ``n_boot`` is below 2 and some triplet has an observation.
     """
     keys = sorted(triplets.keys())
-    root = (seed if isinstance(seed, np.random.SeedSequence)
-            else np.random.SeedSequence(seed))
-    children = root.spawn(len(keys))
+    children = _as_seed_sequence(seed).spawn(len(keys))
     counts = np.array([triplets[key].counts for key in keys],
                       dtype=np.int64).reshape(len(keys), len(CONFIGS))
     seen = counts.sum(axis=1) > 0

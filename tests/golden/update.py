@@ -15,6 +15,11 @@ changed entry, with its reason::
 
     python tests/golden/update.py
 
+Before it rewrites the manifest, the script prints what changed against
+the committed one: each changed call's argv with the fields (exit,
+stdout, stderr, out) that changed, each call added or removed, and any
+changed fixture or version.
+
 A change that keeps the output bytes leaves the manifest as it is;
 ``tests/test_golden.py`` checks it.  Help text is formatted at 80
 columns, and argparse formats it differently across Python versions, so
@@ -30,6 +35,7 @@ import json
 import os
 import platform
 import random
+import shlex
 import sys
 import tempfile
 from pathlib import Path
@@ -217,6 +223,11 @@ def _calls() -> list[list[str]]:
          "1", "--json"],
         ["classweight", "--counts", "k2d3.tsv", "--class", "product",
          "--grid", "0"],
+        # --q0 names the singleton model only, even a file that is missing
+        ["classweight", *c, "--class", "iid", "--q0", "q0.tsv"],
+        ["classweight", *c, "--class", "product", "--q0", "missing.tsv",
+         "--json"],
+        ["decompose", *c, "--json"],
         ["simulate", "size", "--k", "2", "--d", "3", "--sizes",
          "10,100,1000", "--reps", "200", "--seed", "7"],
         ["simulate", "size", "--k", "3", "--d", "2", "--sizes", "50",
@@ -335,12 +346,41 @@ def build(where: Path) -> dict:
     return {**versions(), "fixtures": fixtures, "calls": run_calls(where)}
 
 
+def changes(old: dict, new: dict) -> list[str]:
+    """One line for each difference of manifest ``new`` from ``old``: a
+    version, a fixture, a call whose result changed (with the fields that
+    changed), a call added or removed."""
+    lines = [f"{key}: {old.get(key)} -> {new[key]}"
+             for key in ("python", "numpy") if old.get(key) != new[key]]
+    fixtures = old.get("fixtures", {})
+    lines += [f"fixture {name}: changed" if name in fixtures else
+              f"fixture {name}: added"
+              for name, sha in new["fixtures"].items()
+              if fixtures.get(name) != sha]
+    lines += [f"fixture {name}: removed" for name in fixtures
+              if name not in new["fixtures"]]
+    before = {shlex.join(e["argv"]): e for e in old.get("calls", [])}
+    after = {shlex.join(e["argv"]): e for e in new["calls"]}
+    for argv, entry in after.items():
+        if argv not in before:
+            lines.append(f"added: {argv}")
+        elif entry != before[argv]:
+            fields = [k for k in ("exit", "stdout", "stderr", "out")
+                      if entry[k] != before[argv][k]]
+            lines.append(f"changed ({', '.join(fields)}): {argv}")
+    lines += [f"removed: {argv}" for argv in before if argv not in after]
+    return lines
+
+
 def main() -> int:
     src = Path(__file__).resolve().parents[2] / "src"
     sys.path.insert(0, str(src))
     os.environ["COLUMNS"] = "80"
     with tempfile.TemporaryDirectory() as tmp:
         manifest = build(Path(tmp))
+    old = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {}
+    for line in changes(old, manifest) or ["no entry changed"]:
+        print(line)
     MANIFEST.write_text(json.dumps(manifest, indent=1) + "\n")
     print(f"wrote {len(manifest['calls'])} calls to {MANIFEST}")
     return 0

@@ -128,6 +128,16 @@ class TestDecompose:
         assert abs(payload["r"][5] - 0.5) < 1e-12
         assert payload["argmin_sets"][3] == ["111"]
 
+    def test_json_flag_is_gone(self, capsys, third_counts, tmp_path):
+        # decompose always writes JSON, so --json is no option of it
+        out_path = tmp_path / "dec.json"
+        code, out, err = run(capsys, "decompose", "--counts", third_counts,
+                             "--json", "--out", str(out_path))
+        assert (code, out) == (1, "")
+        assert err == ("latentw: error [E_USAGE]: unrecognized arguments: "
+                       "--json\n")
+        assert not out_path.exists()
+
 
 class TestBounds:
     def test_marginal(self, capsys, third_counts):
@@ -589,6 +599,20 @@ class TestClassWeight:
         assert code == 1
         assert "E_USAGE" in err
 
+    @pytest.mark.parametrize("cls", ["iid", "product"])
+    @pytest.mark.parametrize("q0", ["q0.tsv", "missing.tsv"])
+    def test_q0_outside_singleton_is_a_usage_error(self, capsys,
+                                                   intro_counts, tmp_path,
+                                                   cls, q0):
+        # found before any input is read, whether the file exists or not
+        (tmp_path / "q0.tsv").write_text("outcome\tcount\n00\t1\n")
+        code, out, err = run(capsys, "classweight", "--counts",
+                             str(tmp_path / "none.tsv"), "--class", cls,
+                             "--q0", str(tmp_path / q0))
+        assert (code, out) == (1, "")
+        assert err == ("latentw: error [E_USAGE]: --q0 applies to --class "
+                       f"singleton only, not --class {cls}\n")
+
     def test_singleton_with_q0(self, capsys, intro_counts, tmp_path):
         q0 = tmp_path / "q0.tsv"
         # Bernoulli(3/5) x Bernoulli(4/5) as counts out of 25
@@ -838,10 +862,11 @@ class TestMeth:
 
     def test_threads_default_and_below_one(self, capsys, epireads,
                                            tmp_path):
-        # no flag means one thread per CPU; below 1 runs serially
+        # no flag means None, one thread per usable CPU, as for estimate
+        # and triplet_report; below 1 runs serially
         args = cli.build_parser().parse_args(
             ["meth", "triplets", "--epireads", epireads, "--out", "r.tsv"])
-        assert args.threads == (os.cpu_count() or 1)
+        assert args.threads is None
         outputs = []
         for flag in ([], ["--threads", "1"], ["--threads", "0"],
                      ["--threads", "-2"]):

@@ -35,3 +35,20 @@ def test_outputs_match_manifest(manifest, tmp_path, monkeypatch):
                                     update.run_calls(tmp_path))
                if want != got]
     assert changed == []
+
+
+def test_changes_names_each_difference():
+    entry = {"argv": ["weight", "--counts", "a b.tsv"], "exit": 0,
+             "stdout": "1", "stderr": "2", "out": None}
+    old = {"python": "3.11", "numpy": "2.4", "fixtures": {"a": "1", "b": "2"},
+           "calls": [entry, {**entry, "argv": ["tv"]}]}
+    new = {"python": "3.11", "numpy": "2.5", "fixtures": {"a": "1", "c": "3"},
+           "calls": [{**entry, "exit": 1, "stderr": "3"},
+                     {**entry, "argv": ["--help"]}]}
+    assert update.changes(old, new) == [
+        "numpy: 2.4 -> 2.5", "fixture c: added", "fixture b: removed",
+        "changed (exit, stderr): weight --counts 'a b.tsv'",
+        "added: --help", "removed: tv"]
+    assert update.changes(new, new) == []
+    assert update.changes({}, new)[-2:] == [
+        "added: weight --counts 'a b.tsv'", "added: --help"]

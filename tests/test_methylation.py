@@ -404,6 +404,15 @@ class TestTripletReport:
         threaded = triplet_report(trip, n_boot=200, seed=5, threads=8)
         assert serial == threaded
 
+    def test_default_workers_match_estimate(self):
+        # threads=None is one worker per usable CPU, as in estimate; a
+        # SeedSequence root gives the report of its integer seed
+        trip = extract_triplets(records(*(["chr1 0 CCTC"] * 60
+                                          + ["chr1 0 CTCT"] * 70
+                                          + ["chr1 0 TCCC"] * 50)))
+        assert triplet_report(trip, n_boot=50, seed=np.random.SeedSequence(
+            4)) == triplet_report(trip, n_boot=50, seed=4, threads=1)
+
     def test_rows_equal_single_triplet_functions(self, monkeypatch):
         # every field of every row equals estimate(), decompose() and
         # tv_distance_to_exchangeable() on that triplet bit for bit, with
