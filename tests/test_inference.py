@@ -1032,6 +1032,19 @@ class TestLimitLaw:
                                  1000, seed=7)
         assert np.all(draws == 0.0)
 
+    def test_memory_is_bounded(self):
+        # every cell of the uniform (36,3) law is retained: a covariance
+        # over them would be 46 656^2 float64 values (16 GiB)
+        p = Distribution.uniform(SampleSpace(36, 3))
+        tracemalloc.start()
+        try:
+            draws = limit_law_sample(p, 10, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert np.all(np.isfinite(draws))
+
     @pytest.mark.parametrize("space,law", [
         (SampleSpace(2, 2), None),
         (SampleSpace(2, 3), None),
