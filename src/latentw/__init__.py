@@ -32,7 +32,6 @@ from .exchangeable import (
     marginal_weight_bound,
     marginalize,
     synthesize_mixture,
-    tv_distance,
     tv_distance_to_exchangeable,
 )
 from .product import (

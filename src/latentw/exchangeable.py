@@ -336,11 +336,3 @@ def tv_distance_to_exchangeable(p: Distribution):
     if p.num.ndim == 1:
         return dist.tolist()[0], p.law(q_num[0], scale * den[0])
     return dist, p.law(q_num, scale * den)
-
-
-def tv_distance(p1: Distribution, p2: Distribution) -> float:
-    """Total variation distance, half the L1 gap."""
-    if p1.space != p2.space:
-        raise ValueError("distributions on different spaces")
-    a, b = p1.as_float().p, p2.as_float().p
-    return float(0.5 * np.abs(a - b).sum())

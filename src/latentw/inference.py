@@ -33,9 +33,7 @@ reads a stack in one pass: rows are grouped by their live-orbit
 pattern, and the laws of a group are gathered as one array.
 
 A law of ``m`` cells is drawn by one ``Generator.multinomial`` call a
-chunk or, where :func:`_takes_poisson` picks it (never for a methylation
-triplet), by :func:`_poisson_multinomial`, which gives the same law.  A
-sample's ``n_boot`` resamples are cut into chunks of at most
+chunk.  A sample's ``n_boot`` resamples are cut into chunks of at most
 ``_BLOCK_CELLS = 2**15`` draw cells (resamples x ``m``, at least one
 resample a chunk), planned from that sample alone, so a row of a stack
 gets the same bits as by itself.  A sample that fits in one chunk draws
@@ -48,14 +46,13 @@ from the caller's seed.
 Each chunk is reduced as soon as it is drawn, by :meth:`_LumpedLaw.masses`,
 to each resample's integer weight numerator ``W* = sum |z| * min``.  So a
 worker holds about ``max(2**15, m)`` int64 draw cells at a time: the draws
-and their minima, or the draws and a piece's completion counts.  A sample
-keeps its law (8 bytes a cell), and on the Poisson sampler its alias table
-(16 more).  The chunks run on a thread pool of up to one worker per usable
-CPU, since numpy draws without the GIL, or fewer under ``estimate``'s
-``threads`` cap or when the workers' chunks would pass ``_POOL_BYTES``
-(1 GiB) together.  The summaries keep only each row's integer ``sum W*``
-and ``sum W*^2`` and divide once (:func:`_summaries`): the same bits
-whatever the number of workers.
+and their minima.  A sample keeps its law (8 bytes a cell).  The chunks
+run on a thread pool of up to one worker per usable CPU, since numpy
+draws without the GIL, or fewer under ``estimate``'s ``threads`` cap or
+when the workers' chunks would pass ``_POOL_BYTES`` (1 GiB) together.
+The summaries keep only each row's integer ``sum W*`` and ``sum W*^2``
+and divide once (:func:`_summaries`): the same bits whatever the number
+of workers.
 """
 
 from __future__ import annotations
@@ -67,6 +64,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -88,22 +86,10 @@ TIED_ARGMIN = "tied_argmin"
 _BLOCK_CELLS = 2**15
 
 #: Bytes the tasks of one bootstrap pool may hold at once.  A task holds
-#: its draws and their minima, or its draws and a piece's completion
-#: counts: within ``3 * 8 * max(_BLOCK_CELLS, k**d)`` bytes, as a law has
-#: at most ``k**d`` cells, so a large ``k**d`` gets fewer workers.
+#: its draws and their minima: within ``3 * 8 * max(_BLOCK_CELLS, k**d)``
+#: bytes, as a law has at most ``k**d`` cells, so a large ``k**d`` gets
+#: fewer workers.
 _POOL_BYTES = 2**30
-
-#: A Poisson resample of size ``n0`` is drawn at total rate
-#: ``n0 - _SHORTFALL_SDS * sqrt(n0)``, so about 0.13% of them pass ``n0``
-#: and are drawn again.
-_SHORTFALL_SDS = 3.0
-
-#: The Poisson sampler needs a law of at least this many drawn cells (and
-#: ``_SHORTFALL_SDS * sqrt(n0) <= 2 * cells``).
-_POISSON_MIN_CELLS = 512
-
-#: The completion draws of a chunk are made in pieces of at most this many.
-_PIECE_DRAWS = _BLOCK_CELLS // 4
 
 
 def _usable_cpus() -> int:
@@ -168,89 +154,6 @@ def resample_law(counts: np.ndarray, n_boot: int,
     return n0, counts / n[:, None]
 
 
-def _takes_poisson(m: int, n0: int) -> bool:
-    """True when a law of ``m`` drawn cells at resample size ``n0`` takes
-    the Poisson sampler; the plan asks it for each row, with ``m`` the
-    cells of the row's lumped law.  Measured frontier, Poisson over
-    multinomial time of 1 000 resamples in the plan's chunks at 1 thread
-    (Dirichlet(1) laws, 2-CPU Xeon, numpy 2.4), at ``3*sqrt(n0)`` =
-    ``m``, ``2*m`` and ``3*m``: 0.55, 0.75 and 1.11 for 512 cells, 0.58,
-    0.81 and 1.06 for 1 242, 0.66, 0.93 and 1.25 for 4 096; 0.57 on the
-    k4d6 count table (1 242 cells, n0 204 800), 1.86 on k2d10 (68 cells,
-    n0 51 200).  Below 512 cells it measured 0.58 to 0.85 within ``2*m``
-    as well."""
-    return m >= _POISSON_MIN_CELLS and _SHORTFALL_SDS * np.sqrt(n0) <= 2 * m
-
-
-def _alias_table(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Walker alias table of the law ``p``: draw column ``i`` uniformly,
-    then keep ``i`` with probability ``prob[i]``, else take ``alias[i]``.
-
-    Built by one sweep in closed form.  Light cells (``k*p < 1``) fill
-    their columns from the heavy cell that is current when the sweep
-    reaches them: the first heavy cell whose running excess passes the
-    running deficit before them.  A heavy cell that gives more than its
-    excess keeps the rest of its column and takes its alias from the next
-    heavy cell.  A zero cell keeps probability 0 and only heavy cells are
-    aliases, so a cell of probability 0 is never drawn, whatever the
-    rounding of the sums.
-    """
-    q = p * (len(p) / p.sum())
-    is_heavy = q >= 1.0
-    is_heavy[q.argmax()] = True
-    light, heavy = np.flatnonzero(~is_heavy), np.flatnonzero(is_heavy)
-    deficit = np.concatenate(([0.0], np.cumsum(1.0 - q[light])))
-    excess = np.cumsum(q[heavy] - 1.0)
-    prob, alias = q, np.arange(len(p))
-    served_by = np.searchsorted(excess, deficit[:-1], side="right")
-    alias[light] = heavy[np.minimum(served_by, len(heavy) - 1)]
-    given = deficit[np.searchsorted(deficit[:-1], excess, side="left")]
-    prob[heavy] = np.clip(1.0 - (given - excess), 0.0, 1.0)
-    alias[heavy[:-1]] = heavy[1:]
-    return prob, alias
-
-
-def _poisson_multinomial(rng: np.random.Generator, n0: int, p: np.ndarray,
-                         table: tuple[np.ndarray, np.ndarray], size: int,
-                         ) -> np.ndarray:
-    """``size`` multinomial ``(n0, p)`` draws: Poisson cells at
-    ``rate = lam * p``, ``lam = max(0, n0 - 3*sqrt(n0))``, a row above
-    ``n0`` drawn again (about 0.13% of them), then each row completed to
-    ``n0`` by draws from the alias ``table`` of ``p``, in pieces of at
-    most ``_PIECE_DRAWS``.  Given its total ``M`` a row's Poisson cells
-    are multinomial ``(M, p)``, and the redraw depends on ``M`` alone, so
-    the row is exactly multinomial ``(n0, p)``; a zero cell has rate 0 and
-    is no column's alias, so it is never drawn."""
-    k, rate = len(p), max(0.0, n0 - _SHORTFALL_SDS * np.sqrt(n0)) * p
-    counts = rng.poisson(rate, size=(size, k))
-    totals = counts.sum(axis=1)
-    over = np.flatnonzero(totals > n0)
-    while len(over):
-        counts[over] = rng.poisson(rate, size=(len(over), k))
-        totals[over] = counts[over].sum(axis=1)
-        over = over[totals[over] > n0]
-    # Completion draws lo..hi-1 fall in the rows that overlap them: row r
-    # takes draws starts[r]..ends[r]-1.
-    ends = np.cumsum(n0 - totals)
-    starts = ends - (n0 - totals)
-    prob, alias = table
-    for lo in range(0, int(ends[-1]), _PIECE_DRAWS):
-        hi = min(lo + _PIECE_DRAWS, int(ends[-1]))
-        first = np.searchsorted(ends, lo, side="right")
-        last = np.searchsorted(starts, hi, side="left")
-        u = rng.random(hi - lo)
-        u *= k
-        cell = u.astype(np.intp)
-        u -= cell
-        np.copyto(cell, alias[cell], where=u >= prob[cell])
-        cell += np.repeat(np.arange(last - first) * k,
-                          np.minimum(ends[first:last], hi)
-                          - np.maximum(starts[first:last], lo))
-        counts[first:last] += np.bincount(
-            cell, minlength=(last - first) * k).reshape(-1, k)
-    return counts
-
-
 @dataclass(slots=True)
 class _LumpedLaw:
     """A sample's drawn law: the rest cell when some orbit is dead, the
@@ -262,19 +165,13 @@ class _LumpedLaw:
     law: np.ndarray                     # probability of each drawn cell
     starts: np.ndarray                  # drawn orbits' offsets in the law
     sizes: np.ndarray                   # drawn orbits' sizes |z|
-    table: tuple | None                 # alias table, on the Poisson sampler
-
-    def draws(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """``size`` multinomial ``(n0, law)`` resamples, by the sampler
-        that ``_takes_poisson`` picked."""
-        if self.table is None:
-            return rng.multinomial(self.n0, self.law, size=size)
-        return _poisson_multinomial(rng, self.n0, self.law, self.table, size)
 
     def masses(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Integer weight numerators ``W* = sum |z| * min`` over the drawn
-        orbits of ``size`` resamples; a resample's weight is ``W* / n0``."""
-        mins = np.minimum.reduceat(self.draws(rng, size), self.starts, axis=1)
+        orbits of ``size`` multinomial ``(n0, law)`` resamples; a
+        resample's weight is ``W* / n0``."""
+        mins = np.minimum.reduceat(
+            rng.multinomial(self.n0, self.law, size=size), self.starts, axis=1)
         return mins @ self.sizes
 
 
@@ -309,11 +206,8 @@ def _lumped_laws(space: SampleSpace, n0: np.ndarray, p: np.ndarray,
         sizes = np.concatenate((np.ones(int(unit.any()), dtype=np.int64),
                                 index.sizes[multi]))
         starts = np.cumsum(sizes) - sizes + (not on.all())
-        m = law.shape[1]
         for j, row in zip(rows.tolist(), law):
-            table = (_alias_table(row) if _takes_poisson(m, resample[j])
-                     else None)
-            laws[j] = _LumpedLaw(resample[j], row, starts, sizes, table)
+            laws[j] = _LumpedLaw(resample[j], row, starts, sizes)
     return laws
 
 
@@ -557,9 +451,10 @@ def asymptotic_variance(p: Distribution) -> float:
         V = sum_z |z|^2 m_z - lam^2,   lam = sum_z |z| m_z
 
     On numerators ``c`` over ``n`` that is ``(n*sum_z |z|^2 c_z - W^2) /
-    n^2`` with ``W = sum_z |z| c_z``: for a law of counts or an exact law
-    a ratio of Python ints, divided once, so the correctly rounded
-    value.  It needs only the orbit minima and sizes.
+    n^2`` with ``W = sum_z |z| c_z``, summed in Fractions: each minimum
+    is exact as a Fraction, whether a count, an exact numerator or a
+    float, so the result is the exact value of the law's own numbers,
+    rounded once.  It needs only the orbit minima and sizes.
 
     Raises
     ------
@@ -572,11 +467,12 @@ def asymptotic_variance(p: Distribution) -> float:
         raise TiedArgminError(
             f"orbits {spec.tied} have tied minima; the Gaussian formula does "
             "not apply")
-    mins = p.space.orbit_index().class_minima_rows(p.num).tolist()
+    mins = [Fraction(c) for c in
+            p.space.orbit_index().class_minima_rows(p.num).tolist()]
     sizes = spec.class_sizes.tolist()
     w = sum(s * c for s, c in zip(sizes, mins))
     q = sum(s * s * c for s, c in zip(sizes, mins))
-    return ratio(p.den * q - w * w, p.den * p.den)
+    return float((p.den * q - w * w) / (p.den * p.den))
 
 
 def limit_law_sample(p: Distribution, n_draws: int, seed=0) -> np.ndarray:

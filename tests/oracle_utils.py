@@ -3,10 +3,9 @@
 Everything here recomputes quantities from first principles (itertools
 enumeration, per-outcome permutation minima, ``Fraction`` arithmetic,
 simplex grids, a whole-grid start ranking, a generic LP solver, a
-per-window loop over reads, a per-line epiread parser, an alias table
-swept in a loop) without touching the package's orbit index, TV
-projection, optimizer, grid tiles, block parser, window-counting or
-bootstrap-draw code paths.
+per-window loop over reads, a per-line epiread parser) without touching
+the package's orbit index, TV projection, optimizer, grid tiles, block
+parser, window-counting or bootstrap-draw code paths.
 """
 
 import itertools
@@ -549,10 +548,8 @@ def chunked_masses_oracle(p: np.ndarray, n0: int, n_boot: int, k: int,
     rest cell when some orbit is dead, a unit cell holding the live
     singleton orbits, then the cells of the live multi-cell orbits.  Its
     draw cells are those ``m`` cells; with no live orbit every ``W*`` is 0
-    and nothing is drawn.  A law of at least 512 cells with
-    ``3 * sqrt(n0) <= 2 * m`` is drawn as Poisson cells completed to
-    ``n0`` (:func:`poisson_chunk_oracle`), any other by one
-    ``Generator.multinomial`` call a chunk.
+    and nothing is drawn.  Each chunk is one ``Generator.multinomial``
+    call.
 
     Chunks hold ``max(1, block_cells // m)`` resamples.  One chunk draws
     from ``seed_seq`` itself; with several, chunk ``i`` draws from the
@@ -565,7 +562,6 @@ def chunked_masses_oracle(p: np.ndarray, n0: int, n_boot: int, k: int,
     if not sizes:
         return [0] * n_boot
     cells = len(law)
-    poisson = cells >= 512 and 3 * math.sqrt(n0) <= 2 * cells
     per_chunk = max(1, block_cells // cells)
     n_chunks = -(-n_boot // per_chunk)
     masses = []
@@ -573,10 +569,8 @@ def chunked_masses_oracle(p: np.ndarray, n0: int, n_boot: int, k: int,
         seed = seed_seq if n_chunks == 1 else np.random.SeedSequence(
             seed_seq.entropy, spawn_key=tuple(seed_seq.spawn_key) + (i,))
         size = min(per_chunk, n_boot - i * per_chunk)
-        rng = np.random.default_rng(seed)
-        rows = (poisson_chunk_oracle(rng, n0, law, size) if poisson
-                else rng.multinomial(n0, law, size=size).tolist())
-        for row in rows:
+        rows = np.random.default_rng(seed).multinomial(n0, law, size=size)
+        for row in rows.tolist():
             mass, at = 0, cells - sum(sizes)
             for size in sizes:
                 mass += size * min(row[at:at + size])
@@ -605,71 +599,13 @@ def exact_summaries(masses: list[int], n0: int, mass: int, n: int,
     return mean - lam, min(max(2 * lam - mean, Fraction(0)), Fraction(1)), var
 
 
-def poisson_chunk_oracle(rng: np.random.Generator, n0: int, law: np.ndarray,
-                         size: int) -> list[list[int]]:
-    """``size`` multinomial ``(n0, law)`` draws by Poisson cells completed
-    to ``n0``, with the alias table built and read in plain loops.
-
-    Each row is Poisson at rate ``max(0, n0 - 3 sqrt(n0)) * law`` (numpy's
-    sampler, one row per call), drawn again while its total passes
-    ``n0``.  Then the rows take their ``n0 - total`` completion draws in
-    turn from ``rng.random``: ``x = u * K`` picks column ``int(x)``, kept
-    when ``x - int(x) < prob`` and replaced by its alias otherwise.  The
-    table is the sweep of the light cells (``K * law < 1``) in index
-    order, each filled by the first heavy cell whose running excess
-    passes the running deficit before it; a heavy cell's column keeps
-    what it did not give, with the next heavy cell as its alias; the
-    largest cell counts as heavy, and the last heavy cell is its own
-    alias.
-    """
-    n_out = len(law)
-    q = (law * (n_out / law.sum())).tolist()
-    top = max(range(n_out), key=q.__getitem__)
-    heavy = [i for i in range(n_out) if q[i] >= 1.0 or i == top]
-    light = [i for i in range(n_out) if not (q[i] >= 1.0 or i == top)]
-    deficit, excess = [0.0], []
-    for i in light:
-        deficit.append(deficit[-1] + (1.0 - q[i]))
-    for i in heavy:
-        excess.append((excess[-1] if excess else 0.0) + (q[i] - 1.0))
-    prob, alias = list(q), list(range(n_out))
-    h = 0
-    for m, i in enumerate(light):
-        while h < len(heavy) and excess[h] <= deficit[m]:
-            h += 1
-        alias[i] = heavy[min(h, len(heavy) - 1)]
-    m = 0
-    for h, i in enumerate(heavy):
-        while m < len(light) and deficit[m] < excess[h]:
-            m += 1
-        prob[i] = min(max(1.0 - (deficit[m] - excess[h]), 0.0), 1.0)
-        if h + 1 < len(heavy):
-            alias[i] = heavy[h + 1]
-
-    lam = max(0.0, n0 - 3.0 * math.sqrt(n0))
-    rate = np.array([lam * x for x in law.tolist()])
-    rows = [rng.poisson(rate).tolist() for _ in range(size)]
-    redo = [r for r in range(size) if sum(rows[r]) > n0]
-    while redo:
-        for r in redo:
-            rows[r] = rng.poisson(rate).tolist()
-        redo = [r for r in redo if sum(rows[r]) > n0]
-    short = [n0 - sum(row) for row in rows]
-    uniforms = iter(rng.random(sum(short)).tolist())
-    for row, missing in zip(rows, short):
-        for _ in range(missing):
-            x = next(uniforms) * n_out
-            col = int(x)
-            row[col if x - col < prob[col] else alias[col]] += 1
-    return rows
-
-
 def limit_variance_oracle(p: list[Fraction], k: int, d: int,
                           ) -> Fraction | None:
     """Variance ``sum_z |z|^2 m_z (1 - m_z) - sum_{z1 != z2} |z1||z2|
-    m_z1 m_z2`` of the Gaussian limit of an exact law ``p`` (Fractions in
-    outcome-index order), summed term by term in Fractions; None when an
-    orbit's minimum is above 0 and held by two or more of its cells."""
+    m_z1 m_z2`` of the Gaussian limit of a law ``p`` given as Fractions in
+    outcome-index order (a float law as each value's exact Fraction),
+    summed term by term in Fractions; None when an orbit's minimum is
+    above 0 and held by two or more of its cells."""
     minima, sizes = [], []
     for members in _orbit_indices(k, d):
         m = min(p[x] for x in members)
@@ -698,3 +634,10 @@ def limit_law_mvn_oracle(spec, n_draws: int, rng: np.random.Generator,
         out += size * x[:, offset:offset + len(block)].min(axis=1)
         offset += len(block)
     return out
+
+
+def tv_distance(p1, p2) -> float:
+    """Total variation distance of two ``Distribution`` objects on one
+    space: half the L1 gap of their float probabilities."""
+    assert p1.space == p2.space
+    return float(0.5 * np.abs(p1.as_float().p - p2.as_float().p).sum())

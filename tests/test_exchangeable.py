@@ -10,7 +10,7 @@ from latentw import (CountVector, Distribution, SampleSpace, decompose,
                      empirical_distribution, estimate, exchangeable_weight,
                      is_exchangeable, lump, lumping_weight_bound,
                      marginal_weight_bound, marginalize, synthesize_mixture,
-                     tv_distance, tv_distance_to_exchangeable)
+                     tv_distance_to_exchangeable)
 from latentw.errors import (EmptyIndexSetError, NotExchangeableError,
                             ResidualNotPureError)
 from latentw.exchangeable import (exchangeable_component_rows,
@@ -18,7 +18,8 @@ from latentw.exchangeable import (exchangeable_component_rows,
 
 from conftest import dirichlet_distributions
 from oracle_utils import (brute_weight_vector, exact_decomposition_oracle,
-                          tv_fill_oracle, tv_grid_oracle, tv_lp_oracle)
+                          tv_distance, tv_fill_oracle, tv_grid_oracle,
+                          tv_lp_oracle)
 
 
 class TestExchangeableWeight:

@@ -32,8 +32,8 @@ from oracle_utils import (brute_weight_vector, chunked_masses_oracle,
 #: 256 outcomes; :func:`sample44` draws 20 to 46 cells of them, so a
 #: chunk of the bootstrap holds 712 to 1638 resamples.
 SPACE44 = SampleSpace(4, 4)
-#: 729 outcomes: a law of at least 512 drawn cells is drawn by Poisson
-#: cells while ``3*sqrt(n0) <= 2 * cells``.
+#: 729 outcomes: :func:`sample36` draws 722 cells of them, so a chunk of
+#: the bootstrap holds 45 resamples.
 SPACE36 = SampleSpace(3, 6)
 
 
@@ -458,14 +458,14 @@ def sample36(seed):
 
 
 class TestPoissonPlan:
-    # A law of at least 512 drawn cells with 3*sqrt(n0) <= 2 * cells is
-    # drawn as Poisson cells completed to n0; the oracle redoes the plan
-    # and the alias table in plain loops, so the bits must agree.
+    # Laws of at least 512 drawn cells, whose chunks hold a few dozen
+    # resamples: the oracle redoes the plan in plain loops, so the bits
+    # must agree.
     @pytest.mark.parametrize("resample_size", [None, 1, 231681, 231682],
                              ids=["n", "n0=1", "last-poisson",
                                   "first-multinomial"])
     def test_estimate_matches_oracle(self, resample_size):
-        # 722 drawn cells: Poisson up to n0 = (2 * 722 / 3)**2 = 231681.8
+        # 722 drawn cells, chunks of 45 resamples
         c = sample36(70)
         assert drawn_cells(c) == 722
         est = estimate(c, n_boot=100, resample_size=resample_size, seed=71)
@@ -503,29 +503,14 @@ class TestPoissonPlan:
             assert row.mean_bias == np.mean(reps) - 1.0
             assert abs(row.sd - np.std(reps, ddof=1)) < 1e-12
 
-    def test_rule(self):
-        # the rule reads the drawn cells m and n0 alone; the measured
-        # frontier (Poisson faster at 1 thread on the left)
-        takes = inference_mod._takes_poisson
-        assert takes(512, 25600) and takes(1242, 62100)
-        assert takes(4096, 10**6) and takes(1242, 204800)
-        assert not takes(512, 10**6) and not takes(1242, 10**6)
-        assert not takes(1242, 10**7) and not takes(4096, 10**7)
-        assert not takes(128, 6400) and not takes(264, 13200)
-        assert takes(729, 236196) and not takes(729, 236197)
-        assert takes(512, 1) and not takes(511, 1)
-        # triplets (8 cells) keep Generator.multinomial at any coverage
-        assert not any(takes(8, n) for n in (1, 10, 100, 10**6))
-
     def test_pool_width_does_not_change_bits(self, monkeypatch):
-        # every orbit live: 4093 cells (the 4 constants lumped), Poisson,
-        # chunks of 8
+        # every orbit live: 4093 cells (the 4 constants lumped), chunks
+        # of 8
         space = SampleSpace(4, 6)
         rng = np.random.default_rng(75)
         c = CountVector(space, rng.multinomial(
             50000, rng.dirichlet(np.ones(4096))) + 1)
         assert drawn_cells(c) == 4093
-        assert inference_mod._takes_poisson(4093, c.n)
         out = []
         for cpus in (1, 2, 16):
             monkeypatch.setattr(inference_mod, "_usable_cpus", lambda: cpus)
@@ -537,18 +522,27 @@ class TestPoissonPlan:
 
 
 def seen_resamples(monkeypatch, space, n0, p, size, seed):
-    """The resamples that ``multinomial_masses`` draws, captured at the
-    one draw site of both samplers, and the law they are drawn from, which
-    must be :func:`lumped_law_oracle`'s.  ``(None, None)`` when nothing
-    is drawn."""
+    """The resamples that ``multinomial_masses`` draws, captured from the
+    generator that each chunk's ``_LumpedLaw.masses`` call draws them
+    with, and the law they are drawn from, which must be
+    :func:`lumped_law_oracle`'s.  ``(None, None)`` when nothing is
+    drawn."""
     seen = []
-    draws = inference_mod._LumpedLaw.draws
+    masses = inference_mod._LumpedLaw.masses
+
+    class Recorder:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def multinomial(self, n, pvals, size):
+            rows = self.rng.multinomial(n, pvals, size=size)
+            seen.append((pvals, rows))
+            return rows
 
     def spy(law, rng, size):
-        seen.append((law.law, draws(law, rng, size).copy()))
-        return seen[-1][1]
+        return masses(law, Recorder(rng), size)
 
-    monkeypatch.setattr(inference_mod._LumpedLaw, "draws", spy)
+    monkeypatch.setattr(inference_mod._LumpedLaw, "masses", spy)
     list(inference_mod.multinomial_masses(space, np.array([n0]), p[None, :],
                                           size, [seed], threads=1))
     if not seen:
@@ -566,56 +560,18 @@ def law_with_zeros(space, seed):
     return p / p.sum()
 
 
-class TestAliasTable:
-    @staticmethod
-    def implied(prob, alias):
-        # each column is 1/K: prob of its own cell, the rest of its alias
-        mass = prob.copy()
-        np.add.at(mass, alias, 1.0 - prob)
-        return mass / len(prob)
-
-    @pytest.mark.parametrize("p", [
-        [0.125, 0.375, 0.125, 0.375], [0.0, 0.5, 0.0, 0.5],
-        [0.25, 0.25, 0.0, 0.5], [0.5, 0.25, 0.25, 0.0], [0.0, 0.0, 0.0, 1.0],
-        [0.25] * 4, [0.0625] * 4 + [0.125] * 2 + [0.0, 0.5]],
-        ids=["ties", "zero-first", "zero-middle", "zero-last",
-             "point-mass-last", "uniform", "dyadic-8"])
-    def test_dyadic_laws_exact(self, p):
-        # K*p and every running sum are exact, so deficits meet excesses
-        # exactly and the table must give back p exactly
-        p = np.array(p)
-        prob, alias = inference_mod._alias_table(p)
-        assert np.array_equal(self.implied(prob, alias), p)
-        assert (prob[p == 0] == 0).all() and (p[alias[prob < 1]] > 0).all()
-
-    def test_random_laws(self):
-        rng = np.random.default_rng(90)
-        for n_out in (1, 2, 3, 512, 729, 4096):
-            for alpha in (0.05, 1.0, 30.0):
-                p = rng.dirichlet(np.full(n_out, alpha))
-                p[rng.random(n_out) < 0.3] = 0.0
-                p = p / p.sum() if p.sum() else np.eye(n_out)[-1]
-                prob, alias = inference_mod._alias_table(p)
-                assert ((prob >= 0) & (prob <= 1)).all()
-                assert np.abs(self.implied(prob, alias) - p).max() < 1e-12
-                assert (prob[p == 0] == 0).all()
-                assert (p[alias[prob < 1]] > 0).all()
-
-
 class TestDrawPaths:
-    # Both samplers give multinomial resamples of the drawn law: every
-    # resample sums to n0 exactly, and a zero cell is never drawn.
+    # The draws are multinomial resamples of the drawn law: every resample
+    # sums to n0 exactly, and a zero cell is never drawn.
     @pytest.mark.parametrize("k,d,n0", [
-        (2, 10, 1), (2, 10, 700), (2, 10, 456075),  # Poisson
-        (2, 10, 456076),                            # 1013 cells: multinomial
-        (2, 10, 465125), (2, 9, 1), (2, 9, 700),    # multinomial
+        (2, 10, 1), (2, 10, 700), (2, 10, 456075), (2, 10, 456076),
+        (2, 10, 465125), (2, 9, 1), (2, 9, 700),
         (2, 9, 29127), (2, 9, 29128), (2, 3, 1), (2, 3, 500),
     ])
     def test_sums_and_zero_cells(self, monkeypatch, k, d, n0):
         # on (2, 10), law_with_zeros kills the orbit of 1000000000 (10
-        # cells) and two constants: 1013 drawn cells, Poisson up to
-        # n0 = 456075; the worst-case source draws 1023, up to 465124.
-        # On (2, 9) they draw 502 and 511 cells, below the Poisson floor
+        # cells) and two constants: 1013 drawn cells; the worst-case
+        # source draws 1023.  On (2, 9) they draw 502 and 511 cells
         space = SampleSpace(k, d)
         laws = [law_with_zeros(space, 80), worst_case_source(space).p,
                 np.eye(space.n_outcomes)[space.n_outcomes // 3]]
@@ -625,10 +581,7 @@ class TestDrawPaths:
                 # the point mass's orbit holds zero cells: no live orbit
                 assert rows is None
                 continue
-            m = len(law)
-            assert inference_mod._takes_poisson(m, n0) == (
-                m >= 512 and 9 * n0 <= 4 * m * m)
-            assert rows.shape == (200, m)
+            assert rows.shape == (200, len(law))
             assert (rows.sum(axis=1) == n0).all()
             assert (rows[:, law == 0] == 0).all()
 
@@ -639,7 +592,6 @@ class TestDrawPaths:
         p = worst_case_source(space).p
         rows, law = seen_resamples(monkeypatch, space, 5000, p, 300, 82)
         assert law[0] == 0.0 and len(law) == 1024 - 2 + 1
-        assert inference_mod._takes_poisson(len(law), 5000)
         assert (rows[:, 0] == 0).all()
 
     @pytest.mark.parametrize("k,d,n0", [(3, 6, 5000), (2, 9, 40000),
@@ -654,7 +606,6 @@ class TestDrawPaths:
         space = SampleSpace(k, d)
         rows, law = seen_resamples(monkeypatch, space, n0,
                                    law_with_zeros(space, 83), 4000, 84)
-        assert inference_mod._takes_poisson(len(law), n0) == (k == 3)
         live = law > 0
         x, q = rows[:, live].astype(float), law[live]
         mean_se = np.sqrt(n0 * q * (1 - q) / len(x))
@@ -709,12 +660,12 @@ class TestLumpedPlan:
     # orbits' cells; each row's law, chunks and seeds depend on that row
     # alone, whatever the live-orbit patterns of its neighbours.
     def test_no_live_orbit_draws_nothing(self, monkeypatch):
-        # every orbit holds a zero cell: the weights are exactly 0, and no
-        # sampler draws
+        # every orbit holds a zero cell: the weights are exactly 0, and
+        # nothing is drawn
         def fail(*args):
             raise AssertionError("drew a resample")
 
-        monkeypatch.setattr(inference_mod._LumpedLaw, "draws", fail)
+        monkeypatch.setattr(inference_mod._LumpedLaw, "masses", fail)
         for space in (SampleSpace(2, 9), SampleSpace(2, 3)):
             index = space.orbit_index()
             counts = np.random.default_rng(85).integers(1, 20,
@@ -729,8 +680,8 @@ class TestLumpedPlan:
 
     def test_zero_mass_rest_never_drawn(self, monkeypatch):
         # zero out one whole orbit and nothing else: it is the only dead
-        # orbit, so the rest cell has mass 0 and must stay empty, on the
-        # Poisson sampler (n0 = 20000) and on multinomial (300000)
+        # orbit, so the rest cell has mass 0 and must stay empty, at a
+        # small and a large n0
         space = SampleSpace(3, 6)
         p = np.random.default_rng(87).uniform(1.0, 2.0, 729)
         p[space.orbit_index().members(5)] = 0.0
@@ -740,8 +691,6 @@ class TestLumpedPlan:
             assert law[0] == 0.0
             # the three constants are one unit cell
             assert len(law) == 729 - len(space.orbit_index().members(5)) - 1
-            assert inference_mod._takes_poisson(len(law), n0) == (
-                n0 == 20000)
             assert (rows[:, 0] == 0).all()
             assert (rows.sum(axis=1) == n0).all()
 
@@ -749,18 +698,15 @@ class TestLumpedPlan:
                                                         "multinomial"])
     def test_row_bits_do_not_depend_on_neighbours(self, n):
         # each row of a stack draws the same bits as alone, beside rows
-        # whose drawn cells, and so chunk plans and samplers, differ from
-        # its own: at n = 10000, 65 cells by multinomial, then 722 and 727
-        # by Poisson; at 400000, 727 cells (every orbit live, the three
-        # constants one unit cell) by multinomial
+        # whose drawn cells, and so chunk plans, differ from its own: at
+        # n = 10000, 65, 722 and 727 cells; at 400000, 727 cells each
+        # (every orbit live, the three constants one unit cell)
         space = SampleSpace(3, 6)
         rng = np.random.default_rng(89)
         laws = [rng.dirichlet(np.full(729, a)) for a in (1.0, 5.0, 30.0)]
         counts = np.array([rng.multinomial(n, q) for q in laws])
         cells = [drawn_cells(CountVector(space, row)) for row in counts]
         assert cells == ([65, 722, 727] if n == 10000 else [727] * 3)
-        assert [inference_mod._takes_poisson(m, n) for m in cells] == (
-            [False, True, True] if n == 10000 else [False] * 3)
         seeds = np.random.SeedSequence(90).spawn(3)
         stack = estimate(CountVector(space, counts), n_boot=200, seed=seeds)
         for i in range(3):
@@ -828,9 +774,8 @@ class TestLumpedPlan:
         rng = np.random.default_rng(91)
         c = CountVector(space, rng.multinomial(
             60000, rng.dirichlet(np.ones(4096))))
-        # 139 drawn cells: multinomial, chunks of 235 resamples
+        # 139 drawn cells, chunks of 235 resamples
         assert drawn_cells(c) == 139
-        assert not inference_mod._takes_poisson(139, c.n)
         out = []
         for cpus in (1, 2, 16):
             monkeypatch.setattr(inference_mod, "_usable_cpus", lambda: cpus)
@@ -962,6 +907,27 @@ class TestAsymptoticVariance:
             fracs = [Fraction(c, sum(counts)) for c in counts]
             p = empirical_distribution(CountVector(space, counts))
         want = limit_variance_oracle(fracs, space.k, space.d)
+        if want is None:
+            with pytest.raises(TiedArgminError):
+                asymptotic_variance(p)
+        else:
+            assert asymptotic_variance(p) == float(want)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.sampled_from([SampleSpace(2, 2), SampleSpace(2, 3),
+                            SampleSpace(3, 2), SampleSpace(3, 3)]),
+           st.data())
+    def test_float_law_matches_fraction_oracle(self, space, data):
+        # a float law's variance is the exact value of its own floats,
+        # each taken as a Fraction, rounded once, and a tie above 0
+        # raises.  Cells of integers / 997 are zero, equal, or apart by
+        # far more than the float tie tolerance of 1e-9
+        cells = space.n_outcomes
+        w = np.array(data.draw(st.lists(st.integers(0, 10**6), min_size=cells,
+                                        max_size=cells).filter(any))) / 997
+        p = Distribution(space, w / w.sum())
+        want = limit_variance_oracle([Fraction(x) for x in p.p.tolist()],
+                                     space.k, space.d)
         if want is None:
             with pytest.raises(TiedArgminError):
                 asymptotic_variance(p)
