@@ -45,9 +45,11 @@ print(f"KS distance, bootstrap replicates vs limit law: {ks:.4f}")
 
 # --- sources with tied minima ----------------------------------------------
 # When an orbit's minimum is achieved twice (here: the uniform law, where
-# P(01) = P(10)), the limit is a weighted sum of minima of correlated
-# Gaussians rather than a single Gaussian; its mean is negative.
+# P(01) = P(10) = 1/4), the limit is a weighted sum of minima of correlated
+# Gaussians rather than a single Gaussian.  Its mean is negative: the
+# orbit {01, 10} adds 2 * sqrt(1/4) * E[min of two standard normals],
+# and E[min] = -1/sqrt(pi), so the mean is -1/sqrt(pi).
 tied = Distribution.uniform(space)
 tied_draws = limit_law_sample(tied, 100_000, seed=17)
 print(f"tied-argmin source: limit-law mean {tied_draws.mean():.4f} "
-      f"(negative by the minimum effect)")
+      f"(Monte Carlo), closed form -1/sqrt(pi) = {-1 / np.sqrt(np.pi):.4f}")

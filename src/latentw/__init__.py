@@ -42,13 +42,11 @@ from .product import (
 )
 from .inference import (
     BiasTableRow,
-    LimitLawSpec,
     WeightEstimate,
     asymptotic_variance,
     bootstrap_distribution,
     estimate,
     limit_law_sample,
-    limit_law_spec,
     sample_size_heuristic,
     subsample_size,
     worst_case_source,

@@ -71,20 +71,28 @@ def exchangeable_weight_rows(space: SampleSpace, rows: np.ndarray,
     return np.minimum(ratio(mass, np.expand_dims(total, -1)), 1.0)
 
 
-def argmin_sets(p: Distribution, mins: np.ndarray | None = None,
-                ) -> tuple[tuple[int, ...], ...]:
-    """Per-orbit sets ``C_z`` of outcomes achieving the orbit minimum.
+def _at_minimum(p: Distribution, mins: np.ndarray) -> np.ndarray:
+    """The tie rule: which outcomes of ``p`` hold their orbit minimum,
+    given the orbit minima ``mins`` of ``p``'s numerators.
 
     Integer numerators tie when equal.  A float law uses the tie rule
     ``p(x) <= m_z*(1+1e-9) + 1e-15`` so that near-equal floats count as
-    ties.  ``mins`` are the orbit minima of ``p``'s numerators when the
-    caller has them already.
+    ties.
+    """
+    m_x = mins[p.space.orbit_index().class_of]
+    return p.num <= m_x + p.slack(ARGMIN_RTOL) * m_x + p.slack(ARGMIN_ATOL)
+
+
+def argmin_sets(p: Distribution, mins: np.ndarray | None = None,
+                ) -> tuple[tuple[int, ...], ...]:
+    """Per-orbit sets ``C_z`` of outcomes achieving the orbit minimum, by
+    the tie rule of :func:`_at_minimum`.  ``mins`` are the orbit minima of
+    ``p``'s numerators when the caller has them already.
     """
     index = p.space.orbit_index()
     if mins is None:
         mins = index.class_minima_rows(p.num)
-    m_x = mins[index.class_of]
-    hit = p.num <= m_x + p.slack(ARGMIN_RTOL) * m_x + p.slack(ARGMIN_ATOL)
+    hit = _at_minimum(p, mins)
     return tuple(tuple(members[hit[members]].tolist())
                  for members in map(index.members, range(index.n_classes)))
 

@@ -12,7 +12,10 @@ module also provides the Gaussian limit of ``sqrt(n)(lam_hat - lam)``:
 when every orbit minimum is uniquely achieved ("unique argmin", the
 regular case) the limit is normal with a closed-form variance; with ties
 the limit is a weighted sum of minima of correlated Gaussians, which we
-sample by Monte Carlo instead of evaluating in closed form.
+sample by Monte Carlo instead of evaluating in closed form.  One tie
+rule, that of ``exchangeable.argmin_sets``, decides which cells hold an
+orbit's minimum, for ``decompose``'s argmin sets, the regime flag of
+:func:`estimate` and the limit law alike (:func:`_orbit_ties`).
 
 Every bootstrap here draws one law by one chunk plan.  A resample's
 weight needs only its orbit minima, and a cell of probability 0 stays 0,
@@ -73,7 +76,7 @@ from .errors import EmptySampleError, TiedArgminError
 # The bootstrap does not call exchangeable_weight_rows; the benchmark's
 # tracer wraps it here.
 from .exchangeable import (exchangeable_weight_rows,  # noqa: F401
-                           _orbit_mass, argmin_sets, exchangeable_weight)
+                           _at_minimum, _orbit_mass, exchangeable_weight)
 from .space import (MAX_COUNT, CountVector, Distribution, SampleSpace,
                     empirical_distribution, ratio)
 
@@ -298,19 +301,26 @@ def _summaries(chunks, n0: np.ndarray, n_boot: int, mass: np.ndarray,
                                    mass.tolist())]).reshape(-1, 3).T
 
 
-def empirical_regularity(c: CountVector) -> str:
-    """Tie diagnosis for the empirical measure.
+def _orbit_ties(p: Distribution) -> tuple[np.ndarray, np.ndarray]:
+    """Each orbit's minimum numerator of ``p`` and the number of its cells
+    at that minimum, by the tie rule of ``argmin_sets``, in orbit
+    order.  An orbit is tied when two or more cells hold a minimum above
+    0; a minimum of 0 is deterministic in the limit (variance
+    ``m(1-m) = 0``) and inert under resampling."""
+    index = p.space.orbit_index()
+    mins = index.class_minima_rows(p.num)
+    return mins, np.add.reduceat(_at_minimum(p, mins)[index.order],
+                                 index.starts)
 
-    An orbit is tied when two or more of its cells hold its minimum count
-    exactly.  Orbits whose minimum is zero are skipped; zero cells are
-    inert under resampling and cannot perturb the bootstrap regime.
+
+def empirical_regularity(c: CountVector) -> str:
+    """Tie diagnosis for the empirical measure: :data:`TIED_ARGMIN` when
+    some orbit is tied (:func:`_orbit_ties`), two or more of its cells
+    holding its minimum count exactly.  Zero cells are inert under
+    resampling and cannot perturb the bootstrap regime.  An empty sample
+    raises :class:`EmptySampleError`.
     """
-    if c.n == 0:
-        raise EmptySampleError("empty sample")
-    index = c.space.orbit_index()
-    mins = index.class_minima_rows(c.counts)
-    at_min = c.counts == mins[index.class_of]
-    hits = np.add.reduceat(at_min[index.order], index.starts)
+    mins, hits = _orbit_ties(empirical_distribution(c))
     return TIED_ARGMIN if np.any((hits > 1) & (mins > 0)) else UNIQUE_ARGMIN
 
 
@@ -392,59 +402,6 @@ def subsample_size(n: int) -> int:
 # Limiting law of sqrt(n) * (lam_hat - lam).
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LimitLawSpec:
-    """Ingredients of the limiting law for a fixed source ``p``.
-
-    The retained coordinates are the union of the per-orbit argmin sets;
-    on them the multinomial CLT covariance is ``diag(m) - m m^T`` with
-    ``m`` the per-coordinate orbit minima, and the limit variable is
-    ``sum_z |z| * min over the argmin set of z``.
-    """
-
-    space: SampleSpace
-    class_sizes: np.ndarray            # |z| per orbit
-    minima: np.ndarray                 # m_z per orbit
-    argmin_sets: tuple[tuple[int, ...], ...]
-
-    @property
-    def tied(self) -> list[int]:
-        """The orbits whose minimum is held by two or more cells.
-
-        Ties at minimum 0 are left out: those coordinates have variance
-        ``m(1-m) = 0``, so their minima are deterministic and the
-        Gaussian regime survives.
-        """
-        return [z for z, s in enumerate(self.argmin_sets)
-                if len(s) > 1 and self.minima[z] > 0.0]
-
-    @property
-    def is_unique_argmin(self) -> bool:
-        """True when no orbit is :attr:`tied`."""
-        return not self.tied
-
-    def _block_sizes(self) -> np.ndarray:
-        return np.array([len(s) for s in self.argmin_sets])
-
-    @property
-    def covariance(self) -> np.ndarray:
-        """The covariance over the retained coordinates, built anew."""
-        m = np.repeat(self.minima, self._block_sizes())
-        cov = -np.outer(m, m)
-        np.fill_diagonal(cov, m * (1.0 - m))
-        return cov
-
-
-def limit_law_spec(p: Distribution) -> LimitLawSpec:
-    """Build the limit-law description (orbit minima and argmin blocks);
-    the argmin sets of a law of counts are exact count ties."""
-    pf = p.as_float()
-    index = pf.space.orbit_index()
-    return LimitLawSpec(space=pf.space, class_sizes=index.sizes,
-                        minima=index.class_minima_rows(pf.p),
-                        argmin_sets=argmin_sets(p))
-
-
 def asymptotic_variance(p: Distribution) -> float:
     """Closed-form variance of the Gaussian limit, unique-argmin case.
 
@@ -462,14 +419,14 @@ def asymptotic_variance(p: Distribution) -> float:
         If some orbit minimum is tied, where the limit is non-Gaussian;
         use :func:`limit_law_sample` instead.
     """
-    spec = limit_law_spec(p)
-    if spec.tied:
+    mins, hits = _orbit_ties(p)
+    tied = np.flatnonzero((hits > 1) & (mins > 0)).tolist()
+    if tied:
         raise TiedArgminError(
-            f"orbits {spec.tied} have tied minima; the Gaussian formula does "
+            f"orbits {tied} have tied minima; the Gaussian formula does "
             "not apply")
-    mins = [Fraction(c) for c in
-            p.space.orbit_index().class_minima_rows(p.num).tolist()]
-    sizes = spec.class_sizes.tolist()
+    mins = [Fraction(c) for c in mins.tolist()]
+    sizes = p.space.orbit_index().sizes.tolist()
     w = sum(s * c for s, c in zip(sizes, mins))
     q = sum(s * s * c for s, c in zip(sizes, mins))
     return float((p.den * q - w * w) / (p.den * p.den))
@@ -485,20 +442,21 @@ def limit_law_sample(p: Distribution, n_draws: int, seed=0) -> np.ndarray:
         x = sqrt(m)*xi - m*(sum(sqrt(m)*xi) + sqrt(1 - sum(m))*xi_0)
 
     (the multinomial CLT with the other cells lumped into ``xi_0``).
-    Each draw is ``sum_z |z| * min`` over the orbits' argmin blocks.
+    Each draw is ``sum_z |z| * min`` over the orbits' argmin blocks, the
+    cells at each orbit's minimum (:func:`_orbit_ties`): a block needs
+    only its size and its minimum, not which cells it holds.
     """
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
-    spec = limit_law_spec(p)
-    blocks = spec._block_sizes()
-    m = np.repeat(spec.minima, blocks)
+    mins, blocks = _orbit_ties(p)
+    m = np.repeat(ratio(mins, p.den), blocks)
     xi = np.random.default_rng(_as_seed_sequence(seed)).standard_normal(
         size=(n_draws, len(m) + 1))
     x = xi[:, 1:] * np.sqrt(m)
     rest = math.sqrt(max(0.0, 1.0 - m.sum())) * xi[:, 0]
     x -= np.outer(x.sum(axis=1) + rest, m)
     return np.minimum.reduceat(x, np.cumsum(blocks) - blocks,
-                               axis=1) @ spec.class_sizes
+                               axis=1) @ p.space.orbit_index().sizes
 
 
 # ---------------------------------------------------------------------------

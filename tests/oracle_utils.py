@@ -620,17 +620,25 @@ def limit_variance_oracle(p: list[Fraction], k: int, d: int,
     return diag - cross
 
 
-def limit_law_mvn_oracle(spec, n_draws: int, rng: np.random.Generator,
-                         ) -> np.ndarray:
-    """Draws of ``sum_z |z| * min`` over the argmin blocks of ``spec`` (a
-    ``LimitLawSpec``), the block coordinates drawn by
-    ``Generator.multivariate_normal(0, spec.covariance)``, which factors
-    the covariance itself, and reduced block by block in a loop."""
-    cov = spec.covariance
+def limit_law_mvn_oracle(p: list[Fraction], k: int, d: int, n_draws: int,
+                         rng: np.random.Generator) -> np.ndarray:
+    """Draws of ``sum_z |z| * min`` over the argmin blocks of a law ``p``
+    given as Fractions in outcome-index order: each orbit's cells exactly
+    at its minimum, found here orbit by orbit.  The block coordinates are
+    drawn by ``Generator.multivariate_normal(0, diag(m) - m m^T)``, ``m``
+    each coordinate's orbit minimum, which factors the covariance itself,
+    and reduced block by block in a loop."""
+    sizes, blocks = [], []
+    for members in _orbit_indices(k, d):
+        m = min(p[x] for x in members)
+        sizes.append(len(members))
+        blocks.append([float(m)] * sum(p[x] == m for x in members))
+    m = np.concatenate(blocks)
+    cov = np.diag(m) - np.outer(m, m)
     x = rng.multivariate_normal(np.zeros(len(cov)), cov, size=n_draws,
                                 check_valid="raise")
     out, offset = np.zeros(n_draws), 0
-    for size, block in zip(spec.class_sizes, spec.argmin_sets):
+    for size, block in zip(sizes, blocks):
         out += size * x[:, offset:offset + len(block)].min(axis=1)
         offset += len(block)
     return out

@@ -19,9 +19,10 @@ import latentw.inference as inference_mod
 from latentw import (CountVector, Distribution, SampleSpace,
                      asymptotic_variance, bootstrap_distribution,
                      empirical_distribution, estimate, exchangeable_weight,
-                     limit_law_sample, limit_law_spec, sample_size_heuristic,
+                     limit_law_sample, sample_size_heuristic,
                      subsample_size, worst_case_source)
 from latentw.errors import EmptySampleError, TiedArgminError
+from latentw.exchangeable import argmin_sets
 from latentw.inference import TIED_ARGMIN, UNIQUE_ARGMIN
 from child_env import child_env
 from oracle_utils import (brute_weight_vector, chunked_masses_oracle,
@@ -35,6 +36,11 @@ SPACE44 = SampleSpace(4, 4)
 #: 729 outcomes: :func:`sample36` draws 722 cells of them, so a chunk of
 #: the bootstrap holds 45 resamples.
 SPACE36 = SampleSpace(3, 6)
+#: A tied law on (3, 2): 01 and 10 tied at 3/20, 12 and 21 tied at 0, 02
+#: unique; the argmin cells leave mass 1/4 to the other cells.
+MIXED32 = {"00": Fraction(1, 10), "11": Fraction(1, 10),
+           "22": Fraction(1, 20), "01": Fraction(3, 20),
+           "10": Fraction(3, 20), "02": Fraction(1, 5), "20": Fraction(1, 4)}
 
 
 def sample44(seed, n=900):
@@ -133,16 +139,23 @@ class TestEstimate:
             tied = any(
                 min(counts[m]) > 0 and np.sum(counts[m] == min(counts[m])) > 1
                 for m in map(index.members, range(index.n_classes)))
-            assert inference_mod.empirical_regularity(
-                CountVector(space, counts)) == (TIED_ARGMIN if tied
-                                                else UNIQUE_ARGMIN)
+            c = CountVector(space, counts)
+            assert inference_mod.empirical_regularity(c) == (
+                TIED_ARGMIN if tied else UNIQUE_ARGMIN)
+            # the Gaussian formula refuses exactly the flagged samples
+            try:
+                asymptotic_variance(empirical_distribution(c))
+            except TiedArgminError:
+                assert tied
+            else:
+                assert not tied
 
     def test_limit_law_ties_counts_exactly(self, space22):
         # counts one apart are not tied, however large n is
         c = CountVector(space22, [3 * 10**10, 10**10, 10**10 + 1, 2 * 10**10])
         assert inference_mod.empirical_regularity(c) == UNIQUE_ARGMIN
         p = empirical_distribution(c)
-        assert limit_law_spec(p).argmin_sets == ((0,), (1,), (3,))
+        assert argmin_sets(p) == ((0,), (1,), (3,))
         assert asymptotic_variance(p) > 0.0
 
     def test_empty_sample(self, space22):
@@ -457,13 +470,12 @@ def sample36(seed):
     return CountVector(SPACE36, counts)
 
 
-class TestPoissonPlan:
+class TestLargeLawPlan:
     # Laws of at least 512 drawn cells, whose chunks hold a few dozen
     # resamples: the oracle redoes the plan in plain loops, so the bits
     # must agree.
     @pytest.mark.parametrize("resample_size", [None, 1, 231681, 231682],
-                             ids=["n", "n0=1", "last-poisson",
-                                  "first-multinomial"])
+                             ids=["n", "n0=1", "n0=231681", "n0=231682"])
     def test_estimate_matches_oracle(self, resample_size):
         # 722 drawn cells, chunks of 45 resamples
         c = sample36(70)
@@ -596,7 +608,7 @@ class TestDrawPaths:
 
     @pytest.mark.parametrize("k,d,n0", [(3, 6, 5000), (2, 9, 40000),
                                         (2, 3, 50)],
-                             ids=["poisson", "multinomial-512", "triplet"])
+                             ids=["k3d6", "multinomial-512", "triplet"])
     def test_moments(self, monkeypatch, k, d, n0):
         # cell means within 5 standard errors of n0*law, and every
         # covariance within 6 of n0*(diag law - law law^T); the standard
@@ -617,7 +629,7 @@ class TestDrawPaths:
 
     @pytest.mark.parametrize("k,d,n0", [(2, 3, 500), (3, 6, 20000),
                                         (3, 6, 300000)],
-                             ids=["triplet", "poisson", "multinomial"])
+                             ids=["triplet", "n0=20000", "multinomial"])
     def test_law_layout(self, monkeypatch, k, d, n0):
         # with every orbit live there is no rest cell: the unit cell holds
         # the k constants' sum in orbit order, and the other cells follow
@@ -694,7 +706,7 @@ class TestLumpedPlan:
             assert (rows[:, 0] == 0).all()
             assert (rows.sum(axis=1) == n0).all()
 
-    @pytest.mark.parametrize("n", [10000, 400000], ids=["poisson",
+    @pytest.mark.parametrize("n", [10000, 400000], ids=["n=10000",
                                                         "multinomial"])
     def test_row_bits_do_not_depend_on_neighbours(self, n):
         # each row of a stack draws the same bits as alone, beside rows
@@ -968,30 +980,30 @@ class TestAsymptoticVariance:
 
 
 class TestLimitLaw:
-    def test_spec_covariance_structure(self, unique_argmin_fixture):
-        spec = limit_law_spec(unique_argmin_fixture)
-        cov = spec.covariance
-        assert np.allclose(cov, cov.T)
-        assert np.all(np.linalg.eigvalsh(cov) > -1e-12)
-        m = np.array([0.4, 0.1, 0.3])
-        assert np.allclose(np.diag(cov), m * (1 - m))
-        assert np.allclose(cov[0, 1], -0.4 * 0.1)
-
-    def test_tied_cov_block(self, space22):
-        spec = limit_law_spec(Distribution.uniform(space22))
-        # orbit {01,10} retains both coordinates: within-block cov -m^2
-        assert spec.covariance.shape == (4, 4)
-        assert np.allclose(np.diag(spec.covariance), 0.25 * 0.75)
-        assert np.allclose(spec.covariance[1, 2], -0.25**2)
-
     def test_variance_matches_closed_form(self, unique_argmin_fixture):
         draws = limit_law_sample(unique_argmin_fixture, 4 * 10**5, seed=5)
         assert abs(draws.mean()) < 0.005
         assert abs(draws.var(ddof=1) - 0.29) / 0.29 < 0.01
 
-    def test_tied_case_negative_mean(self, space22):
-        draws = limit_law_sample(Distribution.uniform(space22), 10**5, seed=6)
-        assert draws.mean() < -0.1
+    def test_tied_case_negative_mean(self):
+        # each block's minimum is sqrt(m_z)*min(xi) plus a term shared by
+        # all cells, of mean 0, so the limit mean is
+        # -sum_z |z| sqrt(m_z) e_b over the orbits' argmin blocks, e_b the
+        # mean of the largest of b standard normals: e_1 = 0,
+        # e_2 = 1/sqrt(pi), e_3 = 3/(2 sqrt(pi)).  Uniform (2,2): one
+        # block of 2 at 1/4; uniform (2,3): two orbits of 3, each a block
+        # of 3 at 1/8; mixed32: 01 and 10 at 3/20 (12 and 21 tie at 0)
+        e2, e3 = 1 / math.sqrt(math.pi), 1.5 / math.sqrt(math.pi)
+        for p, mean in [
+                (Distribution.uniform(SampleSpace(2, 2)), -2 * 0.5 * e2),
+                (Distribution.uniform(SampleSpace(2, 3)),
+                 -2 * 3 * math.sqrt(1 / 8) * e3),
+                (Distribution.from_mapping(SampleSpace(3, 2), MIXED32,
+                                           exact=True),
+                 -2 * math.sqrt(3 / 20) * e2)]:
+            draws = limit_law_sample(p, 4 * 10**5, seed=3)
+            se = draws.std(ddof=1) / math.sqrt(len(draws))
+            assert abs(draws.mean() - mean) < 4 * se, (p, draws.mean(), mean)
 
     def test_degenerate_point_mass(self, space23):
         draws = limit_law_sample(Distribution.point_mass(space23, "000"),
@@ -1014,21 +1026,18 @@ class TestLimitLaw:
     @pytest.mark.parametrize("space,law", [
         (SampleSpace(2, 2), None),
         (SampleSpace(2, 3), None),
-        # 01 and 10 tied at 3/20, 12 and 21 tied at 0, 02 unique: the
-        # retained cells leave mass 1/4 to the other cells
-        (SampleSpace(3, 2), {"00": Fraction(1, 10), "11": Fraction(1, 10),
-                             "22": Fraction(1, 20), "01": Fraction(3, 20),
-                             "10": Fraction(3, 20), "02": Fraction(1, 5),
-                             "20": Fraction(1, 4)}),
+        (SampleSpace(3, 2), MIXED32),
     ], ids=["uniform22", "uniform23", "mixed32"])
     def test_tied_matches_mvn_reference(self, space, law):
         # the closed-form draws against draws of the covariance itself
         p = (Distribution.uniform(space) if law is None
              else Distribution.from_mapping(space, law, exact=True))
-        spec = limit_law_spec(p)
-        assert not spec.is_unique_argmin
+        with pytest.raises(TiedArgminError):
+            asymptotic_variance(p)
         draws = limit_law_sample(p, 20000, seed=21)
-        ref = limit_law_mvn_oracle(spec, 20000, np.random.default_rng(22))
+        ref = limit_law_mvn_oracle([Fraction(x) for x in p.p.tolist()],
+                                   space.k, space.d, 20000,
+                                   np.random.default_rng(22))
         assert stats.ks_2samp(draws, ref).statistic < 0.03
         assert abs(draws.mean() - ref.mean()) < 0.05
 
